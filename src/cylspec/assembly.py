@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .profiles import (
     Stabilizing,
     essential_bounds,
 )
-from .schrodinger import BandStructure, BoundStateResult, band_structure, bound_states
+from .schrodinger import SETTLE_TOL, BandStructure, BoundStateResult, band_structure, bound_states
 
 __all__ = [
     "ModeBudget",
@@ -198,6 +198,8 @@ class SpectrumReport:
     central_gap: tuple[float, float] | None  # in the first-order variable
     maxwell_support: tuple[tuple[float, float], ...]
     maxwell_points: tuple[float, ...]
+    bounds: EssentialBounds  # of the profile; they set the mode budget
+    transform: LiouvilleData = field(repr=False, compare=False)  # behind every mode potential
 
 
 _MERGE_TOL = 1e-9
@@ -243,30 +245,84 @@ def _symmetrize(intervals, points):
 # analysis drivers
 # ---------------------------------------------------------------------------
 
+# halfwidth ladder of the stabilizing driver: the settle search tries
+# halfwidth * growth**k for k < steps, and the transform window is sized
+# for the step past the last one
+_LADDER_GROWTH = 1.3
+_LADDER_STEPS = 6
 
-def _settled_halfwidth(
-    data: LiouvilleData, initial: float, c_max: float, attempts: int = 6
-):
+
+def _settled_halfwidth(data: LiouvilleData, initial: float, c_max: float):
     """Smallest halfwidth from the growth ladder where every budgeted
     potential has settled: |V - threshold| <= curvature + c * drift at
     the window ends, bounded here with the largest mode constant."""
-    for k in range(attempts):
-        cand = initial * (1.3**k)
+    for k in range(_LADDER_STEPS):
+        cand = initial * (_LADDER_GROWTH**k)
         if data.y_lo > -cand or data.y_hi < cand:
             return None
         ends = np.array([-cand, cand])
         v = np.abs(np.asarray(data.curvature_term(ends)))
         prod = np.asarray(data.product_tilde(ends))
         drift = np.abs(1.0 / prod - 1.0 / data.profile.limit_product)
-        if float(np.max(v + c_max * drift)) < 5e-9:
+        if float(np.max(v + c_max * drift)) < SETTLE_TOL:
             return cand
     return None
 
 
-def _transform_for(profile: CoefficientProfile, halfwidth: float, bounds: EssentialBounds):
-    lo_speed = math.sqrt(bounds.eps_lower * bounds.mu_lower)
-    z_half = halfwidth * 1.3**6 / lo_speed * 1.05 + 1.0
-    return build_transform(profile, window=(-z_half, z_half))
+def _prologue(profile: CoefficientProfile, spectrum: CrossSectionSpectrum, e_max: float, kind):
+    """Check the classification, then bound, budget and group the modes."""
+    if not isinstance(profile.classification, kind):
+        raise ValidationError(f"profile is not {kind.__name__.lower()}")
+    bounds = essential_bounds(profile)
+    budget = mode_budget(spectrum, bounds, e_max)
+    return bounds, budget, _grouped_modes(budget)
+
+
+def _solve_groups(data: LiouvilleData, spectrum: CrossSectionSpectrum, groups, solve, jobs):
+    """solve(group, potential) for every group, in group order; on a
+    thread pool when jobs > 1."""
+
+    def run(group: ModeGroup):
+        pot = build_potential(
+            data,
+            group.flavor,
+            group.mode_constant,
+            index=group.indices[0],
+            n_boundary=spectrum.boundary_components,
+        )
+        return solve(group, pot)
+
+    if jobs and jobs > 1 and len(groups) > 1:
+        with ThreadPoolExecutor(max_workers=jobs) as pool:
+            return list(pool.map(run, groups))
+    return [run(g) for g in groups]
+
+
+def _report(kind, spectrum, bounds, budget, transform, results, intervals, points, inf_sq):
+    """Union the per-mode intervals and mirror them to the first-order
+    operator; inf_sq is the bottom of the squared spectrum, which sets
+    the central gap of a simply connected cross-section."""
+    union = _merge_intervals(intervals)
+    central = None
+    if spectrum.boundary_components == 1 and math.isfinite(inf_sq) and inf_sq > 0:
+        r = math.sqrt(inf_sq)
+        central = (-r, r)
+    msupport, mpoints = _symmetrize(union, [p.energy for p in points])
+    return SpectrumReport(
+        classification=kind,
+        e_max=budget.e_max,
+        boundary_components=spectrum.boundary_components,
+        budget=budget,
+        modes=tuple(results),
+        squared_support=tuple(union),
+        squared_points=tuple(points),
+        squared_gaps=tuple(_union_gaps(union)),
+        central_gap=central,
+        maxwell_support=msupport,
+        maxwell_points=mpoints,
+        bounds=bounds,
+        transform=transform,
+    )
 
 
 def run_stabilizing_analysis(
@@ -279,12 +335,10 @@ def run_stabilizing_analysis(
     jobs: int | None = None,
 ) -> SpectrumReport:
     """Full squared-spectrum analysis for stabilizing coefficients."""
-    if not isinstance(profile.classification, Stabilizing):
-        raise ValidationError("profile is not stabilizing")
-    bounds = essential_bounds(profile)
-    budget = mode_budget(spectrum, bounds, e_max)
-    groups = _grouped_modes(budget)
-    data = _transform_for(profile, halfwidth, bounds)
+    bounds, budget, groups = _prologue(profile, spectrum, e_max, Stabilizing)
+    lo_speed = math.sqrt(bounds.eps_lower * bounds.mu_lower)
+    z_half = halfwidth * _LADDER_GROWTH**_LADDER_STEPS / lo_speed * 1.05 + 1.0
+    data = build_transform(profile, window=(-z_half, z_half))
     constants = (0.0,) + budget.electric_constants + budget.magnetic_constants
     settled = _settled_halfwidth(data, halfwidth, max(constants))
     if settled is None:
@@ -293,14 +347,7 @@ def run_stabilizing_analysis(
             "the coefficients approach their limits too slowly for this halfwidth"
         )
 
-    def solve(group: ModeGroup) -> StabilizingModeResult:
-        pot = build_potential(
-            data,
-            group.flavor,
-            group.mode_constant,
-            index=group.indices[0],
-            n_boundary=spectrum.boundary_components,
-        )
+    def solve(group: ModeGroup, pot) -> StabilizingModeResult:
         res = bound_states(pot, settled, grid)
         thr = pot.threshold
         ac = (thr, e_max) if thr < e_max else None
@@ -312,14 +359,7 @@ def run_stabilizing_analysis(
             ac_interval=ac,
         )
 
-    if jobs and jobs > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve, groups))
-    else:
-        results = [solve(g) for g in groups]
-
-    supports = [r.ac_interval for r in results if r.ac_interval is not None]
-    union = _merge_intervals(supports)
+    results = _solve_groups(data, spectrum, groups, solve, jobs)
     thresholds = [r.threshold for r in results]
 
     points: list[SpectralPoint] = []
@@ -350,24 +390,9 @@ def run_stabilizing_analysis(
         [t for t in thresholds if t <= e_max] + [p.energy for p in points],
         default=math.inf,
     )
-    central = None
-    if spectrum.boundary_components == 1 and math.isfinite(inf_sq) and inf_sq > 0:
-        r = math.sqrt(inf_sq)
-        central = (-r, r)
-
-    msupport, mpoints = _symmetrize(union, [p.energy for p in points])
-    return SpectrumReport(
-        classification="stabilizing",
-        e_max=float(e_max),
-        boundary_components=spectrum.boundary_components,
-        budget=budget,
-        modes=tuple(results),
-        squared_support=tuple(union),
-        squared_points=tuple(points),
-        squared_gaps=tuple(_union_gaps(union)),
-        central_gap=central,
-        maxwell_support=msupport,
-        maxwell_points=mpoints,
+    intervals = [r.ac_interval for r in results if r.ac_interval is not None]
+    return _report(
+        "stabilizing", spectrum, bounds, budget, data, results, intervals, points, inf_sq
     )
 
 
@@ -379,55 +404,17 @@ def run_periodic_analysis(
     jobs: int | None = None,
 ) -> SpectrumReport:
     """Full squared-spectrum analysis for periodic coefficients."""
-    if not isinstance(profile.classification, Periodic):
-        raise ValidationError("profile is not periodic")
-    bounds = essential_bounds(profile)
-    budget = mode_budget(spectrum, bounds, e_max)
-    groups = _grouped_modes(budget)
+    bounds, budget, groups = _prologue(profile, spectrum, e_max, Periodic)
     data = build_transform(profile)
 
-    def solve(group: ModeGroup) -> PeriodicModeResult:
-        pot = build_potential(
-            data,
-            group.flavor,
-            group.mode_constant,
-            index=group.indices[0],
-            n_boundary=spectrum.boundary_components,
-        )
+    def solve(group: ModeGroup, pot) -> PeriodicModeResult:
         bs = band_structure(pot, e_max)
         return PeriodicModeResult(group=group, lower_bound=pot.lower_bound, structure=bs)
 
-    if jobs and jobs > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(solve, groups))
-    else:
-        results = [solve(g) for g in groups]
-
-    intervals = []
-    for r in results:
-        intervals.extend(r.structure.bands)
-    union = _merge_intervals(intervals)
-
+    results = _solve_groups(data, spectrum, groups, solve, jobs)
+    intervals = [band for r in results for band in r.structure.bands]
     inf_sq = min((r.structure.bands[0][0] for r in results if r.structure.bands), default=math.inf)
-    central = None
-    if spectrum.boundary_components == 1 and math.isfinite(inf_sq) and inf_sq > 0:
-        rr = math.sqrt(inf_sq)
-        central = (-rr, rr)
-
-    msupport, mpoints = _symmetrize(union, [])
-    return SpectrumReport(
-        classification="periodic",
-        e_max=float(e_max),
-        boundary_components=spectrum.boundary_components,
-        budget=budget,
-        modes=tuple(results),
-        squared_support=tuple(union),
-        squared_points=(),
-        squared_gaps=tuple(_union_gaps(union)),
-        central_gap=central,
-        maxwell_support=msupport,
-        maxwell_points=mpoints,
-    )
+    return _report("periodic", spectrum, bounds, budget, data, results, intervals, (), inf_sq)
 
 
 # ---------------------------------------------------------------------------
@@ -495,54 +482,35 @@ def finite_gap_certificate(
             d = max(d, abs(hi - (math.pi * n / b) ** 2 - w))
         return d
 
-    n_cert = None
-    max_dev = math.inf
+    ok = False
+    k_start = math.nan
+    n_cert, max_dev = 0, math.inf
     for n0 in range(n_spacing, n_avail + 1):
         devs = [deviation(n) for n in range(n0, n_avail + 1)]
         if devs and max(devs) < delta:
-            n_cert = n0
-            max_dev = max(devs)
+            n_cert, max_dev = n0, max(devs)
             break
-    if n_cert is None:
-        return FiniteGapCertificate(
-            verified=False,
-            reason="edge deviations never drop below delta in the analyzed range",
-            coverage_start=math.nan,
-            e_max=float(e_max),
-            n_asymptotic=0,
-            delta=delta,
-            w_low=w1,
-            w_high=w2,
-            max_edge_deviation=math.inf,
-        )
-
-    k_start = (math.pi * n_cert / b) ** 2 + w2 + delta
-    if k_start >= e_max:
-        return FiniteGapCertificate(
-            verified=False,
-            reason=f"coverage start {k_start:.6g} is not below e_max {e_max:.6g}",
-            coverage_start=k_start,
-            e_max=float(e_max),
-            n_asymptotic=n_cert,
-            delta=delta,
-            w_low=w1,
-            w_high=w2,
-            max_edge_deviation=max_dev,
-        )
-
-    union = _merge_intervals(list(pairs1) + list(pairs2), tol=0.0)
-    boundaries = np.array([x for lo, hi in union for x in (lo, hi)])
-    es = np.arange(k_start, e_max, 1e-3)
-    es = np.append(es, e_max)
-    # inside some interval iff searchsorted index is odd
-    idx = np.searchsorted(boundaries, es)
-    covered = idx % 2 == 1
-    on_edge = np.isin(es, boundaries)
-    ok = bool(np.all(covered | on_edge))
-    first_bad = float(es[~(covered | on_edge)][0]) if not ok else math.nan
+    if not n_cert:
+        reason = "edge deviations never drop below delta in the analyzed range"
+    else:
+        k_start = (math.pi * n_cert / b) ** 2 + w2 + delta
+        if k_start >= e_max:
+            reason = f"coverage start {k_start:.6g} is not below e_max {e_max:.6g}"
+        else:
+            union = _merge_intervals(list(pairs1) + list(pairs2), tol=0.0)
+            boundaries = np.array([x for lo, hi in union for x in (lo, hi)])
+            es = np.arange(k_start, e_max, 1e-3)
+            es = np.append(es, e_max)
+            # inside some interval iff searchsorted index is odd
+            idx = np.searchsorted(boundaries, es)
+            covered = idx % 2 == 1
+            on_edge = np.isin(es, boundaries)
+            ok = bool(np.all(covered | on_edge))
+            first_bad = float(es[~(covered | on_edge)][0]) if not ok else math.nan
+            reason = "verified" if ok else f"energy {first_bad:.6f} in [K, e_max] is uncovered"
     return FiniteGapCertificate(
         verified=ok,
-        reason="verified" if ok else f"energy {first_bad:.6f} in [K, e_max] is uncovered",
+        reason=reason,
         coverage_start=k_start,
         e_max=float(e_max),
         n_asymptotic=n_cert,

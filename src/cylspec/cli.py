@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import tempfile
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -43,12 +44,14 @@ from .cross_section import (
     validate_friedlander,
 )
 from .errors import CylspecError, NumericalError, ValidationError
-from .liouville import build_potential, build_transform
+# build_transform and essential_bounds are not called here, but the traced
+# benchmark (bench/spans.py) wraps them by name on this module
+from .liouville import build_potential, build_transform  # noqa: F401
 from .profiles import (
     CoefficientProfile,
     Periodic,
     Stabilizing,
-    essential_bounds,
+    essential_bounds,  # noqa: F401
     family_from_dict,
     make_profile,
 )
@@ -103,6 +106,9 @@ def _write_canonical(obj, out: list[str]):
             out.append(":")
             _write_canonical(v, out)
         out.append("}")
+    elif is_dataclass(obj):
+        # an object in field order, keyed by field name
+        _write_canonical({f.name: getattr(obj, f.name) for f in fields(obj)}, out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
 
@@ -249,43 +255,19 @@ def _parse_config(path: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _budget_dict(budget) -> dict:
-    return {
-        "e_max": budget.e_max,
-        "product_sup": budget.product_sup,
-        "electric_constants": list(budget.electric_constants),
-        "magnetic_constants": list(budget.magnetic_constants),
-        "include_zero_branch": budget.include_zero_branch,
-        "zero_multiplicity": budget.zero_multiplicity,
-    }
-
-
-def _point_dict(p) -> dict:
-    return {
-        "energy": p.energy,
-        "flavor": p.flavor,
-        "mode_constant": p.mode_constant,
-        "indices": list(p.indices),
-        "multiplicity": p.multiplicity,
-        "embedded": p.embedded,
-        "outside_support": p.outside_support,
-        "refinement_estimate": p.refinement_estimate,
-    }
-
-
 def _stabilizing_mode_dict(r) -> dict:
     return {
         "flavor": r.group.flavor,
         "mode_constant": r.group.mode_constant,
-        "indices": list(r.group.indices),
+        "indices": r.group.indices,
         "multiplicity": r.group.multiplicity,
         "threshold": r.threshold,
         "lower_bound": r.lower_bound,
-        "eigenvalues": list(r.bound.eigenvalues),
-        "refinement_estimates": list(r.bound.refinement_estimate),
+        "eigenvalues": r.bound.eigenvalues,
+        "refinement_estimates": r.bound.refinement_estimate,
         "window_halfwidth": r.bound.window,
         "grid": r.bound.grid_size,
-        "ac_interval": list(r.ac_interval) if r.ac_interval else None,
+        "ac_interval": r.ac_interval,
     }
 
 
@@ -294,43 +276,37 @@ def _periodic_mode_dict(r) -> dict:
     return {
         "flavor": r.group.flavor,
         "mode_constant": r.group.mode_constant,
-        "indices": list(r.group.indices),
+        "indices": r.group.indices,
         "multiplicity": r.group.multiplicity,
         "lower_bound": r.lower_bound,
         "period": s.period_b,
         "mean_potential": s.mean_potential,
-        "bands": [list(bb) for bb in s.bands],
-        "gaps": [list(g) for g in s.gaps],
-        "closed_gap_points": list(s.closed_gap_points),
-        "unresolved_gaps": [list(g) for g in s.unresolved_gaps],
-        "eigenvalue_band_edges": [list(p) for p in s.eigenvalue_band_edges],
+        "bands": s.bands,
+        "gaps": s.gaps,
+        "closed_gap_points": s.closed_gap_points,
+        "unresolved_gaps": s.unresolved_gaps,
+        "eigenvalue_band_edges": s.eigenvalue_band_edges,
         "validation_max_dev": s.validation_max_dev,
     }
 
 
 def _report_dict(rep: SpectrumReport, task: str) -> dict:
-    out = {
+    mode_dict = _stabilizing_mode_dict if rep.classification == "stabilizing" else _periodic_mode_dict
+    return {
         "schema_version": _SCHEMA_VERSION,
         "task": task,
         "classification": rep.classification,
         "e_max": rep.e_max,
         "boundary_components": rep.boundary_components,
-        "budget": _budget_dict(rep.budget),
-        "modes": [
-            _stabilizing_mode_dict(m) if rep.classification == "stabilizing" else _periodic_mode_dict(m)
-            for m in rep.modes
-        ],
-        "squared_support": [list(iv) for iv in rep.squared_support],
-        "squared_points": [_point_dict(p) for p in rep.squared_points],
-        "squared_gaps": [
-            {"lower": g.lower, "upper": g.upper, "possibly_closed": g.possibly_closed}
-            for g in rep.squared_gaps
-        ],
-        "central_gap": list(rep.central_gap) if rep.central_gap else None,
-        "maxwell_support": [list(iv) for iv in rep.maxwell_support],
-        "maxwell_points": list(rep.maxwell_points),
+        "budget": rep.budget,
+        "modes": [mode_dict(m) for m in rep.modes],
+        "squared_support": rep.squared_support,
+        "squared_points": rep.squared_points,
+        "squared_gaps": rep.squared_gaps,
+        "central_gap": rep.central_gap,
+        "maxwell_support": rep.maxwell_support,
+        "maxwell_points": rep.maxwell_points,
     }
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,23 +408,14 @@ def _write_band_edges_csv(path: Path, rep: SpectrumReport):
     )
 
 
-def _write_potentials_csv(path: Path, profile, rep: SpectrumReport, halfwidth: float):
+def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
+    data = rep.transform
     if rep.classification == "periodic":
-        data = build_transform(profile)
         ys = np.linspace(0.0, data.period_b, 801)
     else:
-        bounds = essential_bounds(profile)
-        from .assembly import _transform_for
-
-        data = _transform_for(profile, halfwidth, bounds)
         ys = np.linspace(-halfwidth, halfwidth, 801)
     rows = []
-    seen = set()
-    for m in rep.modes:
-        key = (m.group.flavor, m.group.mode_constant)
-        if key in seen:
-            continue
-        seen.add(key)
+    for m in rep.modes:  # one per (flavor, mode constant)
         pot = build_potential(
             data,
             m.group.flavor,
@@ -495,14 +462,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
 
     doc = _report_dict(rep, task)
     doc["friedlander_validated"] = friedlander_ok
-    bounds = essential_bounds(profile)
-    doc["essential_bounds"] = {
-        "eps_lower": bounds.eps_lower,
-        "eps_upper": bounds.eps_upper,
-        "mu_lower": bounds.mu_lower,
-        "mu_upper": bounds.mu_upper,
-        "product_sup": bounds.product_sup,
-    }
+    doc["essential_bounds"] = rep.bounds
 
     if is_periodic and bool(num.get("finite_gap_certificate", False)):
         el = sorted({m.group.mode_constant for m in rep.modes if m.group.flavor == "el"})
@@ -511,18 +471,9 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
                 "finite_gap_certificate needs two distinct electric mode constants in budget"
             )
         by_c = {m.group.mode_constant: m for m in rep.modes if m.group.flavor == "el"}
-        cert = finite_gap_certificate(by_c[el[0]].structure, by_c[el[1]].structure, e_max)
-        doc["finite_gap_certificate"] = {
-            "verified": cert.verified,
-            "reason": cert.reason,
-            "coverage_start": cert.coverage_start,
-            "e_max": cert.e_max,
-            "n_asymptotic": cert.n_asymptotic,
-            "delta": cert.delta,
-            "w_low": cert.w_low,
-            "w_high": cert.w_high,
-            "max_edge_deviation": cert.max_edge_deviation,
-        }
+        doc["finite_gap_certificate"] = finite_gap_certificate(
+            by_c[el[0]].structure, by_c[el[1]].structure, e_max
+        )
 
     run_oracle = with_oracle or task == "oracle_check"
     oracle_rows: list = []
@@ -554,7 +505,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
 
     if dump_potentials:
         _write_potentials_csv(
-            base / str(outputs.get("potentials_csv", "potentials.csv")), profile, rep, halfwidth
+            base / str(outputs.get("potentials_csv", "potentials.csv")), rep, halfwidth
         )
 
     print(f"report written: {report_path}")

@@ -70,6 +70,10 @@ __all__ = [
 
 _GL64_NODES, _GL64_WEIGHTS = leggauss(64)
 
+# |V - threshold| a stabilizing potential must stay below at the window
+# ends before its bound states are computed on that window
+SETTLE_TOL = 5e-9
+
 
 # ---------------------------------------------------------------------------
 # bound states (stabilizing case)
@@ -124,7 +128,6 @@ def bound_states(
     potential: ModePotential,
     halfwidth: float,
     grid: int,
-    settle_tol: float = 1e-8,
 ) -> BoundStateResult:
     """Eigenvalues strictly below the essential-spectrum edge.
 
@@ -138,10 +141,10 @@ def bound_states(
     thr = potential.threshold
     ends = np.asarray(potential.values(np.array([-halfwidth, halfwidth])))
     settle = float(np.max(np.abs(ends - thr)))
-    if settle >= settle_tol:
+    if settle >= SETTLE_TOL:
         raise WindowError(
             f"potential not settled at the window ends "
-            f"(|V - threshold| = {settle:.3e} >= {settle_tol:.1e}); enlarge the window"
+            f"(|V - threshold| = {settle:.3e} >= {SETTLE_TOL:.1e}); enlarge the window"
         )
 
     e_coarse = _eigs_below(potential, halfwidth, grid, thr)
@@ -330,7 +333,6 @@ class BandStructure:
     periodic_eigenvalues: tuple[float, ...]
     antiperiodic_eigenvalues: tuple[float, ...]
     validation_max_dev: float
-    discriminant: object  # callable E -> Delta(E)
 
 
 class _TargetShift:
@@ -419,9 +421,22 @@ def band_structure(
     vs = np.asarray(potential.values(ys))
     v_hat = np.fft.fft(vs) / nv
     mean_v = float(np.real(v_hat[0]))
+    empty = BandStructure(
+        period_b=float(b),
+        bands=(),
+        gaps=(),
+        closed_gap_points=(),
+        unresolved_gaps=(),
+        eigenvalue_band_edges=(),
+        e_max=float(e_max),
+        mean_potential=mean_v,
+        periodic_eigenvalues=(),
+        antiperiodic_eigenvalues=(),
+        validation_max_dev=0.0,
+    )
     v_min = float(np.min(vs))
-    if not e_max > v_min:
-        raise ValidationError(f"e_max = {e_max} does not exceed min V = {v_min:.6g}")
+    if not e_max > v_min:  # the potential lies wholly above e_max
+        return empty
 
     def delta(es):
         return discriminant(potential, np.atleast_1d(np.asarray(es, dtype=float)))
@@ -551,20 +566,7 @@ def band_structure(
                 "one route finds spectrum below e_max and the other does not: "
                 f"discriminant bands {len(bands)}, eigenvalue bands {len(ref_pairs)}"
             )
-        return BandStructure(
-            period_b=float(b),
-            bands=(),
-            gaps=(),
-            closed_gap_points=(),
-            unresolved_gaps=(),
-            eigenvalue_band_edges=(),
-            e_max=float(e_max),
-            mean_potential=mean_v,
-            periodic_eigenvalues=(),
-            antiperiodic_eigenvalues=(),
-            validation_max_dev=0.0,
-            discriminant=lambda es: discriminant(potential, es),
-        )
+        return empty
 
     # reconcile: every reference gap wider than cross_tol must either be
     # matched by a found gap, recovered by a targeted sweep, or shown to
@@ -687,7 +689,6 @@ def band_structure(
         periodic_eigenvalues=tuple(float(x) for x in per[per <= e_max + 1.0]),
         antiperiodic_eigenvalues=tuple(float(x) for x in anti[anti <= e_max + 1.0]),
         validation_max_dev=float(max_dev),
-        discriminant=lambda es: discriminant(potential, es),
     )
 
 

@@ -148,6 +148,21 @@ def test_periodic_run_with_certificate(tmp_path):
     assert not (tmp_path / "bound_states.csv").exists()
 
 
+def test_periodic_mode_above_e_max_is_reported_without_bands(tmp_path):
+    # the potential of mode el/51 lies wholly above e_max = 40
+    two_pi2 = 2.0 * math.pi**2
+    cfg = _periodic_cfg(
+        cross_section={"kind": "synthetic", "dirichlet": [two_pi2, 51.0, 200.0], "neumann": [0.0, 200.0]},
+        numerics={"e_max": 40.0},
+    )
+    cfg["profile"]["epsilon"]["amplitude"] = 0.3
+    assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    modes = {(m["flavor"], m["mode_constant"]): m for m in report["modes"]}
+    assert modes[("el", 51.0)]["bands"] == []
+    assert modes[("el", two_pi2)]["bands"] != []
+
+
 def test_synthetic_csv_inputs_match_inline(tmp_path):
     inline_dir = tmp_path / "inline"
     csv_dir = tmp_path / "fromcsv"

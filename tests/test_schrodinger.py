@@ -287,6 +287,13 @@ def test_gap_lengths_shrink_with_energy():
     assert all(b < a * 1.05 for a, b in zip(widths, widths[1:]))
 
 
+def test_potential_above_e_max_has_no_bands():
+    pot = _PeriodicV(offset=10.0, amp=0.1, period=math.pi)
+    bs = band_structure(pot, 5.0)
+    assert bs.bands == () and bs.gaps == () and bs.eigenvalue_band_edges == ()
+    assert bs.mean_potential == pytest.approx(10.0, abs=1e-12)
+
+
 def test_band_structure_needs_periodicity():
     pot = _Well(floor=0.0, strength=2.0)
     with pytest.raises(ValidationError):
