@@ -26,7 +26,7 @@ import numpy as np
 
 from .cross_section import CrossSectionSpectrum
 from .errors import InsufficientDataError, ValidationError
-from .liouville import LiouvilleData, build_potential, build_transform
+from .liouville import LiouvilleData, _eta_from_raw, build_potential, build_transform
 from .profiles import (
     CoefficientProfile,
     EssentialBounds,
@@ -260,9 +260,11 @@ def _settled_halfwidth(data: LiouvilleData, initial: float, c_max: float):
         cand = initial * (_LADDER_GROWTH**k)
         if data.y_lo > -cand or data.y_hi < cand:
             return None
-        ends = np.array([-cand, cand])
-        v = np.abs(np.asarray(data.curvature_term(ends)))
-        prod = np.asarray(data.product_tilde(ends))
+        # one read of the transform for both terms
+        e, e1, e2, m, m1, m2 = data._raw(np.array([-cand, cand]))
+        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
+        v = np.abs(et * et - etp)
+        prod = e * m
         drift = np.abs(1.0 / prod - 1.0 / data.profile.limit_product)
         if float(np.max(v + c_max * drift)) < SETTLE_TOL:
             return cand

@@ -422,7 +422,7 @@ def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
             m.group.mode_constant,
             n_boundary=rep.boundary_components,
         )
-        vals = np.asarray(pot.values(ys))
+        vals = pot.on_grid(ys)
         for y, v in zip(ys, vals):
             rows.append([m.group.flavor, m.group.mode_constant, float(y), float(v)])
     _write_csv(path, ["flavor", "mode_constant", "y", "value"], rows)

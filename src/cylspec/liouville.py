@@ -29,6 +29,20 @@ w = eps*mu and ' denoting d/dz,
 
 which follow from dz/dy = 1/sqrt(w).
 
+Every mode potential on a transform shares one change of variable, and
+the inverse map is almost all of the cost of evaluating a potential.
+So each distinct y-grid is inverted once per transform: `sample(ys)`
+keeps z(ys) and the eps/mu triples (value, d/dz, d^2/dz^2) at z(ys) in
+a memo shared by the transform and its swapped view, and
+`ModePotential.on_grid` reads it.  The sample does not depend on the
+flavor: the Newton slope sqrt(eps mu) and the integrand are symmetric
+in eps and mu, so z(y) of the swapped view is bitwise that of the
+original, and the magnetic view reads the same sample with the two
+triples exchanged.  Every mode still forms eta and V in its own
+orientation with the pointwise arithmetic, so `on_grid(ys)` is bitwise
+equal to `values(ys)`.  Pointwise `values(y)` stays the exact uncached
+route, which keeps the memo bounded by the grids the solvers use.
+
 The forward map is materialized as an adaptive panel decomposition of
 the integrand with a certified budget (default 1e-11 over the window);
 inversion is a safeguarded Newton iteration bracketed by monotonicity
@@ -39,7 +53,8 @@ b = y(a), and so does its inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import threading
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -55,6 +70,7 @@ from .profiles import (
 
 __all__ = [
     "PanelAntiderivative",
+    "SampledTransform",
     "LiouvilleData",
     "ModePotential",
     "build_transform",
@@ -129,6 +145,28 @@ class PanelAntiderivative:
 
 
 @dataclass(frozen=True)
+class SampledTransform:
+    """The inverse map on one y-grid and the eps/mu triples at z(ys).
+
+    Arrays are read-only: one sample is shared by every mode potential
+    on its transform.
+    """
+
+    ys: np.ndarray
+    z: np.ndarray
+    e: np.ndarray
+    e1: np.ndarray
+    e2: np.ndarray
+    m: np.ndarray
+    m1: np.ndarray
+    m2: np.ndarray
+
+    def swapped(self) -> "SampledTransform":
+        """The same sample with the eps and mu triples exchanged."""
+        return SampledTransform(self.ys, self.z, self.m, self.m1, self.m2, self.e, self.e1, self.e2)
+
+
+@dataclass(frozen=True)
 class LiouvilleData:
     """Materialized travel-time transform over a window (or one period)."""
 
@@ -139,6 +177,11 @@ class LiouvilleData:
     y_offset: float  # F(0), subtracted so that y(0) = 0
     period_b: float | None  # travel time of one period, periodic case only
     bounds: EssentialBounds
+    # grid bytes -> SampledTransform in the orientation of the profile
+    # given to build_transform; shared with the swapped view
+    samples: dict = field(default_factory=dict, repr=False, compare=False)
+    samples_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
+    eps_mu_swapped: bool = False  # profile is the swap of the memo's one
 
     # -- maps -----------------------------------------------------------
 
@@ -209,9 +252,31 @@ class LiouvilleData:
 
     # -- transported coefficients ---------------------------------------
 
+    def sample(self, ys) -> SampledTransform:
+        """z(ys) and the eps/mu triples there, inverted once per grid.
+
+        The memo is keyed on the grid's bytes, so only the exact same
+        array reuses a sample; this view's orientation is applied on
+        the way out.
+        """
+        ys = np.ascontiguousarray(ys, dtype=float)
+        key = ys.tobytes()
+        with self.samples_lock:
+            base = self.samples.get(key)
+            if base is None:
+                z = self.inverse(ys)
+                arrays = (ys.copy(), z) + self._coefficients(z)
+                for a in arrays:
+                    a.setflags(write=False)
+                own = SampledTransform(*arrays)
+                base = own.swapped() if self.eps_mu_swapped else own
+                self.samples[key] = base
+        return base.swapped() if self.eps_mu_swapped else base
+
     def _raw(self, y):
-        z = self.inverse(y)
-        zs = np.atleast_1d(np.asarray(z, dtype=float))
+        return self._coefficients(np.atleast_1d(np.asarray(self.inverse(y), dtype=float)))
+
+    def _coefficients(self, zs):
         e = np.asarray(self.profile.epsilon.eval(zs, 0))
         e1 = np.asarray(self.profile.epsilon.eval(zs, 1))
         e2 = np.asarray(self.profile.epsilon.eval(zs, 2))
@@ -260,8 +325,11 @@ class LiouvilleData:
         return out if np.ndim(y) else float(out[0])
 
     def swapped(self) -> "LiouvilleData":
-        """Same map with eps and mu exchanged (eta changes sign)."""
-        return replace(self, profile=self.profile.swapped())
+        """Same map with eps and mu exchanged (eta changes sign); it
+        shares the grid samples, read with the triples exchanged."""
+        return replace(
+            self, profile=self.profile.swapped(), eps_mu_swapped=not self.eps_mu_swapped
+        )
 
 
 def _transported(g, g1, g2, other, other1, order: int):
@@ -357,12 +425,20 @@ class ModePotential:
     index: int | None = None
 
     def values(self, y):
-        e, e1, e2, m, m1, m2 = self.data._raw(y)
-        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
-        out = et * et - etp + self.mode_constant / (e * m)
+        out = self._from_raw(*self.data._raw(y))
         return out if np.ndim(y) else float(out[0])
 
     __call__ = values
+
+    def on_grid(self, ys) -> np.ndarray:
+        """V on a grid from the transform's shared sample; bitwise equal
+        to values(ys)."""
+        s = self.data.sample(ys)
+        return self._from_raw(s.e, s.e1, s.e2, s.m, s.m1, s.m2)
+
+    def _from_raw(self, e, e1, e2, m, m1, m2):
+        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
+        return et * et - etp + self.mode_constant / (e * m)
 
     @property
     def y_lo(self) -> float:

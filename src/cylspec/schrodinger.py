@@ -91,6 +91,13 @@ class BoundStateResult:
     margin: float | None  # threshold - max eigenvalue, None when empty
 
 
+def _grid_values(potential: ModePotential, ys) -> np.ndarray:
+    # V on a solver grid: a ModePotential reads its transform's shared
+    # sample, any other potential object is evaluated through values()
+    on_grid = getattr(potential, "on_grid", None)
+    return on_grid(ys) if on_grid is not None else np.asarray(potential.values(ys))
+
+
 def _require_window(potential: ModePotential, halfwidth: float):
     if potential.period_b is not None:
         raise ValidationError("bound states apply to stabilizing potentials only")
@@ -108,7 +115,7 @@ def _dirichlet_grid(potential: ModePotential, halfwidth: float, n: int):
     # interior nodes of [-L, L] with n subintervals
     h = 2.0 * halfwidth / n
     ys = -halfwidth + h * np.arange(1, n)
-    vals = np.asarray(potential.values(ys))
+    vals = _grid_values(potential, ys)
     diag = 2.0 / (h * h) + vals
     off = np.full(n - 2, -1.0 / (h * h))
     return diag, off, h
@@ -139,7 +146,7 @@ def bound_states(
     if grid < 16:
         raise ValidationError("grid too coarse")
     thr = potential.threshold
-    ends = np.asarray(potential.values(np.array([-halfwidth, halfwidth])))
+    ends = _grid_values(potential, np.array([-halfwidth, halfwidth]))
     settle = float(np.max(np.abs(ends - thr)))
     if settle >= SETTLE_TOL:
         raise WindowError(
@@ -228,11 +235,11 @@ def _periodic_sampler(potential: ModePotential, nodes: int = 4096):
         return cached
     b = potential.period_b
     ys = np.linspace(0.0, b, nodes + 1)
-    vals = np.asarray(potential.values(ys))
+    vals = _grid_values(potential, ys)
     vals[-1] = vals[0]  # periodic closure
     spline = CubicSpline(ys, vals, bc_type="periodic")
     mids = np.linspace(0.0, b, 513)[:-1] + 0.5 * b / 512
-    err = float(np.max(np.abs(spline(mids) - np.asarray(potential.values(mids)))))
+    err = float(np.max(np.abs(spline(mids) - _grid_values(potential, mids))))
     scale = max(1.0, float(np.max(np.abs(vals))))
     if err > 1e-8 * scale:
         raise NumericalError(f"potential surrogate error {err:.3e} too large")
@@ -418,7 +425,7 @@ def band_structure(
 
     nv = 4096
     ys = np.linspace(0.0, b, nv, endpoint=False)
-    vs = np.asarray(potential.values(ys))
+    vs = _grid_values(potential, ys)
     v_hat = np.fft.fft(vs) / nv
     mean_v = float(np.real(v_hat[0]))
     empty = BandStructure(

@@ -20,6 +20,7 @@ from cylspec.assembly import (
 )
 from cylspec.cross_section import Rectangle, Synthetic, build_spectrum
 from cylspec.errors import InsufficientDataError, ValidationError
+from cylspec.liouville import LiouvilleData
 from cylspec.profiles import (
     Constant,
     CosinePeriodic,
@@ -182,6 +183,52 @@ def test_parallel_equals_serial():
     assert serial.squared_points == parallel.squared_points
     assert serial.squared_support == parallel.squared_support
     assert serial.maxwell_points == parallel.maxwell_points
+
+
+def test_inverse_work_does_not_grow_with_mode_groups(monkeypatch):
+    # every mode potential reads the transform's shared per-grid sample,
+    # so the number of inverse-map calls is fixed by the grids, not by the
+    # number of mode groups or the thread count
+    prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
+    spec = Synthetic(dirichlet=(5.0, 9.0, 14.0, 80.0), neumann=(0.0, 2.0, 7.0, 11.0, 85.0))
+    spectrum = build_spectrum(spec, 4, 5)
+    calls = []
+    inverse = LiouvilleData.inverse
+
+    def counted(self, y, *args, **kwargs):
+        calls.append(np.size(y))
+        return inverse(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(LiouvilleData, "inverse", counted)
+
+    def inverse_calls(e_max, jobs):
+        calls.clear()
+        report = run_stabilizing_analysis(prof, spectrum, e_max, grid=800, jobs=jobs)
+        return len(calls), len(report.modes)
+
+    few, n_few = inverse_calls(4.0, 1)
+    many, n_many = inverse_calls(40.0, 1)
+    threaded, _ = inverse_calls(40.0, 3)
+    assert (n_few, n_many) == (2, 6)
+    assert few == many == threaded
+
+
+def test_energies_scale_with_epsilon():
+    # eps -> 4 eps at constant mu doubles the travel time and quarters
+    # the potential, V4(y) = V(y / 2) / 4, so on a window of twice the
+    # halfwidth every bound state scales by exactly 1/4 up to the
+    # discretization error the Richardson estimates bound
+    spec = Synthetic(dirichlet=(5.0, 9.0, 80.0), neumann=(0.0, 2.0, 7.0, 85.0))
+    spectrum = build_spectrum(spec, 3, 4)
+    prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
+    prof4 = make_profile(Sech2Bump(4.0, 2.0, 0.0, 1.0), Constant(1.0))
+    rep = run_stabilizing_analysis(prof, spectrum, 12.0, halfwidth=10.0, grid=1000)
+    rep4 = run_stabilizing_analysis(prof4, spectrum, 3.0, halfwidth=20.0, grid=1000)
+    assert len(rep.squared_points) == len(rep4.squared_points) > 0
+    for p, p4 in zip(rep.squared_points, rep4.squared_points):
+        assert (p.flavor, p.mode_constant) == (p4.flavor, p4.mode_constant)
+        tol = p4.refinement_estimate + p.refinement_estimate / 4.0
+        assert abs(p4.energy - p.energy / 4.0) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -268,3 +268,87 @@ def test_unknown_flavor_rejected():
         build_potential(data, "both", 1.0)
     with pytest.raises(ValidationError):
         build_potential(data, "el", 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the shared per-grid sample and the exact laws behind it
+# ---------------------------------------------------------------------------
+
+
+def _two_sided_profile():
+    return make_profile(
+        Sech2Bump(1.0, 0.8, 0.3, 0.6),
+        GaussianBump(1.0, 0.5, -0.4, 1.1),
+    )
+
+
+def _periodic_two_sided_profile():
+    return make_profile(CosinePeriodic(1.0, 0.3, 1.0), CosinePeriodic(1.5, 0.4, 1.0))
+
+
+def test_swapped_inverse_is_bitwise_equal():
+    data = build_transform(_two_sided_profile(), window=(-6.0, 6.0))
+    ys = np.linspace(data.y_lo, data.y_hi, 301)
+    assert np.array_equal(np.asarray(data.swapped().inverse(ys)), np.asarray(data.inverse(ys)))
+    pdata = build_transform(_periodic_two_sided_profile())
+    ys = np.linspace(-2.0 * pdata.period_b, 3.0 * pdata.period_b, 301)
+    assert np.array_equal(
+        np.asarray(pdata.swapped().inverse(ys)), np.asarray(pdata.inverse(ys))
+    )
+
+
+@pytest.mark.parametrize("c", [0.5, 3.0, 40.0])
+def test_electric_potential_is_magnetic_of_swapped_profile(c):
+    prof = _two_sided_profile()
+    el = build_potential(build_transform(prof, window=(-6.0, 6.0)), "el", c)
+    m = build_potential(build_transform(prof.swapped(), window=(-6.0, 6.0)), "m", c)
+    ys = np.linspace(-3.0, 3.0, 61)
+    assert np.array_equal(np.asarray(el.values(ys)), np.asarray(m.values(ys)))
+    assert np.array_equal(el.on_grid(ys), m.on_grid(ys))
+    assert el.threshold == m.threshold and el.lower_bound == m.lower_bound
+
+
+@pytest.mark.parametrize("periodic", [False, True])
+def test_shared_sample_matches_pointwise_values(periodic):
+    if periodic:
+        data = build_transform(_periodic_two_sided_profile())
+        ys = np.linspace(0.0, data.period_b, 257)
+    else:
+        data = build_transform(_two_sided_profile(), window=(-6.0, 6.0))
+        ys = np.linspace(-4.0, 4.0, 257)
+    # the magnetic view fills the memo first, so the other two read it
+    # with the triples exchanged
+    pots = [
+        build_potential(data, "m", 2.5),
+        build_potential(data, "el", 2.5),
+        build_potential(data, "zero", 0.0, n_boundary=2),
+    ]
+    for pot in pots:
+        assert np.array_equal(pot.on_grid(ys), np.asarray(pot.values(ys)))
+    assert len(data.samples) == 1
+    assert data.swapped().samples is data.samples
+    sample = data.sample(ys)
+    assert np.array_equal(sample.ys, ys)
+    assert np.array_equal(sample.z, np.asarray(data.inverse(ys)))
+    with pytest.raises(ValueError):
+        sample.e[0] = 0.0  # shared between modes, so read-only
+
+
+def test_shared_sample_inverts_each_grid_once(monkeypatch):
+    data = build_transform(_two_sided_profile(), window=(-6.0, 6.0))
+    calls = []
+    inverse = type(data).inverse
+
+    def counted(self, y, *args, **kwargs):
+        calls.append(np.size(y))
+        return inverse(self, y, *args, **kwargs)
+
+    monkeypatch.setattr(type(data), "inverse", counted)
+    ys = np.linspace(-4.0, 4.0, 101)
+    for c in (1.0, 2.0, 3.0):
+        build_potential(data, "el", c).on_grid(ys)
+        build_potential(data, "m", c).on_grid(ys)
+        build_potential(data, "el", c).on_grid(ys.copy())  # same bytes
+    assert calls == [101]
+    build_potential(data, "el", 1.0).on_grid(ys[1:])  # another grid
+    assert calls == [101, 100]
