@@ -14,9 +14,12 @@ O(h^4), so E = (4 E_2n - E_n)/3 cancels the leading term.
 
 Periodic V with period b: the spectrum is a union of bands whose edges
 are characterized by the discriminant Delta(E), the trace of the one-
-period transfer matrix M(E).  M is integrated as an ODE with a high
-order adaptive one-step method; |Delta| <= 2 exactly on the bands, and
-det M = 1 identically (it is a Wronskian, and checked as such).  Band
+period transfer matrix M(E).  M is the product of closed-form steps of
+a fourth-order Magnus propagator on exact samples of V, with a step
+count fixed by V alone and certified against twice as many steps, so
+Delta is an elementwise function of E that does not depend on the batch
+it is evaluated in; |Delta| <= 2 exactly on the bands, and det M = 1
+identically (it is a Wronskian, and checked as such).  Band
 edges are located as bracketed roots of Delta(E) = +/-2 on an adaptive
 energy grid seeded by the first-order gap predictions 2|V_n| (Fourier
 coefficients of V), then cross-validated against an independent
@@ -40,8 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+# not called here: the traced benchmark (bench/spans.py) wraps this name
+from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
@@ -222,79 +225,98 @@ def count_below(potential: ModePotential, energy: float, halfwidth: float, grid:
 # ---------------------------------------------------------------------------
 
 
-def _periodic_sampler(potential: ModePotential, nodes: int = 4096):
-    """Cached periodic cubic-spline surrogate for V, for ODE right sides.
+# Gauss-Legendre points of one propagator step, as fractions of the step
+_GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+# step-energy pairs per propagator chunk: bounds its memory, not the batch
+_POINT_BUDGET = 1 << 15
+# |Delta| - 2 below this is not a certified gap; the propagator's step
+# count is chosen, and checked, to keep its error in Delta below it too
+NOISE_FLOOR = 1e-10
 
-    Exact evaluation goes through the inverse travel-time map, too slow
-    for ~1e4 scalar calls per integration; the spline is built over one
-    period and verified against exact values on a shifted grid.  The
-    bound-state path never uses it.
+
+def _period_grid(potential: ModePotential) -> np.ndarray:
+    return np.linspace(0.0, potential.period_b, 4096, endpoint=False)
+
+
+def _magnus_steps(potential: ModePotential) -> int:
+    """Propagator steps per period, from the potential alone.
+
+    The propagator's error in Delta, relative to max(1, |Delta|), stayed
+    below 0.83 (b^2 range V)^2 / n^4 on cosine and summed-cosine
+    profiles in eps and mu with mode constants from 1 to 40 pi^2, largest
+    at the low end of the energy range; n is the least power of two, at
+    least 256, that puts (b^2 range V)^2 / n^4 below the noise floor.  It
+    is invariant under V(y) -> V(y/s)/s^2, b -> s b, so a rescaled
+    problem takes the same steps.  band_structure certifies n against 2n
+    on its energy range.
     """
-    cached = getattr(potential, "_v_spline", None)
-    if cached is not None:
-        return cached
-    b = potential.period_b
-    ys = np.linspace(0.0, b, nodes + 1)
-    vals = _grid_values(potential, ys)
-    vals[-1] = vals[0]  # periodic closure
-    spline = CubicSpline(ys, vals, bc_type="periodic")
-    mids = np.linspace(0.0, b, 513)[:-1] + 0.5 * b / 512
-    err = float(np.max(np.abs(spline(mids) - _grid_values(potential, mids))))
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    if err > 1e-8 * scale:
-        raise NumericalError(f"potential surrogate error {err:.3e} too large")
-
-    def fast_v(y: float) -> float:
-        return float(spline(y % b))
-
-    object.__setattr__(potential, "_v_spline", fast_v)
-    return fast_v
+    vs = _grid_values(potential, _period_grid(potential))
+    spread = (potential.period_b**2 * float(np.ptp(vs))) ** 2
+    n = 256
+    while spread > NOISE_FLOOR * float(n) ** 4:
+        n *= 2
+    return n
 
 
-def _transfer_batch(potential: ModePotential, energies, rtol=1e-12, atol=1e-12):
+def _transfer_batch(potential: ModePotential, energies, steps: int | None = None):
     """One-period transfer matrices for a batch of energies.
 
-    Integrates the columns (u, u')(0) = (1, 0) and (v, v')(0) = (0, 1)
-    jointly for all energies; returns the final 4 x m state.
+    Fourth-order Magnus propagator on n equal steps (Iserles & Norsett
+    1999): on a step of length h with V sampled at its two Gauss points,
+    Omega = [[a, h], [h (mean V - E), -a]] with a = sqrt(3) h^2 (V1 - V2)
+    / 12.  Omega is traceless, so exp(Omega) = C I + S Omega in closed
+    form, with C, S = cosh, sinh(r)/r or cos, sin(r)/r of r^2 = |det
+    Omega|.  Every energy is propagated on its own, so a value does not
+    depend on the batch it came in.  Returns the states (u, u', v, v')(b)
+    of the columns started at (1, 0) and (0, 1), as a 4 x m array.
     """
     if potential.period_b is None:
         raise ValidationError("monodromy applies to periodic potentials only")
+    n = steps or _magnus_steps(potential)
+    h = potential.period_b / n
+    v = _grid_values(potential, h * (np.arange(n)[:, None] + _GAUSS2).ravel()).reshape(n, 2)
+    a = (math.sqrt(3.0) / 12.0) * (h * h) * (v[:, 0] - v[:, 1])
+    hv = h * (0.5 * (v[:, 0] + v[:, 1]))  # h * mean V
     es = np.atleast_1d(np.asarray(energies, dtype=float))
-    m = es.size
-    b = potential.period_b
-    fast_v = _periodic_sampler(potential)
-
-    def rhs(y, s):
-        v = fast_v(y)
-        s = s.reshape(4, m)
-        out = np.empty_like(s)
-        out[0] = s[1]
-        out[1] = (v - es) * s[0]
-        out[2] = s[3]
-        out[3] = (v - es) * s[2]
-        return out.ravel()
-
-    s0 = np.zeros(4 * m)
-    s0[0:m] = 1.0
-    s0[3 * m : 4 * m] = 1.0
-    sol = solve_ivp(rhs, (0.0, b), s0, method="DOP853", rtol=rtol, atol=atol)
-    if not sol.success:
-        raise NumericalError(f"transfer-matrix integration failed: {sol.message}")
-    return sol.y[:, -1].reshape(4, m)
+    out = np.empty((4, es.size))
+    chunk = max(1, _POINT_BUDGET // n)
+    for i in range(0, es.size, chunk):
+        out[:, i : i + chunk] = _magnus_product(a, hv, h, es[i : i + chunk])
+    return out
 
 
-def monodromy(potential: ModePotential, energy: float, rtol=1e-12, atol=1e-12) -> np.ndarray:
+def _magnus_product(a, hv, h, es):
+    hq = hv[:, None] - h * es  # h (mean V - E), one row per step
+    w = (a * a)[:, None] + h * hq  # -det Omega
+    r = np.sqrt(np.abs(w))
+    c, s = np.empty_like(r), np.empty_like(r)
+    osc = w < 0.0  # each element takes one branch, not both
+    for part, cos, sin in ((osc, np.cos, np.sin), (~osc, np.cosh, np.sinh)):
+        rp = r[part]
+        c[part], s[part] = cos(rp), sin(rp)
+    s = np.divide(s, r, out=np.ones_like(r), where=r > 0.0)
+    sa = s * a[:, None]
+    m00, m01, m10, m11 = c + sa, s * h, s * hq, c - sa
+    while m00.shape[0] > 1:  # multiply step 2j+1 onto step 2j, pairwise
+        l00, l01, l10, l11 = m00[1::2], m01[1::2], m10[1::2], m11[1::2]
+        r00, r01, r10, r11 = m00[0::2], m01[0::2], m10[0::2], m11[0::2]
+        m00, m01 = l00 * r00 + l01 * r10, l00 * r01 + l01 * r11
+        m10, m11 = l10 * r00 + l11 * r10, l10 * r01 + l11 * r11
+    return np.stack((m00[0], m10[0], m01[0], m11[0]))
+
+
+def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
     """2x2 transfer matrix over one period; det checked against 1."""
-    sf = _transfer_batch(potential, [energy], rtol=rtol, atol=atol)
+    sf = _transfer_batch(potential, [energy])
     det = sf[0, 0] * sf[3, 0] - sf[2, 0] * sf[1, 0]
     if abs(det - 1.0) > 1e-9:
         raise NumericalError(f"Wronskian drifted: det = {det!r}")
     return np.array([[sf[0, 0], sf[2, 0]], [sf[1, 0], sf[3, 0]]])
 
 
-def discriminant(potential: ModePotential, energy, rtol=1e-12, atol=1e-12):
+def discriminant(potential: ModePotential, energy):
     """Delta(E) = trace of the one-period transfer matrix."""
-    sf = _transfer_batch(potential, energy, rtol=rtol, atol=atol)
+    sf = _transfer_batch(potential, energy)
     det = sf[0] * sf[3] - sf[2] * sf[1]
     bad = float(np.max(np.abs(det - 1.0)))
     if bad > 1e-9:
@@ -342,19 +364,8 @@ class BandStructure:
     validation_max_dev: float
 
 
-class _TargetShift:
-    """Wraps an energy batch function as fun(es) - per-element targets."""
-
-    def __init__(self, fun, targets):
-        self.fun = fun
-        self.targets = np.asarray(targets, dtype=float)
-
-    def __call__(self, es):
-        return self.fun(es) - self.targets
-
-
 def _bisect_root(delta, lo, hi, flo, target, tol):
-    """Vectorized bisection for Delta(E) = target on bracketing cells."""
+    """Vectorized bisection for Delta(E) = target (one or per cell) on bracketing cells."""
     lo = np.asarray(lo, dtype=float).copy()
     hi = np.asarray(hi, dtype=float).copy()
     sign_lo = np.sign(np.asarray(flo, dtype=float) - target)
@@ -370,23 +381,20 @@ def _bisect_root(delta, lo, hi, flo, target, tol):
 
 
 def _refine_extremum(delta, lo, hi, sgn, iters: int = 60):
-    """Golden-section maximization of sgn * Delta on [lo, hi]."""
+    """Golden-section maximization of sgn * Delta on each [lo, hi], in lockstep."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = float(lo), float(hi)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c, d = b - gr * (b - a), a + gr * (b - a)
-    fc = sgn * float(delta(np.array([c]))[0])
-    fd = sgn * float(delta(np.array([d]))[0])
+    fc, fd = sgn * delta(c), sgn * delta(d)
     for _ in range(iters):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = sgn * float(delta(np.array([c]))[0])
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = sgn * float(delta(np.array([d]))[0])
+        left = fc > fd  # the maximum lies in [a, d]: drop (d, b]
+        b, a = np.where(left, d, b), np.where(left, a, c)
+        probe = np.where(left, b - gr * (b - a), a + gr * (b - a))
+        fp = sgn * delta(probe)
+        c, d = np.where(left, probe, d), np.where(left, c, probe)
+        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
     e_peak = 0.5 * (a + b)
-    return e_peak, sgn * float(delta(np.array([e_peak]))[0])
+    return e_peak, sgn * delta(e_peak)
 
 
 def _flatten_edges(pairs, merge_tol, cap):
@@ -423,9 +431,8 @@ def band_structure(
         raise ValidationError("band structure applies to periodic potentials only")
     b = potential.period_b
 
-    nv = 4096
-    ys = np.linspace(0.0, b, nv, endpoint=False)
-    vs = _grid_values(potential, ys)
+    vs = _grid_values(potential, _period_grid(potential))
+    nv = vs.size
     v_hat = np.fft.fft(vs) / nv
     mean_v = float(np.real(v_hat[0]))
     empty = BandStructure(
@@ -461,6 +468,21 @@ def band_structure(
     else:
         raise ResolutionError("could not find the region below the first band")
 
+    # the propagator's step count must hold Delta to the noise floor on
+    # the whole energy range: n steps against 2n
+    probe = np.linspace(e_start, e_max, 257)
+    sf = _transfer_batch(potential, probe, 2 * _magnus_steps(potential))
+    fine = sf[0] + sf[3]
+    drift = np.abs(delta(probe) - fine) / np.maximum(1.0, np.abs(fine))
+    worst = int(np.argmax(drift))
+    if drift[worst] > NOISE_FLOOR:
+        raise NumericalError(
+            f"discriminant not resolved below e_max = {e_max}: n and 2n propagator steps "
+            f"differ by {drift[worst]:.3e} (relative) at E = {probe[worst]:.6g}, above the "
+            f"noise floor {NOISE_FLOOR:.0e}; the potential varies too much for this mode, "
+            "lower e_max to leave it out"
+        )
+
     dense_hi = min(e_max, centers[min(2, len(centers) - 1)] + 2.0)
     pieces = [np.arange(e_start, dense_hi, 0.01)]
     if e_max > dense_hi:
@@ -478,10 +500,7 @@ def band_structure(
     grid = np.unique(np.concatenate(pieces + [np.array([e_max])]))
     grid = grid[(grid >= e_start) & (grid <= e_max)]
 
-    dvals = np.empty_like(grid)
-    chunk = 16384
-    for i in range(0, grid.size, chunk):
-        dvals[i : i + chunk] = delta(grid[i : i + chunk])
+    dvals = delta(grid)
 
     # --- crossings of Delta = +/-2 ------------------------------------
     edges = []
@@ -499,41 +518,34 @@ def band_structure(
     # --- tangency sweep: near-closed gaps and sub-grid double crossings
     closed_points = []
     absd = np.abs(dvals)
-    for i in range(1, grid.size - 1):
-        if absd[i] < 2.0 - 1e-3:
-            continue
-        if not (absd[i] >= absd[i - 1] and absd[i] >= absd[i + 1]):
-            continue
-        if {i - 1, i} & crossing_cells:
-            continue
-        sgn = 2.0 if dvals[i] > 0 else -2.0
-        target = sgn
-        sgn_dir = 1.0 if dvals[i] > 0 else -1.0
-        e_peak, peak = _refine_extremum(delta, grid[i - 1], grid[i + 1], sgn_dir)
-        if peak > 2.0 + 1e-12:
-            # a full gap hid between grid points: bracket both crossings
-            for lo, hi in ((grid[i - 1], e_peak), (e_peak, grid[i + 1])):
-                fl = float(delta(np.array([lo]))[0]) - target
-                fh = float(delta(np.array([hi]))[0]) - target
-                if fl * fh < 0:
-                    r = _bisect_root(delta, [lo], [hi], [fl + target], target, edge_tol)
-                    edges.append(float(np.atleast_1d(r)[0]))
-        elif peak >= 2.0 - closure_tol:
-            closed_points.append(float(e_peak))
-
-    # detection floor for |Delta| - 2: below this the excess drowns in
-    # integrator noise and a gap cannot be certified by the discriminant
-    noise_floor = 1e-10
+    inner = absd[1:-1]
+    peaks = np.nonzero((inner >= 2.0 - 1e-3) & (inner >= absd[:-2]) & (inner >= absd[2:]))[0] + 1
+    peaks = np.array([i for i in peaks if not {i - 1, i} & crossing_cells], dtype=int)
+    if peaks.size:
+        dirs = np.where(dvals[peaks] > 0, 1.0, -1.0)
+        e_peaks, tops = _refine_extremum(delta, grid[peaks - 1], grid[peaks + 1], dirs)
+        hidden = []  # (lo, hi, target): a full gap hid between grid points
+        for i, target, e_peak, peak in zip(peaks, 2.0 * dirs, e_peaks, tops):
+            if peak > 2.0 + 1e-12:
+                hidden += [(grid[i - 1], e_peak, target), (e_peak, grid[i + 1], target)]
+            elif peak >= 2.0 - closure_tol:
+                closed_points.append(float(e_peak))
+        if hidden:
+            lo, hi, tg = (np.array(x) for x in zip(*hidden))
+            f_lo = delta(lo)
+            ok = (f_lo - tg) * (delta(hi) - tg) < 0
+            if np.any(ok):
+                roots = _bisect_root(delta, lo[ok], hi[ok], f_lo[ok], tg[ok], edge_tol)
+                edges.extend(float(r) for r in roots)
 
     def assemble(edge_list):
         cuts = [e_start] + sorted(edge_list) + [e_max]
+        spans = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 0]
+        inside = np.abs(delta([0.5 * (lo + hi) for lo, hi in spans])) <= 2.0
         bands_ = []
         gaps_ = []
-        for lo, hi in zip(cuts[:-1], cuts[1:]):
-            if hi - lo <= 0:
-                continue
-            mid = 0.5 * (lo + hi)
-            if abs(float(delta(np.array([mid]))[0])) <= 2.0:
+        for (lo, hi), band in zip(spans, inside):
+            if band:
                 if bands_ and abs(bands_[-1][1] - lo) <= max(1e-12, 4.0 * edge_tol):
                     bands_[-1] = (bands_[-1][0], hi)
                 else:
@@ -547,10 +559,9 @@ def band_structure(
     # drop gaps whose midpoint excess is below the noise floor: the sign
     # change that produced them is not trustworthy at double precision
     uncertified = set()
-    for lo, hi in gaps:
-        excess = abs(float(delta(np.array([0.5 * (lo + hi)]))[0])) - 2.0
-        if excess <= noise_floor:
-            uncertified.update((lo, hi))
+    if gaps:
+        excess = np.abs(delta([0.5 * (lo + hi) for lo, hi in gaps])) - 2.0
+        uncertified = {e for gap, x in zip(gaps, excess) if x <= NOISE_FLOOR for e in gap}
     if uncertified:
         edges = [e for e in edges if e not in uncertified]
         bands, gaps = assemble(edges)
@@ -602,7 +613,7 @@ def band_structure(
         dsw = delta(sweep)
         s = 1.0 if float(dsw[np.argmax(np.abs(dsw))]) > 0 else -1.0
         f = s * dsw - 2.0
-        if float(np.max(f)) > noise_floor:
+        if float(np.max(f)) > NOISE_FLOOR:
             sign = np.sign(f)
             sign[sign == 0] = 1.0
             flips = np.nonzero(sign[:-1] != sign[1:])[0]
@@ -616,48 +627,6 @@ def band_structure(
             unresolved.append((g_lo, hi_rep))
             merge_next.add(k)
     if added:
-        bands, gaps = assemble(edges)
-
-    # --- edge polish -----------------------------------------------------
-    # near a narrow gap, Delta crosses +-2 with a tiny slope, so the scan
-    # tolerance leaves a visible location error; re-bisect each certified
-    # edge in a small bracket with a tighter integration tolerance
-    def tight_delta(es):
-        return discriminant(
-            potential, np.atleast_1d(np.asarray(es, dtype=float)), rtol=1e-13, atol=1e-13
-        )
-
-    records: list[tuple[float, float]] = []
-    if edges:
-        records.append((min(edges), 2.0))
-    for lo, hi in gaps:
-        s = 2.0 if float(delta(np.array([0.5 * (lo + hi)]))[0]) > 0 else -2.0
-        records.append((lo, s))
-        records.append((hi, s))
-    seen = {}
-    for e, target in records:
-        seen[e] = target
-    if seen:
-        evals = np.array(sorted(seen))
-        targets = np.array([seen[e] for e in evals])
-        h = 1e-5
-        lo_b, hi_b = evals - h, evals + h
-        f_lo = tight_delta(lo_b) - targets
-        f_hi = tight_delta(hi_b) - targets
-        ok = f_lo * f_hi < 0
-        polished = dict(zip(evals, evals))
-        if np.any(ok):
-            roots = _bisect_root(
-                _TargetShift(tight_delta, targets[ok]),
-                lo_b[ok],
-                hi_b[ok],
-                f_lo[ok],
-                0.0,
-                edge_tol,
-            )
-            for e_old, e_new in zip(evals[ok], np.atleast_1d(roots)):
-                polished[float(e_old)] = float(e_new)
-        edges = [polished.get(e, e) for e in edges]
         bands, gaps = assemble(edges)
 
     # --- edge-by-edge agreement ------------------------------------------

@@ -4,8 +4,8 @@ Each directory under tests/golden holds a `config.json` and the files
 that `cylspec run config.json --oracle --dump-potentials` wrote for it.
 A refactor that claims to leave the output unchanged must reproduce
 them exactly.  The bytes are pinned to numpy 2.4.6 and scipy 1.17.1;
-other versions may move the last digits of LAPACK and ODE results.
-Regenerate them only with a CHANGES.md entry that gives the largest
+other versions may move the last digits of LAPACK and elementary-function
+results.  Regenerate them only with a CHANGES.md entry that gives the largest
 deviation from the files they replace.
 """
 

@@ -14,13 +14,15 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+import cylspec.schrodinger as schrodinger
 from cylspec.errors import (
     InvalidWitnessError,
+    NumericalError,
     ValidationError,
     WindowError,
 )
 from cylspec.liouville import build_potential, build_transform
-from cylspec.profiles import Constant, Sech2Bump, make_profile
+from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, make_profile
 from cylspec.schrodinger import (
     band_structure,
     bound_states,
@@ -208,6 +210,21 @@ def test_wronskian_preserved_at_random_energies():
         assert abs(det - 1.0) <= 1e-9
 
 
+def _cosine_mode(mean=1.0, amplitude=0.3, mode_constant=2.0 * math.pi**2):
+    prof = make_profile(CosinePeriodic(mean, amplitude, 1.0), Constant(1.0))
+    return build_potential(build_transform(prof), "el", mode_constant)
+
+
+def test_discriminant_does_not_depend_on_the_batch():
+    # below, across and above the potential's range, in more energies
+    # than one propagator chunk holds
+    pot = _cosine_mode()
+    es = np.linspace(10.0, 300.0, 97)
+    batch = np.asarray(discriminant(pot, es))
+    alone = np.array([discriminant(pot, float(e)) for e in es])
+    assert np.array_equal(batch, alone)
+
+
 # ---------------------------------------------------------------------------
 # band structure
 # ---------------------------------------------------------------------------
@@ -292,6 +309,31 @@ def test_potential_above_e_max_has_no_bands():
     bs = band_structure(pot, 5.0)
     assert bs.bands == () and bs.gaps == () and bs.eigenvalue_band_edges == ()
     assert bs.mean_potential == pytest.approx(10.0, abs=1e-12)
+
+
+def test_band_edges_scale_with_epsilon():
+    # eps -> 4 eps at constant mu doubles the period and quarters the
+    # potential, V4(y) = V(y / 2) / 4, so every energy scales by 1/4.  The
+    # samples of V4 are exactly V / 4 and the step count is scale
+    # invariant, so the two discriminants agree bitwise up to the energy
+    # scale and only bisection (edge_tol) separates the edges: the
+    # tolerance is edge_tol, below edge_tol plus the n-vs-2n estimate.
+    pot, pot4 = _cosine_mode(), _cosine_mode(mean=4.0, amplitude=1.2)
+    assert schrodinger._magnus_steps(pot) == schrodinger._magnus_steps(pot4)
+    bs, bs4 = band_structure(pot, 60.0), band_structure(pot4, 15.0)
+    edge_tol = 1e-10
+    for name in ("bands", "gaps", "eigenvalue_band_edges"):
+        got = np.asarray(getattr(bs4, name))
+        ref = np.asarray(getattr(bs, name)) / 4.0
+        assert got.shape == ref.shape and got.size > 0, name
+        assert np.max(np.abs(got - ref)) <= edge_tol, name
+
+
+def test_unresolved_discriminant_is_rejected(monkeypatch):
+    # too few propagator steps for the potential: n against 2n exposes it
+    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda potential: 16)
+    with pytest.raises(NumericalError, match="e_max = 60.0"):
+        band_structure(_cosine_mode(), 60.0)
 
 
 def test_band_structure_needs_periodicity():
