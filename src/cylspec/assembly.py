@@ -81,29 +81,18 @@ def mode_budget(
     if not e_max > 0:
         raise ValidationError("e_max must be positive")
     cut = e_max * bounds.product_sup
-
-    lam = list(spectrum.dirichlet)
-    if lam and lam[-1] <= cut:
-        raise InsufficientDataError(
-            f"last Dirichlet eigenvalue {lam[-1]:.6g} is still inside the budget cut "
-            f"{cut:.6g}; provide more transverse eigenvalues"
-        )
-    el = tuple(x for x in lam if x <= cut)
-
-    kap = list(spectrum.neumann)
-    if kap and kap[-1] <= cut:
-        raise InsufficientDataError(
-            f"last Neumann eigenvalue {kap[-1]:.6g} is still inside the budget cut "
-            f"{cut:.6g}; provide more transverse eigenvalues"
-        )
-    mag = tuple(x for x in kap[1:] if x <= cut)
-
+    for name, values in (("Dirichlet", spectrum.dirichlet), ("Neumann", spectrum.neumann)):
+        if values and values[-1] <= cut:
+            raise InsufficientDataError(
+                f"last {name} eigenvalue {values[-1]:.6g} is still inside the budget cut "
+                f"{cut:.6g}; provide more transverse eigenvalues"
+            )
     n = spectrum.boundary_components
     return ModeBudget(
         e_max=float(e_max),
         product_sup=float(bounds.product_sup),
-        electric_constants=el,
-        magnetic_constants=mag,
+        electric_constants=tuple(x for x in spectrum.dirichlet if x <= cut),
+        magnetic_constants=tuple(x for x in spectrum.neumann[1:] if x <= cut),
         include_zero_branch=n >= 2,
         zero_multiplicity=max(0, 2 * n - 2),
     )
@@ -245,6 +234,10 @@ def _symmetrize(intervals, points):
 # analysis drivers
 # ---------------------------------------------------------------------------
 
+# truncation halfwidth (in y) and grid of the stabilizing driver by default
+DEFAULT_HALFWIDTH = 15.0
+DEFAULT_GRID = 3000
+
 # halfwidth ladder of the stabilizing driver: the settle search tries
 # halfwidth * growth**k for k < steps, and the transform window is sized
 # for the step past the last one
@@ -332,8 +325,8 @@ def run_stabilizing_analysis(
     spectrum: CrossSectionSpectrum,
     e_max: float,
     *,
-    halfwidth: float = 15.0,
-    grid: int = 3000,
+    halfwidth: float = DEFAULT_HALFWIDTH,
+    grid: int = DEFAULT_GRID,
     jobs: int | None = None,
 ) -> SpectrumReport:
     """Full squared-spectrum analysis for stabilizing coefficients."""

@@ -30,6 +30,8 @@ from pathlib import Path
 import numpy as np
 
 from .assembly import (
+    DEFAULT_GRID,
+    DEFAULT_HALFWIDTH,
     SpectrumReport,
     finite_gap_certificate,
     run_periodic_analysis,
@@ -161,6 +163,15 @@ def _need(cfg: dict, key: str, ctx: str):
     return cfg[key]
 
 
+def _read(cfg: dict, key: str, ctx: str, kind=float, default=None):
+    """cfg[key] converted by kind; without a default the key is required."""
+    value = _need(cfg, key, ctx) if default is None else cfg.get(key, default)
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"config {ctx}: bad value for '{key}': {value!r}") from None
+
+
 def _load_eigenvalue_csv(path: Path) -> list[float]:
     if not path.exists():
         raise ValidationError(f"eigenvalue file not found: {path}")
@@ -180,24 +191,22 @@ def _load_eigenvalue_csv(path: Path) -> list[float]:
 
 def _parse_cross_section(cfg: dict, base: Path) -> CrossSectionSpectrum:
     kind = _need(cfg, "kind", "cross_section")
-    d_count = int(cfg.get("dirichlet_count", 40))
-    n_count = int(cfg.get("neumann_count", 40))
+    d_count = _read(cfg, "dirichlet_count", "cross_section", int, 40)
+    n_count = _read(cfg, "neumann_count", "cross_section", int, 40)
     if kind == "rectangle":
-        spec = Rectangle(float(_need(cfg, "width", "rectangle")), float(_need(cfg, "height", "rectangle")))
+        spec = Rectangle(_read(cfg, "width", "rectangle"), _read(cfg, "height", "rectangle"))
         return build_spectrum(spec, d_count, n_count)
     if kind == "disk":
-        spec = Disk(float(_need(cfg, "radius", "disk")))
+        spec = Disk(_read(cfg, "radius", "disk"))
         return build_spectrum(spec, d_count, n_count)
     if kind == "synthetic":
-        if "dirichlet_csv" in cfg:
-            dirichlet = _load_eigenvalue_csv(base / str(cfg["dirichlet_csv"]))
-        else:
-            dirichlet = [float(x) for x in _need(cfg, "dirichlet", "synthetic")]
-        if "neumann_csv" in cfg:
-            neumann = _load_eigenvalue_csv(base / str(cfg["neumann_csv"]))
-        else:
-            neumann = [float(x) for x in _need(cfg, "neumann", "synthetic")]
-        n_comp = int(cfg.get("boundary_components", 1))
+        dirichlet, neumann = (
+            _load_eigenvalue_csv(base / str(cfg[f"{key}_csv"]))
+            if f"{key}_csv" in cfg
+            else _read(cfg, key, "synthetic", lambda xs: [float(x) for x in xs])
+            for key in ("dirichlet", "neumann")
+        )
+        n_comp = _read(cfg, "boundary_components", "synthetic", int, 1)
         spec = Synthetic(
             dirichlet=tuple(dirichlet), neumann=tuple(neumann), boundary_components=n_comp
         )
@@ -214,17 +223,18 @@ def _parse_profile(cfg: dict) -> CoefficientProfile:
         ckind = _need(c, "kind", "classification")
         if ckind == "stabilizing":
             cls = Stabilizing(
-                eps_limit=float(_need(c, "eps_limit", "classification")),
-                mu_limit=float(_need(c, "mu_limit", "classification")),
+                eps_limit=_read(c, "eps_limit", "classification"),
+                mu_limit=_read(c, "mu_limit", "classification"),
             )
         elif ckind == "periodic":
-            cls = Periodic(period=float(_need(c, "period", "classification")))
+            cls = Periodic(period=_read(c, "period", "classification"))
         else:
             raise ValidationError(f"unknown classification kind {ckind!r}")
     return make_profile(eps, mu, classification=cls)
 
 
-def _parse_config(path: Path) -> dict:
+def _parse_config(path: Path) -> tuple[dict, float, float, int]:
+    """The config, and its e_max, window halfwidth and grid."""
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
@@ -240,14 +250,16 @@ def _parse_config(path: Path) -> dict:
     if task not in _TASKS:
         raise ValidationError(f"unknown task {task!r}; expected one of {_TASKS}")
     num = _need(cfg, "numerics", "root")
-    e_max = float(_need(num, "e_max", "numerics"))
+    e_max = _read(num, "e_max", "numerics")
     if not e_max > 0:
         raise ValidationError("numerics.e_max must be positive")
-    if float(num.get("window_halfwidth", 15.0)) <= 0:
+    halfwidth = _read(num, "window_halfwidth", "numerics", float, DEFAULT_HALFWIDTH)
+    if halfwidth <= 0:
         raise ValidationError("numerics.window_halfwidth must be positive")
-    if int(num.get("grid", 3000)) < 16:
+    grid = _read(num, "grid", "numerics", int, DEFAULT_GRID)
+    if grid < 16:
         raise ValidationError("numerics.grid too coarse")
-    return cfg
+    return cfg, e_max, halfwidth, grid
 
 
 # ---------------------------------------------------------------------------
@@ -393,14 +405,13 @@ def _write_band_edges_csv(path: Path, rep: SpectrumReport):
     rows = []
     for m in rep.modes:
         s = m.structure
-        for i, (lo, hi) in enumerate(s.bands, start=1):
-            rows.append([m.group.flavor, m.group.mode_constant, "band", i, lo, hi])
-        for i, (lo, hi) in enumerate(s.gaps, start=1):
-            rows.append([m.group.flavor, m.group.mode_constant, "gap", i, lo, hi])
-        for i, e in enumerate(s.closed_gap_points, start=1):
-            rows.append([m.group.flavor, m.group.mode_constant, "closed_gap_point", i, e, e])
-        for i, (lo, hi) in enumerate(s.unresolved_gaps, start=1):
-            rows.append([m.group.flavor, m.group.mode_constant, "unresolved_gap", i, lo, hi])
+        closed = [(e, e) for e in s.closed_gap_points]
+        for kind, spans in (
+            ("band", s.bands), ("gap", s.gaps), ("closed_gap_point", closed),
+            ("unresolved_gap", s.unresolved_gaps),
+        ):
+            for i, (lo, hi) in enumerate(spans, start=1):
+                rows.append([m.group.flavor, m.group.mode_constant, kind, i, lo, hi])
     _write_csv(
         path,
         ["flavor", "mode_constant", "kind", "index", "lower", "upper"],
@@ -434,13 +445,10 @@ def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
 
 
 def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials: bool) -> int:
-    cfg = _parse_config(config_path)
+    cfg, e_max, halfwidth, grid = _parse_config(config_path)
     base = config_path.parent
     task = cfg["task"]
     num = cfg["numerics"]
-    e_max = float(num["e_max"])
-    halfwidth = float(num.get("window_halfwidth", 15.0))
-    grid = int(num.get("grid", 3000))
     outputs = cfg.get("outputs", {})
 
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)

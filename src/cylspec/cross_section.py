@@ -54,8 +54,6 @@ class Rectangle:
         if not (self.width > 0 and self.height > 0):
             raise ValidationError("rectangle sides must be positive")
 
-    boundary_components = 1
-
 
 @dataclass(frozen=True)
 class Disk:
@@ -64,8 +62,6 @@ class Disk:
     def __post_init__(self):
         if not self.radius > 0:
             raise ValidationError("disk radius must be positive")
-
-    boundary_components = 1
 
 
 @dataclass(frozen=True)
@@ -138,43 +134,35 @@ def _disk_levels(radius: float, count: int, neumann: bool) -> list[float]:
         m += 1
 
 
-def dirichlet_eigenvalues(spec: CrossSectionSpec, count: int) -> list[float]:
-    """First `count` Dirichlet eigenvalues of the cross-section, ascending,
-    multiplicity by repetition."""
+def _levels(spec: CrossSectionSpec, count: int, neumann: bool) -> list[float]:
+    kind = "neumann" if neumann else "dirichlet"
     if count < 0:
         raise ValidationError("count must be non-negative")
     if count == 0:
         return []
     if isinstance(spec, Rectangle):
-        return _rectangle_levels(spec.width, spec.height, count, lowest=1)
+        return _rectangle_levels(spec.width, spec.height, count, lowest=0 if neumann else 1)
     if isinstance(spec, Disk):
-        return _disk_levels(spec.radius, count, neumann=False)
+        return _disk_levels(spec.radius, count, neumann)
     if isinstance(spec, Synthetic):
-        if len(spec.dirichlet) < count:
+        listed = getattr(spec, kind)
+        if len(listed) < count:
             raise InsufficientDataError(
-                f"synthetic dirichlet list has {len(spec.dirichlet)} entries, {count} requested"
+                f"synthetic {kind} list has {len(listed)} entries, {count} requested"
             )
-        return list(spec.dirichlet[:count])
+        return list(listed[:count])
     raise ValidationError(f"unknown cross-section spec {spec!r}")
+
+
+def dirichlet_eigenvalues(spec: CrossSectionSpec, count: int) -> list[float]:
+    """First `count` Dirichlet eigenvalues of the cross-section, ascending,
+    multiplicity by repetition."""
+    return _levels(spec, count, neumann=False)
 
 
 def neumann_eigenvalues(spec: CrossSectionSpec, count: int) -> list[float]:
     """First `count` Neumann eigenvalues, ascending from kappa_1 = 0."""
-    if count < 0:
-        raise ValidationError("count must be non-negative")
-    if count == 0:
-        return []
-    if isinstance(spec, Rectangle):
-        return _rectangle_levels(spec.width, spec.height, count, lowest=0)
-    if isinstance(spec, Disk):
-        return _disk_levels(spec.radius, count, neumann=True)
-    if isinstance(spec, Synthetic):
-        if len(spec.neumann) < count:
-            raise InsufficientDataError(
-                f"synthetic neumann list has {len(spec.neumann)} entries, {count} requested"
-            )
-        return list(spec.neumann[:count])
-    raise ValidationError(f"unknown cross-section spec {spec!r}")
+    return _levels(spec, count, neumann=True)
 
 
 @dataclass(frozen=True)
@@ -198,7 +186,7 @@ def build_spectrum(
     return CrossSectionSpectrum(
         dirichlet=tuple(dirichlet_eigenvalues(spec, dirichlet_count)),
         neumann=tuple(neumann_eigenvalues(spec, neumann_count)),
-        boundary_components=getattr(spec, "boundary_components", 1),
+        boundary_components=getattr(spec, "boundary_components", 1),  # 1: rectangle, disk
     )
 
 

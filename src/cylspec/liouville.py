@@ -44,7 +44,7 @@ equal to `values(ys)`.  Pointwise `values(y)` stays the exact uncached
 route, which keeps the memo bounded by the grids the solvers use.
 
 The forward map is materialized as an adaptive panel decomposition of
-the integrand with a certified budget (default 1e-11 over the window);
+the integrand with a certified budget (1e-11 over the window);
 inversion is a safeguarded Newton iteration bracketed by monotonicity
 (y'(z) = sqrt(w) >= sqrt(inf w) > 0).  For periodic coefficients the
 map extends to the whole axis through y(z + a) = y(z) + b with
@@ -75,11 +75,14 @@ __all__ = [
     "ModePotential",
     "build_transform",
     "build_potential",
-    "eta",
 ]
 
 _GL_NODES, _GL_WEIGHTS = leggauss(15)
 _MAX_DEPTH = 48
+# quadrature budget of the forward map over its window
+_FORWARD_TOL = 1e-11
+# residual of the inverse map, relative to max(1, travel time of the window)
+_INVERSE_TOL = 1e-13
 
 
 class PanelAntiderivative:
@@ -210,22 +213,22 @@ class LiouvilleData:
             out = self.antiderivative.eval(np.clip(zs, self.z_lo, self.z_hi)) - self.y_offset
         return out if np.ndim(z) else float(out[0])
 
-    def inverse(self, y, tol: float = 1e-13):
+    def inverse(self, y):
         """z(y) by safeguarded Newton; exact bracket from monotonicity."""
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if self.period_b is not None:
             a = self.z_hi - self.z_lo
             k = np.floor(ys / self.period_b)
-            base = self._invert_window(ys - k * self.period_b, tol)
+            base = self._invert_window(ys - k * self.period_b)
             out = k * a + base
         else:
             span = 1e-9 * max(1.0, abs(self.y_lo), abs(self.y_hi))
             if np.any(ys < self.y_lo - span) or np.any(ys > self.y_hi + span):
                 raise ValidationError("y outside the transform window")
-            out = self._invert_window(np.clip(ys, self.y_lo, self.y_hi), tol)
+            out = self._invert_window(np.clip(ys, self.y_lo, self.y_hi))
         return out if np.ndim(y) else float(out[0])
 
-    def _invert_window(self, ys, tol):
+    def _invert_window(self, ys):
         targets = ys + self.y_offset  # antiderivative values to hit
         total = float(self.antiderivative.cumulative[-1])
         lo = np.full_like(targets, self.z_lo)
@@ -237,7 +240,7 @@ class LiouvilleData:
             below = g < 0
             lo = np.where(below, z, lo)
             hi = np.where(below, hi, z)
-            if np.all(np.abs(g) <= tol * scale):
+            if np.all(np.abs(g) <= _INVERSE_TOL * scale):
                 break
             slope = np.sqrt(
                 np.asarray(self.profile.epsilon.eval(z, 0))
@@ -359,15 +362,9 @@ def _eta_from_raw(e, e1, e2, m, m1, m2):
     return eta_val, eta_der
 
 
-def eta(data: LiouvilleData, y):
-    """Logarithmic derivative of the gauge factor, nu'/nu, at y."""
-    return data.eta(y)
-
-
 def build_transform(
     profile: CoefficientProfile,
     window: tuple[float, float] | None = None,
-    tol: float = 1e-11,
 ) -> LiouvilleData:
     """Materialize the travel-time map for a profile.
 
@@ -390,7 +387,7 @@ def build_transform(
             np.asarray(profile.epsilon.eval(z, 0)) * np.asarray(profile.mu.eval(z, 0))
         )
 
-    panels = PanelAntiderivative(integrand, z_lo, z_hi, tol)
+    panels = PanelAntiderivative(integrand, z_lo, z_hi, _FORWARD_TOL)
     offset = float(panels.eval(0.0)) if z_lo < 0.0 else 0.0
     period_b = None
     if isinstance(profile.classification, Periodic):

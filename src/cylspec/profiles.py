@@ -23,7 +23,7 @@ construction, not inferred later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -49,10 +49,10 @@ __all__ = [
 ]
 
 DEFAULT_POSITIVITY_FLOOR = 1e-9
-
-# sup_u |d/du exp(-u^2)| and |d/du sech^2 u|, used for Lipschitz padding
-_GAUSS_DSUP = math.sqrt(2.0) * math.exp(-0.5)
-_SECH2_DSUP = 4.0 / (3.0 * math.sqrt(3.0))
+# grid points of the Lipschitz-padded range samples of a sum and of eps*mu
+_BOUND_SAMPLES = 20001
+# grid points of the excess search of eps*mu over eps* mu*
+_EXCESS_SAMPLES = 40001
 
 
 def _ret(z, values):
@@ -78,9 +78,6 @@ class Constant:
     def limit(self):
         return self.value
 
-    def natural_period(self):
-        return None  # compatible with any period
-
     def bounds_exact(self):
         return (self.value, self.value)
 
@@ -92,7 +89,11 @@ class Constant:
 
 
 @dataclass(frozen=True)
-class GaussianBump:
+class _Bump:
+    """base + amplitude * shape((z - center) / width); the subclass gives
+    the shape, the sup of its derivative and the reach of its window in
+    widths."""
+
     base: float
     amplitude: float
     center: float
@@ -101,6 +102,27 @@ class GaussianBump:
     def __post_init__(self):
         if not self.width > 0:
             raise ValidationError("bump width must be positive")
+
+    def terms(self):
+        return [self]
+
+    def limit(self):
+        return self.base
+
+    def bounds_exact(self):
+        return (self.base + min(0.0, self.amplitude), self.base + max(0.0, self.amplitude))
+
+    def derivative_sup(self):
+        return abs(self.amplitude) * self._DSUP / self.width
+
+    def bump_window(self):
+        return (self.center - self._REACH * self.width, self.center + self._REACH * self.width)
+
+
+@dataclass(frozen=True)
+class GaussianBump(_Bump):
+    _DSUP = math.sqrt(2.0) * math.exp(-0.5)  # sup_u |d/du exp(-u^2)|
+    _REACH = 12.0
 
     def eval(self, z, order: int = 0):
         u = (np.asarray(z, dtype=float) - self.center) / self.width
@@ -115,35 +137,11 @@ class GaussianBump:
             raise ValidationError(f"derivative order {order} not available")
         return _ret(z, out)
 
-    def terms(self):
-        return [self]
-
-    def limit(self):
-        return self.base
-
-    def natural_period(self):
-        return 0.0  # marker: not periodic
-
-    def bounds_exact(self):
-        return (self.base + min(0.0, self.amplitude), self.base + max(0.0, self.amplitude))
-
-    def derivative_sup(self):
-        return abs(self.amplitude) * _GAUSS_DSUP / self.width
-
-    def bump_window(self):
-        return (self.center - 12.0 * self.width, self.center + 12.0 * self.width)
-
 
 @dataclass(frozen=True)
-class Sech2Bump:
-    base: float
-    amplitude: float
-    center: float
-    width: float
-
-    def __post_init__(self):
-        if not self.width > 0:
-            raise ValidationError("bump width must be positive")
+class Sech2Bump(_Bump):
+    _DSUP = 4.0 / (3.0 * math.sqrt(3.0))  # sup_u |d/du sech^2 u|
+    _REACH = 16.0
 
     def eval(self, z, order: int = 0):
         u = (np.asarray(z, dtype=float) - self.center) / self.width
@@ -159,24 +157,6 @@ class Sech2Bump:
         else:
             raise ValidationError(f"derivative order {order} not available")
         return _ret(z, out)
-
-    def terms(self):
-        return [self]
-
-    def limit(self):
-        return self.base
-
-    def natural_period(self):
-        return 0.0
-
-    def bounds_exact(self):
-        return (self.base + min(0.0, self.amplitude), self.base + max(0.0, self.amplitude))
-
-    def derivative_sup(self):
-        return abs(self.amplitude) * _SECH2_DSUP / self.width
-
-    def bump_window(self):
-        return (self.center - 16.0 * self.width, self.center + 16.0 * self.width)
 
 
 @dataclass(frozen=True)
@@ -207,9 +187,6 @@ class CosinePeriodic:
 
     def limit(self):
         return None
-
-    def natural_period(self):
-        return self.period
 
     def bounds_exact(self):
         return (self.mean - abs(self.amplitude), self.mean + abs(self.amplitude))
@@ -248,13 +225,6 @@ class ProfileSum:
         if any(p is None for p in parts):
             return None
         return float(sum(parts))
-
-    def natural_period(self):
-        periods = [t.natural_period() for t in self.terms_]
-        if any(p == 0.0 for p in periods):
-            return 0.0
-        concrete = [p for p in periods if p is not None]
-        return max(concrete) if concrete else None
 
     def bounds_exact(self):
         return None  # sums certified by sampling at the profile level
@@ -299,7 +269,7 @@ def _candidate_points(fam: ProfileFamily, lo: float, hi: float) -> list[float]:
     return pts
 
 
-def _certified_bounds(fam: ProfileFamily, classification, n: int = 20001) -> tuple[float, float]:
+def _certified_bounds(fam: ProfileFamily, classification) -> tuple[float, float]:
     """Closed form for leaves; dense sampling with Lipschitz padding for sums.
 
     The padded interval always contains the true range over the window,
@@ -310,7 +280,7 @@ def _certified_bounds(fam: ProfileFamily, classification, n: int = 20001) -> tup
     if exact is not None:
         return exact
     lo, hi = _sampling_window(fam, classification)
-    zs = np.linspace(lo, hi, n)
+    zs = np.linspace(lo, hi, _BOUND_SAMPLES)
     vals = fam.eval(zs, 0)
     pad = 0.5 * (zs[1] - zs[0]) * fam.derivative_sup()
     vmin = float(np.min(vals)) - pad
@@ -372,7 +342,7 @@ class CoefficientProfile:
 
 
 def _is_stabilizing_capable(fam: ProfileFamily) -> bool:
-    return all(isinstance(t, (Constant, GaussianBump, Sech2Bump)) for t in fam.terms())
+    return all(isinstance(t, (Constant, _Bump)) for t in fam.terms())
 
 
 def _validate_periodic_family(fam: ProfileFamily, a: float, label: str):
@@ -396,11 +366,15 @@ def _validate_periodic_family(fam: ProfileFamily, a: float, label: str):
 
 
 def _derive_classification(eps: ProfileFamily, mu: ProfileFamily):
-    p_eps, p_mu = eps.natural_period(), mu.natural_period()
-    has_cosine = (p_eps not in (None, 0.0)) or (p_mu not in (None, 0.0))
-    if has_cosine:
-        candidates = [p for p in (p_eps, p_mu) if p not in (None, 0.0)]
-        return Periodic(max(candidates))
+    # a bump term makes its family aperiodic; the profile period is the
+    # longest cosine period among the families without one
+    periods = []
+    for fam in (eps, mu):
+        terms = fam.terms()
+        if not any(isinstance(t, _Bump) for t in terms):
+            periods += [t.period for t in terms if isinstance(t, CosinePeriodic)]
+    if periods:
+        return Periodic(max(periods))
     if _is_stabilizing_capable(eps) and _is_stabilizing_capable(mu):
         return Stabilizing(eps.limit(), mu.limit())
     raise ValidationError("cannot classify profile; pass an explicit classification")
@@ -410,7 +384,6 @@ def make_profile(
     epsilon: ProfileFamily,
     mu: ProfileFamily,
     classification: Stabilizing | Periodic | None = None,
-    positivity_floor: float = DEFAULT_POSITIVITY_FLOOR,
 ) -> CoefficientProfile:
     """Validate and classify a coefficient pair.
 
@@ -446,9 +419,10 @@ def make_profile(
 
     for fam, label in ((epsilon, "epsilon"), (mu, "mu")):
         low, _ = _certified_bounds(fam, classification)
-        if low < positivity_floor:
+        if low < DEFAULT_POSITIVITY_FLOOR:
             raise ValidationError(
-                f"{label}: certified lower bound {low:.3g} is below the floor {positivity_floor:.3g}"
+                f"{label}: certified lower bound {low:.3g} is below the floor "
+                f"{DEFAULT_POSITIVITY_FLOOR:.3g}"
             )
     return CoefficientProfile(epsilon, mu, classification)
 
@@ -469,11 +443,8 @@ def essential_bounds(profile: CoefficientProfile) -> EssentialBounds:
     elif isinstance(profile.mu, Constant):
         prod_sup = profile.mu.value * e_hi
     else:
-        lo1, hi1 = _sampling_window(profile.epsilon, profile.classification)
-        lo2, hi2 = _sampling_window(profile.mu, profile.classification)
-        lo, hi = min(lo1, lo2), max(hi1, hi2)
-        zs = np.linspace(lo, hi, 20001)
-        prod = np.asarray(profile.epsilon.eval(zs, 0)) * np.asarray(profile.mu.eval(zs, 0))
+        zs, prod = _sampled_product(profile, _BOUND_SAMPLES)
+        lo, hi = zs[0], zs[-1]
         lip = profile.epsilon.derivative_sup() * m_hi + profile.mu.derivative_sup() * e_hi
         prod_sup = float(np.max(prod)) + 0.5 * (zs[1] - zs[0]) * lip
         for fam in (profile.epsilon, profile.mu):
@@ -482,6 +453,14 @@ def essential_bounds(profile: CoefficientProfile) -> EssentialBounds:
         if isinstance(profile.classification, Stabilizing):
             prod_sup = max(prod_sup, profile.limit_product)
     return EssentialBounds(e_lo, e_hi, m_lo, m_hi, float(prod_sup))
+
+
+def _sampled_product(profile: CoefficientProfile, n: int):
+    """eps*mu on n points spanning both families' sampling windows."""
+    lo1, hi1 = _sampling_window(profile.epsilon, profile.classification)
+    lo2, hi2 = _sampling_window(profile.mu, profile.classification)
+    zs = np.linspace(min(lo1, lo2), max(hi1, hi2), n)
+    return zs, np.asarray(profile.epsilon.eval(zs, 0)) * np.asarray(profile.mu.eval(zs, 0))
 
 
 def fam_product(profile: CoefficientProfile, z: float) -> float:
@@ -498,7 +477,7 @@ class ProductComparison:
     limit: float
 
 
-def locate_product_excess(profile: CoefficientProfile, n: int = 40001) -> ProductComparison:
+def locate_product_excess(profile: CoefficientProfile) -> ProductComparison:
     """Decide whether eps*mu stays below its limit product everywhere.
 
     A strict sample above the limit is a sound witness (returned after a
@@ -508,19 +487,14 @@ def locate_product_excess(profile: CoefficientProfile, n: int = 40001) -> Produc
     if not isinstance(profile.classification, Stabilizing):
         raise ValidationError("product comparison applies to stabilizing profiles only")
     limit = profile.limit_product
-    lo1, hi1 = _sampling_window(profile.epsilon, profile.classification)
-    lo2, hi2 = _sampling_window(profile.mu, profile.classification)
-    lo, hi = min(lo1, lo2), max(hi1, hi2)
-    zs = np.linspace(lo, hi, n)
-    prod = np.asarray(profile.epsilon.eval(zs, 0)) * np.asarray(profile.mu.eval(zs, 0))
+    zs, prod = _sampled_product(profile, _EXCESS_SAMPLES)
     i = int(np.argmax(prod))
     best = float(prod[i])
     if best <= limit * (1.0 + 1e-13):
         return ProductComparison(False, None, best, limit)
 
     # polish the witness: golden-section maximization on the bracketing cell
-    h = zs[1] - zs[0]
-    a, b = zs[max(i - 1, 0)], zs[min(i + 1, n - 1)]
+    a, b = zs[max(i - 1, 0)], zs[min(i + 1, zs.size - 1)]
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = fam_product(profile, c), fam_product(profile, d)
@@ -543,6 +517,7 @@ _FAMILY_TAGS = {
     "sech2_bump": Sech2Bump,
     "cosine_periodic": CosinePeriodic,
 }
+_TAG_OF = {cls: tag for tag, cls in _FAMILY_TAGS.items()}
 
 
 def family_from_dict(doc: dict) -> ProfileFamily:
@@ -557,25 +532,23 @@ def family_from_dict(doc: dict) -> ProfileFamily:
     cls = _FAMILY_TAGS.get(tag)
     if cls is None:
         raise ValidationError(f"unknown profile family '{tag}'")
-    kwargs = {k: v for k, v in doc.items() if k != "family"}
+    kwargs = {}
+    for k, v in doc.items():
+        if k != "family":
+            try:
+                kwargs[k] = float(v)
+            except (TypeError, ValueError):
+                raise ValidationError(f"family '{tag}': '{k}' is not a number: {v!r}") from None
     try:
-        return cls(**{k: float(v) for k, v in kwargs.items()})
+        return cls(**kwargs)
     except TypeError as exc:
         raise ValidationError(f"bad parameters for family '{tag}': {exc}") from None
 
 
 def family_to_dict(fam: ProfileFamily) -> dict:
-    if isinstance(fam, Constant):
-        return {"family": "constant", "value": fam.value}
-    if isinstance(fam, GaussianBump):
-        return {"family": "gaussian_bump", "base": fam.base, "amplitude": fam.amplitude,
-                "center": fam.center, "width": fam.width}
-    if isinstance(fam, Sech2Bump):
-        return {"family": "sech2_bump", "base": fam.base, "amplitude": fam.amplitude,
-                "center": fam.center, "width": fam.width}
-    if isinstance(fam, CosinePeriodic):
-        return {"family": "cosine_periodic", "mean": fam.mean, "amplitude": fam.amplitude,
-                "period": fam.period}
     if isinstance(fam, ProfileSum):
         return {"family": "sum", "terms": [family_to_dict(t) for t in fam.terms_]}
-    raise ValidationError(f"unknown family {fam!r}")
+    tag = _TAG_OF.get(type(fam))
+    if tag is None:
+        raise ValidationError(f"unknown family {fam!r}")
+    return {"family": tag, **{f.name: getattr(fam, f.name) for f in fields(fam)}}

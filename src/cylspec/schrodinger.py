@@ -43,8 +43,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-# not called here: the traced benchmark (bench/spans.py) wraps this name
-from scipy.integrate import solve_ivp  # noqa: F401
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import (
@@ -72,6 +70,8 @@ __all__ = [
 ]
 
 _GL64_NODES, _GL64_WEIGHTS = leggauss(64)
+# delta1 steps of the variational witness search
+_WITNESS_STEPS = 400
 
 # |V - threshold| a stabilizing potential must stay below at the window
 # ends before its bound states are computed on that window
@@ -232,6 +232,16 @@ _POINT_BUDGET = 1 << 15
 # |Delta| - 2 below this is not a certified gap; the propagator's step
 # count is chosen, and checked, to keep its error in Delta below it too
 NOISE_FLOOR = 1e-10
+# bisection width of a band edge
+EDGE_TOL = 1e-10
+# a tangency of |Delta| within this of 2 is reported as a closed gap
+CLOSURE_TOL = 1e-8
+# band edges of the two routes must agree to this; narrower gaps merge
+CROSS_TOL = 1e-6
+# |det M - 1| above this: the transfer matrix has lost its Wronskian
+_WRONSKIAN_TOL = 1e-9
+# golden-section steps that refine a tangency of |Delta| with 2
+_GOLDEN_STEPS = 60
 
 
 def _period_grid(potential: ModePotential) -> np.ndarray:
@@ -309,7 +319,7 @@ def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
     """2x2 transfer matrix over one period; det checked against 1."""
     sf = _transfer_batch(potential, [energy])
     det = sf[0, 0] * sf[3, 0] - sf[2, 0] * sf[1, 0]
-    if abs(det - 1.0) > 1e-9:
+    if abs(det - 1.0) > _WRONSKIAN_TOL:
         raise NumericalError(f"Wronskian drifted: det = {det!r}")
     return np.array([[sf[0, 0], sf[2, 0]], [sf[1, 0], sf[3, 0]]])
 
@@ -319,7 +329,7 @@ def discriminant(potential: ModePotential, energy):
     sf = _transfer_batch(potential, energy)
     det = sf[0] * sf[3] - sf[2] * sf[1]
     bad = float(np.max(np.abs(det - 1.0)))
-    if bad > 1e-9:
+    if bad > _WRONSKIAN_TOL:
         raise NumericalError(f"Wronskian drifted: |det - 1| = {bad:.3e}")
     trace = sf[0] + sf[3]
     return trace if np.ndim(energy) else float(trace[0])
@@ -380,13 +390,13 @@ def _bisect_root(delta, lo, hi, flo, target, tol):
     return 0.5 * (lo + hi)
 
 
-def _refine_extremum(delta, lo, hi, sgn, iters: int = 60):
+def _refine_extremum(delta, lo, hi, sgn):
     """Golden-section maximization of sgn * Delta on each [lo, hi], in lockstep."""
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
     c, d = b - gr * (b - a), a + gr * (b - a)
     fc, fd = sgn * delta(c), sgn * delta(d)
-    for _ in range(iters):
+    for _ in range(_GOLDEN_STEPS):
         left = fc > fd  # the maximum lies in [a, d]: drop (d, b]
         b, a = np.where(left, d, b), np.where(left, a, c)
         probe = np.where(left, b - gr * (b - a), a + gr * (b - a))
@@ -413,19 +423,12 @@ def _flatten_edges(pairs, merge_tol, cap):
     return flat
 
 
-def band_structure(
-    potential: ModePotential,
-    e_max: float,
-    *,
-    closure_tol: float = 1e-8,
-    cross_tol: float = 1e-6,
-    edge_tol: float = 1e-10,
-) -> BandStructure:
+def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     """Band decomposition of a periodic mode up to e_max.
 
     Edges are roots of Delta(E) = +/-2 from bracketed bisection on an
     adaptive grid; the plane-wave eigensolve is the independent check
-    and must agree edge-by-edge to `cross_tol`.
+    and must agree edge-by-edge to CROSS_TOL.
     """
     if potential.period_b is None:
         raise ValidationError("band structure applies to periodic potentials only")
@@ -511,7 +514,7 @@ def band_structure(
         sign[sign == 0] = 1.0
         flips = np.nonzero(sign[:-1] != sign[1:])[0]
         if flips.size:
-            roots = _bisect_root(delta, grid[flips], grid[flips + 1], dvals[flips], target, edge_tol)
+            roots = _bisect_root(delta, grid[flips], grid[flips + 1], dvals[flips], target, EDGE_TOL)
             edges.extend(float(r) for r in np.atleast_1d(roots))
             crossing_cells.update(int(i) for i in flips)
 
@@ -528,14 +531,14 @@ def band_structure(
         for i, target, e_peak, peak in zip(peaks, 2.0 * dirs, e_peaks, tops):
             if peak > 2.0 + 1e-12:
                 hidden += [(grid[i - 1], e_peak, target), (e_peak, grid[i + 1], target)]
-            elif peak >= 2.0 - closure_tol:
+            elif peak >= 2.0 - CLOSURE_TOL:
                 closed_points.append(float(e_peak))
         if hidden:
             lo, hi, tg = (np.array(x) for x in zip(*hidden))
             f_lo = delta(lo)
             ok = (f_lo - tg) * (delta(hi) - tg) < 0
             if np.any(ok):
-                roots = _bisect_root(delta, lo[ok], hi[ok], f_lo[ok], tg[ok], edge_tol)
+                roots = _bisect_root(delta, lo[ok], hi[ok], f_lo[ok], tg[ok], EDGE_TOL)
                 edges.extend(float(r) for r in roots)
 
     def assemble(edge_list):
@@ -546,7 +549,7 @@ def band_structure(
         gaps_ = []
         for (lo, hi), band in zip(spans, inside):
             if band:
-                if bands_ and abs(bands_[-1][1] - lo) <= max(1e-12, 4.0 * edge_tol):
+                if bands_ and abs(bands_[-1][1] - lo) <= max(1e-12, 4.0 * EDGE_TOL):
                     bands_[-1] = (bands_[-1][0], hi)
                 else:
                     bands_.append((lo, hi))
@@ -586,7 +589,7 @@ def band_structure(
             )
         return empty
 
-    # reconcile: every reference gap wider than cross_tol must either be
+    # reconcile: every reference gap wider than CROSS_TOL must either be
     # matched by a found gap, recovered by a targeted sweep, or shown to
     # sit below the discriminant's resolving power
     unresolved: list[tuple[float, float]] = []
@@ -598,10 +601,10 @@ def band_structure(
         if g_lo >= e_max:
             continue
         width = g_hi - g_lo
-        if width <= cross_tol:
+        if width <= CROSS_TOL:
             merge_next.add(k)
             continue
-        tol_m = max(cross_tol, 0.1 * min(width, 1.0))
+        tol_m = max(CROSS_TOL, 0.1 * min(width, 1.0))
         have_lo = any(abs(e - g_lo) <= tol_m for e in edges)
         have_hi = math.isinf(g_hi) or any(abs(e - g_hi) <= tol_m for e in edges)
         if have_lo and have_hi:
@@ -618,7 +621,7 @@ def band_structure(
             sign[sign == 0] = 1.0
             flips = np.nonzero(sign[:-1] != sign[1:])[0]
             roots = _bisect_root(
-                delta, sweep[flips], sweep[flips + 1], dsw[flips], 2.0 * s, edge_tol
+                delta, sweep[flips], sweep[flips + 1], dsw[flips], 2.0 * s, EDGE_TOL
             )
             edges.extend(float(r) for r in np.atleast_1d(roots))
             added = True
@@ -640,17 +643,17 @@ def band_structure(
         # unresolved gap past the last reference band: its lower edge is
         # invisible to the discriminant, so drop it from the comparison
         merged_ref[-1] = (merged_ref[-1][0], math.inf)
-    ref_flat = _flatten_edges(merged_ref, cross_tol, e_max)
-    got_flat = _flatten_edges(bands, cross_tol, e_max)
+    ref_flat = _flatten_edges(merged_ref, CROSS_TOL, e_max)
+    got_flat = _flatten_edges(bands, CROSS_TOL, e_max)
     if len(ref_flat) != len(got_flat):
         raise ResolutionError(
             f"edge count mismatch: discriminant route found {len(got_flat)} edges, "
             f"eigenvalue route implies {len(ref_flat)}; refine the energy grid"
         )
     max_dev = max((abs(a - r) for a, r in zip(got_flat, ref_flat)), default=0.0)
-    if max_dev > cross_tol:
+    if max_dev > CROSS_TOL:
         raise ResolutionError(
-            f"band-edge cross-validation failed: max deviation {max_dev:.3e} > {cross_tol:.1e}"
+            f"band-edge cross-validation failed: max deviation {max_dev:.3e} > {CROSS_TOL:.1e}"
         )
 
     return BandStructure(
@@ -699,7 +702,7 @@ def _segment_integral(fun, lo, hi):
     return half * float(np.dot(_GL64_WEIGHTS, fun(xs)))
 
 
-def search_witness(data: LiouvilleData, n_grid: int = 400) -> Witness:
+def search_witness(data: LiouvilleData) -> Witness:
     """Grid search maximizing 2 delta1 delta2 subject to the margin
     condition 1/(eps~ mu~) <= 1/(eps* mu*) - delta2 on |y - y0| < 2 delta1."""
     profile = data.profile
@@ -723,8 +726,8 @@ def search_witness(data: LiouvilleData, n_grid: int = 400) -> Witness:
     dist_sorted = dist[order]
 
     best = None
-    for i in range(1, n_grid + 1):
-        d1 = d1_max * i / n_grid
+    for i in range(1, _WITNESS_STEPS + 1):
+        d1 = d1_max * i / _WITNESS_STEPS
         j = int(np.searchsorted(dist_sorted, 2.0 * d1, side="right")) - 1
         min_prod = float(run_min[j])
         d2 = 1.0 / limit - 1.0 / min_prod
@@ -797,3 +800,13 @@ def variational_upper_bound(
         delta2=float(delta2),
         y0=float(y0),
     )
+
+
+def __getattr__(name):
+    # nothing here integrates ODEs, but the traced benchmark (bench/spans.py)
+    # wraps this name; importing scipy.integrate on first use keeps it out
+    # of every run's start-up
+    if name == "solve_ivp":
+        from scipy.integrate import solve_ivp
+        return solve_ivp
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

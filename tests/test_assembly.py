@@ -217,18 +217,23 @@ def test_energies_scale_with_epsilon():
     # eps -> 4 eps at constant mu doubles the travel time and quarters
     # the potential, V4(y) = V(y / 2) / 4, so on a window of twice the
     # halfwidth every bound state scales by exactly 1/4 up to the
-    # discretization error the Richardson estimates bound
+    # discretization error the Richardson estimates bound; mu -> 4 mu at
+    # constant eps does the same (eta is a difference of the two
+    # logarithmic derivatives, the mode term divides by eps mu)
     spec = Synthetic(dirichlet=(5.0, 9.0, 80.0), neumann=(0.0, 2.0, 7.0, 85.0))
     spectrum = build_spectrum(spec, 3, 4)
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
-    prof4 = make_profile(Sech2Bump(4.0, 2.0, 0.0, 1.0), Constant(1.0))
     rep = run_stabilizing_analysis(prof, spectrum, 12.0, halfwidth=10.0, grid=1000)
-    rep4 = run_stabilizing_analysis(prof4, spectrum, 3.0, halfwidth=20.0, grid=1000)
-    assert len(rep.squared_points) == len(rep4.squared_points) > 0
-    for p, p4 in zip(rep.squared_points, rep4.squared_points):
-        assert (p.flavor, p.mode_constant) == (p4.flavor, p4.mode_constant)
-        tol = p4.refinement_estimate + p.refinement_estimate / 4.0
-        assert abs(p4.energy - p.energy / 4.0) <= tol
+    for prof4 in (
+        make_profile(Sech2Bump(4.0, 2.0, 0.0, 1.0), Constant(1.0)),
+        make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(4.0)),
+    ):
+        rep4 = run_stabilizing_analysis(prof4, spectrum, 3.0, halfwidth=20.0, grid=1000)
+        assert len(rep.squared_points) == len(rep4.squared_points) > 0
+        for p, p4 in zip(rep.squared_points, rep4.squared_points):
+            assert (p.flavor, p.mode_constant) == (p4.flavor, p4.mode_constant)
+            tol = p4.refinement_estimate + p.refinement_estimate / 4.0
+            assert abs(p4.energy - p.energy / 4.0) <= tol
 
 
 # ---------------------------------------------------------------------------

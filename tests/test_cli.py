@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cylspec
 from cylspec.cli import dumps_canonical, main
 
 
@@ -251,6 +255,28 @@ def test_missing_csv_input(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("numerics", "e_max"), "abc"),
+        (("numerics", "e_max"), None),
+        (("numerics", "grid"), "fine"),
+        (("cross_section", "width"), "wide"),
+        (("profile", "epsilon", "amplitude"), "big"),
+    ],
+    ids=["e_max-text", "e_max-null", "grid", "width", "amplitude"],
+)
+def test_malformed_number_is_bad_input(tmp_path, capsys, path, value):
+    c = _stabilizing_cfg(cross_section={"kind": "rectangle", "width": 1.0, "height": 1.0})
+    *parents, key = path
+    doc = c
+    for name in parents:
+        doc = doc[name]
+    doc[key] = value
+    assert main(["run", str(_write_cfg(tmp_path, c))]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_bad_jobs_values(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, _stabilizing_cfg())
     assert main(["run", str(cfg), "--jobs", "0"]) == 2
@@ -262,6 +288,18 @@ def test_jobs_env_fallback(tmp_path, monkeypatch):
     cfg = _write_cfg(tmp_path, _stabilizing_cfg())
     monkeypatch.setenv("CYLSPEC_JOBS", "2")
     assert main(["run", str(cfg)]) == 0
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # the traced benchmark still finds schrodinger.solve_ivp, resolved on
+    # first access
+    code = (
+        "import sys, cylspec.cli, cylspec.schrodinger as s; "
+        "assert 'scipy.integrate' not in sys.modules, 'imported at start-up'; "
+        "assert callable(s.solve_ivp)"
+    )
+    src = str(Path(cylspec.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ maxima that the certification never sees.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -200,3 +201,181 @@ def test_nested_sums_flatten():
     outer = ProfileSum((inner, Constant(3.0)))
     assert all(not isinstance(t, ProfileSum) for t in outer.terms())
     assert float(outer.eval(0.0)) == pytest.approx(6.0, rel=1e-15)
+
+
+# Inputs of the classification, the certified bounds, the product
+# comparison and the dict shaper, with outputs pinned bit for bit as
+# float hex strings: a refactor of the families must not move them.
+_PIN_CASES = {
+    "gaussian_eps": (GaussianBump(1.0, 0.6, 0.3, 0.9), Constant(1.5)),
+    "gaussian_dip_mu": (Constant(2.0), GaussianBump(1.0, -0.4, -0.5, 1.2)),
+    "sum3_eps_sech2_mu": (
+        ProfileSum((Constant(1.0), GaussianBump(0.0, 0.4, 0.7, 0.9), Sech2Bump(0.0, 0.3, -0.5, 1.2))),
+        Sech2Bump(1.2, 0.25, 0.4, 0.8),
+    ),
+    "sech2_eps_sum3_mu": (
+        Sech2Bump(1.0, 0.5, 0.0, 1.0),
+        ProfileSum((Constant(0.5), Sech2Bump(0.5, -0.2, 1.0, 0.6), GaussianBump(0.0, 0.35, -1.5, 0.7))),
+    ),
+    "constant_pair": (Constant(1.0), Constant(3.0)),
+    "cosine2_eps_cosine_mu": (
+        ProfileSum((Constant(1.0), CosinePeriodic(0.0, 0.2, 1.0), CosinePeriodic(0.0, 0.1, 0.5))),
+        CosinePeriodic(2.0, 0.3, 1.0),
+    ),
+    "constant_eps_cosine2_mu": (
+        Constant(1.5),
+        ProfileSum((CosinePeriodic(1.0, 0.1, 0.5), CosinePeriodic(0.5, 0.2, 0.25))),
+    ),
+    "bump_plus_cosine_sum": (
+        ProfileSum((GaussianBump(1.0, 0.2, 0.0, 1.0), CosinePeriodic(0.0, 0.1, 1.0))),
+        Constant(1.0),
+    ),
+    "cosine_eps_bump_mu": (CosinePeriodic(1.0, 0.2, 1.0), Sech2Bump(1.0, 0.3, 0.0, 1.0)),
+}
+
+_PINNED = {
+    "gaussian_eps": dict(
+        dicts=(
+            {"family": "gaussian_bump", "base": 1.0, "amplitude": 0.6, "center": 0.3, "width": 0.9},
+            {"family": "constant", "value": 1.5},
+        ),
+        classification=("stabilizing", "0x1.0000000000000p+0", "0x1.8000000000000p+0"),
+        excess=(True, "0x1.3333339b0a356p-2", "0x1.3333333333333p+1", "0x1.8000000000000p+0"),
+        bounds=(
+            "0x1.0000000000000p+0", "0x1.999999999999ap+0", "0x1.8000000000000p+0",
+            "0x1.8000000000000p+0", "0x1.3333333333334p+1",
+        ),
+    ),
+    "gaussian_dip_mu": dict(
+        dicts=(
+            {"family": "constant", "value": 2.0},
+            {"family": "gaussian_bump", "base": 1.0, "amplitude": -0.4, "center": -0.5, "width": 1.2},
+        ),
+        classification=("stabilizing", "0x1.0000000000000p+1", "0x1.0000000000000p+0"),
+        excess=(False, None, "0x1.0000000000000p+1", "0x1.0000000000000p+1"),
+        bounds=(
+            "0x1.0000000000000p+1", "0x1.0000000000000p+1", "0x1.3333333333333p-1",
+            "0x1.0000000000000p+0", "0x1.0000000000000p+1",
+        ),
+    ),
+    "sum3_eps_sech2_mu": dict(
+        dicts=(
+            {"family": "sum", "terms": [
+                {"family": "constant", "value": 1.0},
+                {"family": "gaussian_bump", "base": 0.0, "amplitude": 0.4, "center": 0.7, "width": 0.9},
+                {"family": "sech2_bump", "base": 0.0, "amplitude": 0.3, "center": -0.5, "width": 1.2},
+            ]},
+            {"family": "sech2_bump", "base": 1.2, "amplitude": 0.25, "center": 0.4, "width": 0.8},
+        ),
+        classification=("stabilizing", "0x1.0000000000000p+0", "0x1.3333333333333p+0"),
+        excess=(True, "0x1.cd6d3c9f2715ap-2", "0x1.1d9bc59487274p+1", "0x1.3333333333333p+0"),
+        bounds=(
+            "0x1.ffb7d085c79fcp-1", "0x1.8aa9d7e9650fcp+0", "0x1.3333333333333p+0",
+            "0x1.7333333333333p+0", "0x1.1dc19a91bb591p+1",
+        ),
+    ),
+    "sech2_eps_sum3_mu": dict(
+        dicts=(
+            {"family": "sech2_bump", "base": 1.0, "amplitude": 0.5, "center": 0.0, "width": 1.0},
+            {"family": "sum", "terms": [
+                {"family": "constant", "value": 0.5},
+                {"family": "sech2_bump", "base": 0.5, "amplitude": -0.2, "center": 1.0, "width": 0.6},
+                {"family": "gaussian_bump", "base": 0.0, "amplitude": 0.35, "center": -1.5, "width": 0.7},
+            ]},
+        ),
+        classification=("stabilizing", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+        excess=(True, "-0x1.4e3901c280626p+0", "0x1.7e0d66a9e3312p+0", "0x1.0000000000000p+0"),
+        bounds=(
+            "0x1.0000000000000p+0", "0x1.8000000000000p+0", "0x1.996baffd82d2bp-1",
+            "0x1.59a4081e1d7d7p+0", "0x1.7e5e8e34aa82ep+0",
+        ),
+    ),
+    "constant_pair": dict(
+        dicts=(
+            {"family": "constant", "value": 1.0},
+            {"family": "constant", "value": 3.0},
+        ),
+        classification=("stabilizing", "0x1.0000000000000p+0", "0x1.8000000000000p+1"),
+        excess=(False, None, "0x1.8000000000000p+1", "0x1.8000000000000p+1"),
+        bounds=(
+            "0x1.0000000000000p+0", "0x1.0000000000000p+0", "0x1.8000000000000p+1",
+            "0x1.8000000000000p+1", "0x1.8000000000000p+1",
+        ),
+    ),
+    "cosine2_eps_cosine_mu": dict(
+        dicts=(
+            {"family": "sum", "terms": [
+                {"family": "constant", "value": 1.0},
+                {"family": "cosine_periodic", "mean": 0.0, "amplitude": 0.2, "period": 1.0},
+                {"family": "cosine_periodic", "mean": 0.0, "amplitude": 0.1, "period": 0.5},
+            ]},
+            {"family": "cosine_periodic", "mean": 2.0, "amplitude": 0.3, "period": 1.0},
+        ),
+        classification=("periodic", "0x1.0000000000000p+0"),
+        bounds=(
+            "0x1.b32af6f7d222ap-1", "0x1.4cd0eaf18dd8ep+0", "0x1.b333333333333p+0",
+            "0x1.2666666666666p+1", "0x1.7ebf101adcff1p+1",
+        ),
+    ),
+    "constant_eps_cosine2_mu": dict(
+        dicts=(
+            {"family": "constant", "value": 1.5},
+            {"family": "sum", "terms": [
+                {"family": "cosine_periodic", "mean": 1.0, "amplitude": 0.1, "period": 0.5},
+                {"family": "cosine_periodic", "mean": 0.5, "amplitude": 0.2, "period": 0.25},
+            ]},
+        ),
+        classification=("periodic", "0x1.0000000000000p-1"),
+        bounds=(
+            "0x1.8000000000000p+0", "0x1.8000000000000p+0", "0x1.4b2e0d860e0cbp+0",
+            "0x1.ccd1f27abe1bep+0", "0x1.599d75dc0e94ep+1",
+        ),
+    ),
+    "bump_plus_cosine_sum": dict(
+        dicts=(
+            {"family": "sum", "terms": [
+                {"family": "gaussian_bump", "base": 1.0, "amplitude": 0.2, "center": 0.0, "width": 1.0},
+                {"family": "cosine_periodic", "mean": 0.0, "amplitude": 0.1, "period": 1.0},
+            ]},
+            {"family": "constant", "value": 1.0},
+        ),
+        error="cannot classify profile; pass an explicit classification",
+    ),
+    "cosine_eps_bump_mu": dict(
+        dicts=(
+            {"family": "cosine_periodic", "mean": 1.0, "amplitude": 0.2, "period": 1.0},
+            {"family": "sech2_bump", "base": 1.0, "amplitude": 0.3, "center": 0.0, "width": 1.0},
+        ),
+        error="mu: family Sech2Bump is not periodic",
+    ),
+}
+
+
+def _hex(x):
+    return None if x is None else float(x).hex()
+
+
+@pytest.mark.parametrize("name", sorted(_PIN_CASES))
+def test_pinned_classification_bounds_and_dicts(name):
+    eps, mu = _PIN_CASES[name]
+    want = _PINNED[name]
+    for fam, doc in zip((eps, mu), want["dicts"]):
+        # json text also pins the key order the report writer emits
+        assert json.dumps(family_to_dict(fam)) == json.dumps(doc)
+    if "error" in want:
+        with pytest.raises(ValidationError) as info:
+            make_profile(eps, mu)
+        assert str(info.value) == want["error"]
+        return
+    p = make_profile(eps, mu)
+    cls = p.classification
+    if isinstance(cls, Stabilizing):
+        assert ("stabilizing", _hex(cls.eps_limit), _hex(cls.mu_limit)) == want["classification"]
+        r = locate_product_excess(p)
+        got = (r.exceeds_limit, _hex(r.witness), _hex(r.observed_max), _hex(r.limit))
+        assert got == want["excess"]
+    else:
+        assert ("periodic", _hex(cls.period)) == want["classification"]
+    b = essential_bounds(p)
+    got = tuple(_hex(x) for x in (b.eps_lower, b.eps_upper, b.mu_lower, b.mu_upper, b.product_sup))
+    assert got == want["bounds"]

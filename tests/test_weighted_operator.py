@@ -11,10 +11,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cylspec.errors import ValidationError
 from cylspec.liouville import build_potential, build_transform
-from cylspec.profiles import Constant, Sech2Bump, essential_bounds, make_profile
+from cylspec.profiles import (
+    Constant,
+    GaussianBump,
+    Sech2Bump,
+    essential_bounds,
+    make_profile,
+)
 from cylspec.schrodinger import bound_states
 from cylspec.weighted_operator import (
     WeightedOperatorSpec,
@@ -56,6 +64,31 @@ def test_swapped_profile_swaps_roles():
         2,
     )
     assert a.eigenvalues == b.eigenvalues
+
+
+_bumps = st.builds(
+    lambda shape, *args: shape(*args),
+    st.sampled_from([GaussianBump, Sech2Bump]),
+    st.floats(1.0, 2.0),  # base
+    st.floats(-0.5, 1.0),  # amplitude
+    st.floats(-2.0, 2.0),  # center
+    st.floats(0.3, 2.0),  # width
+)
+_powers_of_two = st.integers(-2, 2).map(lambda k: 2.0**k)
+
+
+def _scaled(bump, factor):
+    return type(bump)(factor * bump.base, factor * bump.amplitude, bump.center, bump.width)
+
+
+@given(_bumps, _bumps, _powers_of_two, _powers_of_two, st.sampled_from([0.0, 3.0]))
+def test_eigenvalues_scale_with_eps_and_mu(eps, mu, alpha, beta, c):
+    # eps -> alpha eps, mu -> beta mu divides the pencil by alpha beta;
+    # for powers of two every entry, and so every eigenvalue, scales exactly
+    spec = WeightedOperatorSpec(make_profile(eps, mu), c, 8.0, 400)
+    scaled = WeightedOperatorSpec(make_profile(_scaled(eps, alpha), _scaled(mu, beta)), c, 8.0, 400)
+    want = tuple(e / (alpha * beta) for e in weighted_eigenvalues(spec, 3).eigenvalues)
+    assert weighted_eigenvalues(scaled, 3).eigenvalues == want
 
 
 def test_second_order_convergence():
