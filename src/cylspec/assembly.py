@@ -107,24 +107,24 @@ def mode_budget(
 class ModeGroup:
     flavor: str  # 'el' | 'm' | 'zero'
     mode_constant: float
-    multiplicity: int
     indices: tuple[int, ...]  # 1-based positions in the transverse list
+    multiplicity: int
 
 
 @dataclass(frozen=True)
 class StabilizingModeResult:
-    group: ModeGroup
+    group: ModeGroup = field(metadata={"report": "inline"})
     threshold: float
     lower_bound: float
-    bound: BoundStateResult
+    bound: BoundStateResult = field(metadata={"report": "inline"})
     ac_interval: tuple[float, float] | None  # clipped to e_max, None if empty
 
 
 @dataclass(frozen=True)
 class PeriodicModeResult:
-    group: ModeGroup
+    group: ModeGroup = field(metadata={"report": "inline"})
     lower_bound: float
-    structure: BandStructure
+    structure: BandStructure = field(metadata={"report": "inline"})
 
 
 def _grouped_modes(budget: ModeBudget) -> list[ModeGroup]:
@@ -187,8 +187,8 @@ class SpectrumReport:
     central_gap: tuple[float, float] | None  # in the first-order variable
     maxwell_support: tuple[tuple[float, float], ...]
     maxwell_points: tuple[float, ...]
-    bounds: EssentialBounds  # of the profile; they set the mode budget
-    transform: LiouvilleData = field(repr=False, compare=False)  # behind every mode potential
+    bounds: EssentialBounds = field(metadata={"report": "omit"})  # of the profile
+    transform: LiouvilleData = field(repr=False, compare=False, metadata={"report": "omit"})
 
 
 _MERGE_TOL = 1e-9
@@ -333,7 +333,7 @@ def run_stabilizing_analysis(
     bounds, budget, groups = _prologue(profile, spectrum, e_max, Stabilizing)
     lo_speed = math.sqrt(bounds.eps_lower * bounds.mu_lower)
     z_half = halfwidth * _LADDER_GROWTH**_LADDER_STEPS / lo_speed * 1.05 + 1.0
-    data = build_transform(profile, window=(-z_half, z_half))
+    data = build_transform(profile, bounds, window=(-z_half, z_half))
     constants = (0.0,) + budget.electric_constants + budget.magnetic_constants
     settled = _settled_halfwidth(data, halfwidth, max(constants))
     if settled is None:
@@ -362,7 +362,7 @@ def run_stabilizing_analysis(
         min_other = min(
             (t for j, t in enumerate(thresholds) if results[j] is not r), default=math.inf
         )
-        for e, est in zip(r.bound.eigenvalues, r.bound.refinement_estimate):
+        for e, est in zip(r.bound.eigenvalues, r.bound.refinement_estimates):
             if e > e_max:
                 continue
             embedded = e >= min_other
@@ -400,7 +400,7 @@ def run_periodic_analysis(
 ) -> SpectrumReport:
     """Full squared-spectrum analysis for periodic coefficients."""
     bounds, budget, groups = _prologue(profile, spectrum, e_max, Periodic)
-    data = build_transform(profile)
+    data = build_transform(profile, bounds)
 
     def solve(group: ModeGroup, pot) -> PeriodicModeResult:
         bs = band_structure(pot, e_max)
@@ -444,8 +444,8 @@ def finite_gap_certificate(
     delta lies inside one of the two families' bands.  The conclusion
     is then verified directly on a grid of step 1e-3.
     """
-    b = low.period_b
-    if abs(high.period_b - b) > 1e-12 * max(1.0, b):
+    b = low.period
+    if abs(high.period - b) > 1e-12 * max(1.0, b):
         raise ValidationError("band structures have different periods")
     w1, w2 = low.mean_potential, high.mean_potential
     if w2 < w1:

@@ -5,15 +5,16 @@ One subcommand:
     cylspec run CONFIG.json [--jobs N] [--oracle] [--dump-potentials]
 
 The config names a cross-section, a coefficient profile, a task, and
-numeric knobs; artifacts (a JSON report plus CSV tables) land next to
-the config file unless the config gives other paths.  Exit status: 0
-on success, 2 for anything wrong with the inputs, 3 when a numeric
-routine could not certify its result.
+numeric knobs, each a finite JSON number (integral where an integer is
+meant); artifacts (a JSON report plus CSV tables) land next to the
+config unless it gives other paths.  Exit status: 0 on success, 2 for
+anything wrong with the inputs, 3 when a numeric routine could not
+certify its result.
 
 Reports must be byte-identical across reruns of the same config, so
-everything is serialized through a canonical writer: floats at 17
-significant digits (round-trip exact), fixed key order, no timestamps,
-and files are written atomically via a temp file and rename.
+everything goes through a canonical writer: floats at 17 significant
+digits (round-trip exact), no timestamps, atomic writes, and the keys
+are the field names of the result dataclasses, in field order.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from .profiles import (
     CoefficientProfile,
     Periodic,
     Stabilizing,
+    config_number,
     essential_bounds,  # noqa: F401
     family_from_dict,
     make_profile,
@@ -109,10 +111,22 @@ def _write_canonical(obj, out: list[str]):
             _write_canonical(v, out)
         out.append("}")
     elif is_dataclass(obj):
-        # an object in field order, keyed by field name
-        _write_canonical({f.name: getattr(obj, f.name) for f in fields(obj)}, out)
+        _write_canonical(_report_fields(obj), out)
     else:
         raise TypeError(f"cannot serialize {type(obj)!r}")
+
+
+def _report_fields(obj) -> dict:
+    """A dataclass's fields by name, in order; a field with metadata report
+    "inline" gives its own fields in its place, one with "omit" none."""
+    out = {}
+    for f in fields(obj):
+        mark = f.metadata.get("report")
+        if mark == "inline":
+            out.update(_report_fields(getattr(obj, f.name)))
+        elif mark != "omit":
+            out[f.name] = getattr(obj, f.name)
+    return out
 
 
 def dumps_canonical(obj) -> str:
@@ -164,12 +178,15 @@ def _need(cfg: dict, key: str, ctx: str):
 
 
 def _read(cfg: dict, key: str, ctx: str, kind=float, default=None):
-    """cfg[key] converted by kind; without a default the key is required."""
+    """cfg[key] as a finite number of kind (float or int), or as a list of
+    finite floats for kind list; without a default the key is required."""
     value = _need(cfg, key, ctx) if default is None else cfg.get(key, default)
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"config {ctx}: bad value for '{key}': {value!r}") from None
+    where = f"config {ctx}: '{key}'"
+    if kind is not list:
+        return config_number(value, kind, where)
+    if not isinstance(value, list):
+        raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
+    return [config_number(x, float, where) for x in value]
 
 
 def _load_eigenvalue_csv(path: Path) -> list[float]:
@@ -178,12 +195,12 @@ def _load_eigenvalue_csv(path: Path) -> list[float]:
     values = []
     for ln, line in enumerate(path.read_text().splitlines(), start=1):
         s = line.strip()
-        if not s:
-            continue
-        try:
-            values.append(float(s))
-        except ValueError:
-            raise ValidationError(f"{path}:{ln}: not a number: {s!r}") from None
+        if s:
+            try:
+                x = float(s)
+            except ValueError:
+                raise ValidationError(f"{path}:{ln}: not a number: {s!r}") from None
+            values.append(config_number(x, float, f"{path}:{ln}"))
     if not values:
         raise ValidationError(f"eigenvalue file is empty: {path}")
     return values
@@ -195,23 +212,23 @@ def _parse_cross_section(cfg: dict, base: Path) -> CrossSectionSpectrum:
     n_count = _read(cfg, "neumann_count", "cross_section", int, 40)
     if kind == "rectangle":
         spec = Rectangle(_read(cfg, "width", "rectangle"), _read(cfg, "height", "rectangle"))
-        return build_spectrum(spec, d_count, n_count)
-    if kind == "disk":
+    elif kind == "disk":
         spec = Disk(_read(cfg, "radius", "disk"))
-        return build_spectrum(spec, d_count, n_count)
-    if kind == "synthetic":
+    elif kind == "synthetic":
         dirichlet, neumann = (
             _load_eigenvalue_csv(base / str(cfg[f"{key}_csv"]))
             if f"{key}_csv" in cfg
-            else _read(cfg, key, "synthetic", lambda xs: [float(x) for x in xs])
+            else _read(cfg, key, "synthetic", list)
             for key in ("dirichlet", "neumann")
         )
         n_comp = _read(cfg, "boundary_components", "synthetic", int, 1)
         spec = Synthetic(
             dirichlet=tuple(dirichlet), neumann=tuple(neumann), boundary_components=n_comp
         )
-        return build_spectrum(spec, len(dirichlet), len(neumann))
-    raise ValidationError(f"unknown cross_section kind {kind!r}")
+        d_count, n_count = len(dirichlet), len(neumann)
+    else:
+        raise ValidationError(f"unknown cross_section kind {kind!r}")
+    return build_spectrum(spec, d_count, n_count)
 
 
 def _parse_profile(cfg: dict) -> CoefficientProfile:
@@ -260,65 +277,6 @@ def _parse_config(path: Path) -> tuple[dict, float, float, int]:
     if grid < 16:
         raise ValidationError("numerics.grid too coarse")
     return cfg, e_max, halfwidth, grid
-
-
-# ---------------------------------------------------------------------------
-# report shaping
-# ---------------------------------------------------------------------------
-
-
-def _stabilizing_mode_dict(r) -> dict:
-    return {
-        "flavor": r.group.flavor,
-        "mode_constant": r.group.mode_constant,
-        "indices": r.group.indices,
-        "multiplicity": r.group.multiplicity,
-        "threshold": r.threshold,
-        "lower_bound": r.lower_bound,
-        "eigenvalues": r.bound.eigenvalues,
-        "refinement_estimates": r.bound.refinement_estimate,
-        "window_halfwidth": r.bound.window,
-        "grid": r.bound.grid_size,
-        "ac_interval": r.ac_interval,
-    }
-
-
-def _periodic_mode_dict(r) -> dict:
-    s = r.structure
-    return {
-        "flavor": r.group.flavor,
-        "mode_constant": r.group.mode_constant,
-        "indices": r.group.indices,
-        "multiplicity": r.group.multiplicity,
-        "lower_bound": r.lower_bound,
-        "period": s.period_b,
-        "mean_potential": s.mean_potential,
-        "bands": s.bands,
-        "gaps": s.gaps,
-        "closed_gap_points": s.closed_gap_points,
-        "unresolved_gaps": s.unresolved_gaps,
-        "eigenvalue_band_edges": s.eigenvalue_band_edges,
-        "validation_max_dev": s.validation_max_dev,
-    }
-
-
-def _report_dict(rep: SpectrumReport, task: str) -> dict:
-    mode_dict = _stabilizing_mode_dict if rep.classification == "stabilizing" else _periodic_mode_dict
-    return {
-        "schema_version": _SCHEMA_VERSION,
-        "task": task,
-        "classification": rep.classification,
-        "e_max": rep.e_max,
-        "boundary_components": rep.boundary_components,
-        "budget": rep.budget,
-        "modes": [mode_dict(m) for m in rep.modes],
-        "squared_support": rep.squared_support,
-        "squared_points": rep.squared_points,
-        "squared_gaps": rep.squared_gaps,
-        "central_gap": rep.central_gap,
-        "maxwell_support": rep.maxwell_support,
-        "maxwell_points": rep.maxwell_points,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +406,6 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     cfg, e_max, halfwidth, grid = _parse_config(config_path)
     base = config_path.parent
     task = cfg["task"]
-    num = cfg["numerics"]
     outputs = cfg.get("outputs", {})
 
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
@@ -468,24 +425,22 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
             profile, spectrum, e_max, halfwidth=halfwidth, grid=grid, jobs=jobs
         )
 
-    doc = _report_dict(rep, task)
+    doc = {"schema_version": _SCHEMA_VERSION, "task": task, **_report_fields(rep)}
     doc["friedlander_validated"] = friedlander_ok
     doc["essential_bounds"] = rep.bounds
 
-    if is_periodic and bool(num.get("finite_gap_certificate", False)):
-        el = sorted({m.group.mode_constant for m in rep.modes if m.group.flavor == "el"})
+    if is_periodic and bool(cfg["numerics"].get("finite_gap_certificate", False)):
+        by_c = {m.group.mode_constant: m for m in rep.modes if m.group.flavor == "el"}
+        el = sorted(by_c)
         if len(el) < 2:
             raise ValidationError(
                 "finite_gap_certificate needs two distinct electric mode constants in budget"
             )
-        by_c = {m.group.mode_constant: m for m in rep.modes if m.group.flavor == "el"}
         doc["finite_gap_certificate"] = finite_gap_certificate(
             by_c[el[0]].structure, by_c[el[1]].structure, e_max
         )
 
-    run_oracle = with_oracle or task == "oracle_check"
-    oracle_rows: list = []
-    if run_oracle:
+    if with_oracle or task == "oracle_check":
         if rep.classification == "stabilizing":
             summary, oracle_rows = _oracle_stabilizing(profile, rep, halfwidth)
             header = [

@@ -44,6 +44,7 @@ __all__ = [
     "essential_bounds",
     "ProductComparison",
     "locate_product_excess",
+    "config_number",
     "family_from_dict",
     "family_to_dict",
 ]
@@ -520,6 +521,18 @@ _FAMILY_TAGS = {
 _TAG_OF = {cls: tag for tag, cls in _FAMILY_TAGS.items()}
 
 
+def config_number(value, kind, where: str):
+    """A config value as kind (float or int): a finite JSON number, integral for int."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+        ok = ok and (kind is float or value == int(value))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{where} must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
 def family_from_dict(doc: dict) -> ProfileFamily:
     if not isinstance(doc, dict) or "family" not in doc:
         raise ValidationError(f"profile family must be an object with a 'family' tag, got {doc!r}")
@@ -532,13 +545,9 @@ def family_from_dict(doc: dict) -> ProfileFamily:
     cls = _FAMILY_TAGS.get(tag)
     if cls is None:
         raise ValidationError(f"unknown profile family '{tag}'")
-    kwargs = {}
-    for k, v in doc.items():
-        if k != "family":
-            try:
-                kwargs[k] = float(v)
-            except (TypeError, ValueError):
-                raise ValidationError(f"family '{tag}': '{k}' is not a number: {v!r}") from None
+    kwargs = {
+        k: config_number(v, float, f"family '{tag}': '{k}'") for k, v in doc.items() if k != "family"
+    }
     try:
         return cls(**kwargs)
     except TypeError as exc:

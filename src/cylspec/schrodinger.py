@@ -39,7 +39,7 @@ the mode constant exceeds alpha / (2 delta_1 delta_2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -86,12 +86,12 @@ SETTLE_TOL = 5e-9
 @dataclass(frozen=True)
 class BoundStateResult:
     eigenvalues: tuple[float, ...]
-    count: int
-    window: float  # halfwidth L of [-L, L]
-    grid_size: int  # finer grid (2n) behind the reported values
-    refinement_estimate: tuple[float, ...]
-    threshold: float
-    margin: float | None  # threshold - max eigenvalue, None when empty
+    refinement_estimates: tuple[float, ...]
+    window_halfwidth: float  # halfwidth L of [-L, L]
+    grid: int  # finer grid (2n) behind the reported values
+    count: int = field(metadata={"report": "omit"})
+    threshold: float = field(metadata={"report": "omit"})
+    margin: float | None = field(metadata={"report": "omit"})  # threshold - max eigenvalue
 
 
 def _grid_values(potential: ModePotential, ys) -> np.ndarray:
@@ -187,10 +187,10 @@ def bound_states(
     margin = (thr - max(values)) if values else None
     return BoundStateResult(
         eigenvalues=values,
+        refinement_estimates=estimates,
+        window_halfwidth=float(halfwidth),
+        grid=2 * grid,
         count=len(values),
-        window=float(halfwidth),
-        grid_size=2 * grid,
-        refinement_estimate=estimates,
         threshold=float(thr),
         margin=margin,
     )
@@ -361,17 +361,17 @@ class BandStructure:
     any width; asymptotic edge statements should read them.
     """
 
-    period_b: float
+    period: float  # travel time b of one period
+    mean_potential: float
     bands: tuple[tuple[float, float], ...]
     gaps: tuple[tuple[float, float], ...]
     closed_gap_points: tuple[float, ...]
     unresolved_gaps: tuple[tuple[float, float], ...]
     eigenvalue_band_edges: tuple[tuple[float, float], ...]
-    e_max: float
-    mean_potential: float
-    periodic_eigenvalues: tuple[float, ...]
-    antiperiodic_eigenvalues: tuple[float, ...]
     validation_max_dev: float
+    e_max: float = field(metadata={"report": "omit"})
+    periodic_eigenvalues: tuple[float, ...] = field(metadata={"report": "omit"})
+    antiperiodic_eigenvalues: tuple[float, ...] = field(metadata={"report": "omit"})
 
 
 def _bisect_root(delta, lo, hi, flo, target, tol):
@@ -439,7 +439,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     v_hat = np.fft.fft(vs) / nv
     mean_v = float(np.real(v_hat[0]))
     empty = BandStructure(
-        period_b=float(b),
+        period=float(b),
         bands=(),
         gaps=(),
         closed_gap_points=(),
@@ -657,7 +657,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
         )
 
     return BandStructure(
-        period_b=float(b),
+        period=float(b),
         bands=tuple((float(lo), float(hi)) for lo, hi in bands),
         gaps=tuple((float(lo), float(hi)) for lo, hi in gaps),
         closed_gap_points=tuple(sorted(closed_points)),

@@ -20,7 +20,7 @@ from cylspec.assembly import finite_gap_certificate, run_periodic_analysis, run_
 from cylspec.cross_section import Rectangle, build_spectrum
 from cylspec.errors import InvalidWitnessError
 from cylspec.liouville import build_potential, build_transform
-from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, make_profile
+from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, essential_bounds, make_profile
 from cylspec.schrodinger import (
     band_structure,
     bound_states,
@@ -75,7 +75,7 @@ def test_01_dual_route_agreement():
     """Lowest 5 eigenvalues: direct weighted solve vs transform route."""
     t0 = time.perf_counter()
     prof = _bump_profile()
-    data = build_transform(prof, window=(-15.0, 15.0))
+    data = build_transform(prof, essential_bounds(prof), window=(-15.0, 15.0))
     y_hi = data.forward(15.0)
     worst = 0.0
     for lam in (LAMBDA_1, LAMBDA_2):
@@ -134,7 +134,8 @@ def test_03_no_binding_when_product_stays_below_limit(square_small):
 
 def test_04_embedded_eigenvalues_above_variational_cutoff(excess_report):
     """Every electric mode above the witness cutoff binds, embedded."""
-    data = build_transform(_bump_profile(), window=(-20.0, 20.0))
+    prof = _bump_profile()
+    data = build_transform(prof, essential_bounds(prof), window=(-20.0, 20.0))
     w = search_witness(data)
     probe = build_potential(data, "el", 1.0)
     vb = variational_upper_bound(probe, w.delta1, w.delta2, w.y0)
@@ -180,12 +181,13 @@ def test_04_embedded_eigenvalues_above_variational_cutoff(excess_report):
 def test_05_band_edges_match_and_approach_free_pattern():
     """Discriminant edges vs one-period eigensolves, and the n^2 law."""
     t0 = time.perf_counter()
-    data = build_transform(_cosine_profile())
+    prof = _cosine_profile()
+    data = build_transform(prof, essential_bounds(prof))
     pot = build_potential(data, "el", LAMBDA_1)
     bs = band_structure(pot, 3700.0)
     assert bs.validation_max_dev <= 1e-6
 
-    b = bs.period_b
+    b = bs.period
     edges = bs.eigenvalue_band_edges
     assert len(edges) >= 20
     devs = []
@@ -247,7 +249,7 @@ def test_07_symmetry_and_lower_bounds(excess_report):
 def test_08_transform_fidelity():
     """Round trip, gauge-factor consistency, constant-coefficient case."""
     prof = _bump_profile()
-    data = build_transform(prof, window=(-12.0, 12.0))
+    data = build_transform(prof, essential_bounds(prof), window=(-12.0, 12.0))
     zs = np.linspace(-12.0, 12.0, 1000)
     back = np.asarray(data.inverse(data.forward(zs)))
     rt = float(np.max(np.abs(back - zs)))
@@ -262,7 +264,7 @@ def test_08_transform_fidelity():
 
     # constant coefficients: no gauge term at all, flat potential
     const = make_profile(Constant(2.0), Constant(1.0))
-    cdata = build_transform(const, window=(-5.0, 5.0))
+    cdata = build_transform(const, essential_bounds(const), window=(-5.0, 5.0))
     lam = 7.0
     cpot = build_potential(cdata, "el", lam)
     ys2 = np.linspace(cdata.y_lo + 0.1, cdata.y_hi - 0.1, 200)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import cylspec
+from cylspec import assembly, cli, liouville, profiles
 from cylspec.cli import dumps_canonical, main
 
 
@@ -255,26 +256,66 @@ def test_missing_csv_input(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
+_NEUMANN = [0.0, 2.0, 85.0]
+
+
 @pytest.mark.parametrize(
-    "path, value",
+    "path, value, named",
     [
-        (("numerics", "e_max"), "abc"),
-        (("numerics", "e_max"), None),
-        (("numerics", "grid"), "fine"),
-        (("cross_section", "width"), "wide"),
-        (("profile", "epsilon", "amplitude"), "big"),
+        (("numerics", "e_max"), "abc", "'e_max'"),
+        (("numerics", "e_max"), None, "'e_max'"),
+        (("numerics", "grid"), "fine", "'grid'"),
+        (("cross_section", "width"), "wide", "'width'"),
+        (("profile", "epsilon", "amplitude"), "big", "'amplitude'"),
+        (("numerics", "grid"), 3000.7, "'grid'"),
+        (("cross_section", "dirichlet_count"), 40.5, "'dirichlet_count'"),
+        (("numerics", "e_max"), True, "'e_max'"),
+        (("numerics", "e_max"), "12.5", "'e_max'"),
+        (("numerics", "window_halfwidth"), math.inf, "'window_halfwidth'"),
+        (("profile", "mu", "value"), True, "'value'"),
+        (
+            ("cross_section",),
+            {"kind": "synthetic", "dirichlet": [math.nan, 400.0], "neumann": _NEUMANN},
+            "'dirichlet'",
+        ),
+        (
+            ("cross_section",),
+            {"kind": "synthetic", "dirichlet_csv": "d.csv", "neumann": _NEUMANN},
+            "d.csv:2",
+        ),
     ],
-    ids=["e_max-text", "e_max-null", "grid", "width", "amplitude"],
+    ids=[
+        "e_max-text", "e_max-null", "grid", "width", "amplitude", "grid-fraction",
+        "count-fraction", "e_max-bool", "e_max-numeric-text", "halfwidth-inf", "value-bool",
+        "dirichlet-nan", "dirichlet-csv-nan",
+    ],
 )
-def test_malformed_number_is_bad_input(tmp_path, capsys, path, value):
+def test_malformed_number_is_bad_input(tmp_path, capsys, path, value, named):
     c = _stabilizing_cfg(cross_section={"kind": "rectangle", "width": 1.0, "height": 1.0})
+    (tmp_path / "d.csv").write_text("5.0\nnan\n400.0\n")
     *parents, key = path
     doc = c
     for name in parents:
         doc = doc[name]
     doc[key] = value
     assert main(["run", str(_write_cfg(tmp_path, c))]) == 2
-    assert f"'{key}'" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("make_cfg", [_stabilizing_cfg, _periodic_cfg])
+def test_profile_bounds_computed_once_per_run(tmp_path, monkeypatch, make_cfg):
+    # every module that binds the name, so a call from any of them counts
+    calls = []
+    bounds = profiles.essential_bounds
+
+    def counted(profile):
+        calls.append(profile)
+        return bounds(profile)
+
+    for mod in (profiles, assembly, liouville, cli):
+        monkeypatch.setattr(mod, "essential_bounds", counted)
+    assert main(["run", str(_write_cfg(tmp_path, make_cfg()))]) == 0
+    assert len(calls) == 1
 
 
 def test_bad_jobs_values(tmp_path, monkeypatch):

@@ -18,6 +18,7 @@ from cylspec.profiles import (
     CosinePeriodic,
     GaussianBump,
     Sech2Bump,
+    essential_bounds,
     make_profile,
 )
 
@@ -33,6 +34,10 @@ def _gl_integral(fun, a, b, n=200):
     return half * float(np.dot(w, fun(mid + half * x)))
 
 
+def _transform(prof, window=None):
+    return build_transform(prof, essential_bounds(prof), window)
+
+
 def _identity_profile():
     return make_profile(Constant(1.0), Constant(1.0))
 
@@ -42,7 +47,7 @@ def _bump_profile():
 
 
 def test_identity_profile_gives_identity_map():
-    data = build_transform(_identity_profile(), window=(-3.0, 5.0))
+    data = _transform(_identity_profile(), (-3.0, 5.0))
     zs = np.linspace(-3.0, 5.0, 41)
     assert np.allclose(data.forward(zs), zs, atol=1e-13)
     assert np.allclose(data.inverse(zs), zs, atol=1e-13)
@@ -54,7 +59,7 @@ def test_identity_profile_gives_identity_map():
 
 def test_forward_matches_fixed_quadrature():
     prof = _bump_profile()
-    data = build_transform(prof, window=(-4.0, 4.0))
+    data = _transform(prof, (-4.0, 4.0))
     got = data.forward(1.0)
     assert got == pytest.approx(TRAVEL_TIME_AT_ONE, abs=1e-12)
 
@@ -71,7 +76,7 @@ def test_round_trip_inverse():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     rng = np.random.default_rng(7)
     ys = rng.uniform(data.y_lo, data.y_hi, size=200)
     back = data.forward(data.inverse(ys))
@@ -83,7 +88,7 @@ def test_transported_derivatives_match_finite_differences():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     rng = np.random.default_rng(11)
     ys = rng.uniform(data.y_lo + 0.5, data.y_hi - 0.5, size=25)
     h = 1e-5
@@ -104,7 +109,7 @@ def test_eta_prime_matches_finite_differences():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     ys = np.linspace(-2.0, 2.0, 21)
     h = 1e-5
     etp = np.asarray(data.eta_prime(ys))
@@ -117,7 +122,7 @@ def test_swap_flips_eta_exactly():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     sw = data.swapped()
     ys = np.linspace(-3.0, 3.0, 31)
     assert np.array_equal(np.asarray(sw.eta(ys)), -np.asarray(data.eta(ys)))
@@ -133,7 +138,7 @@ def test_transported_coefficients_compose_with_forward_map():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     zs = np.linspace(-5.5, 5.5, 101)
     ys = np.asarray(data.forward(zs))
     # eps~(y(z)) = eps(z); only the inverse map's tolerance separates them
@@ -145,7 +150,7 @@ def test_transported_coefficients_compose_with_forward_map():
 
 def test_periodic_transported_coefficients_inherit_travel_period():
     prof = make_profile(CosinePeriodic(1.0, 0.3, 1.0), Constant(1.0))
-    data = build_transform(prof)
+    data = _transform(prof)
     b = data.period_b
     ys = np.linspace(-2.0, 2.0, 41)
     assert np.allclose(
@@ -160,7 +165,7 @@ def test_electric_potential_matches_gauge_reconstruction():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     c = 3.0
     pot = build_potential(data, "el", c)
     ys = np.linspace(-3.0, 3.0, 61)
@@ -174,7 +179,7 @@ def test_electric_potential_matches_gauge_reconstruction():
 
 def test_forward_slope_within_coefficient_bounds():
     prof = make_profile(GaussianBump(1.0, 1.0, 0.0, 1.0), Constant(1.0))
-    data = build_transform(prof, window=(-4.0, 4.0))
+    data = _transform(prof, (-4.0, 4.0))
     zs = np.linspace(-3.9, 3.9, 101)
     h = 1e-6
     slope = (np.asarray(data.forward(zs + h)) - np.asarray(data.forward(zs - h))) / (2 * h)
@@ -184,7 +189,7 @@ def test_forward_slope_within_coefficient_bounds():
 
 def test_periodic_extension():
     prof = make_profile(CosinePeriodic(1.0, 0.3, 1.0), Constant(1.0))
-    data = build_transform(prof)
+    data = _transform(prof)
     b = data.period_b
     assert b is not None and b > 0
     rng = np.random.default_rng(13)
@@ -205,10 +210,10 @@ def test_periodic_extension():
 def test_window_validation():
     prof = _bump_profile()
     with pytest.raises(ValidationError):
-        build_transform(prof)  # stabilizing needs a window
+        _transform(prof)  # stabilizing needs a window
     with pytest.raises(ValidationError):
-        build_transform(prof, window=(1.0, 2.0))  # must contain 0
-    data = build_transform(prof, window=(-2.0, 2.0))
+        _transform(prof, (1.0, 2.0))  # must contain 0
+    data = _transform(prof, (-2.0, 2.0))
     with pytest.raises(ValidationError):
         data.forward(2.5)
     with pytest.raises(ValidationError):
@@ -217,7 +222,7 @@ def test_window_validation():
 
 def test_mode_potential_landmarks():
     prof = _bump_profile()  # eps in [1, 2], limit 1; mu = 1
-    data = build_transform(prof, window=(-8.0, 8.0))
+    data = _transform(prof, (-8.0, 8.0))
     pot = build_potential(data, "el", 3.0, index=1)
     assert pot.threshold == pytest.approx(3.0, rel=1e-15)
     assert pot.lower_bound == pytest.approx(1.5, rel=1e-15)
@@ -235,7 +240,7 @@ def test_magnetic_potential_is_electric_on_swapped_profile():
         Sech2Bump(1.0, 0.8, 0.3, 0.6),
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
-    data = build_transform(prof, window=(-6.0, 6.0))
+    data = _transform(prof, (-6.0, 6.0))
     pot_m = build_potential(data, "m", 4.0)
     ys = np.linspace(-2.5, 2.5, 41)
     # electric formula with eta -> -eta on the same transform
@@ -248,7 +253,7 @@ def test_magnetic_potential_is_electric_on_swapped_profile():
 
 def test_zero_flavor_rules():
     prof = _bump_profile()
-    data = build_transform(prof, window=(-4.0, 4.0))
+    data = _transform(prof, (-4.0, 4.0))
     with pytest.raises(TopologyError):
         build_potential(data, "zero", 0.0, n_boundary=1)
     with pytest.raises(ValidationError):
@@ -263,7 +268,7 @@ def test_zero_flavor_rules():
 
 
 def test_unknown_flavor_rejected():
-    data = build_transform(_bump_profile(), window=(-4.0, 4.0))
+    data = _transform(_bump_profile(), (-4.0, 4.0))
     with pytest.raises(ValidationError):
         build_potential(data, "both", 1.0)
     with pytest.raises(ValidationError):
@@ -287,10 +292,10 @@ def _periodic_two_sided_profile():
 
 
 def test_swapped_inverse_is_bitwise_equal():
-    data = build_transform(_two_sided_profile(), window=(-6.0, 6.0))
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
     ys = np.linspace(data.y_lo, data.y_hi, 301)
     assert np.array_equal(np.asarray(data.swapped().inverse(ys)), np.asarray(data.inverse(ys)))
-    pdata = build_transform(_periodic_two_sided_profile())
+    pdata = _transform(_periodic_two_sided_profile())
     ys = np.linspace(-2.0 * pdata.period_b, 3.0 * pdata.period_b, 301)
     assert np.array_equal(
         np.asarray(pdata.swapped().inverse(ys)), np.asarray(pdata.inverse(ys))
@@ -300,8 +305,8 @@ def test_swapped_inverse_is_bitwise_equal():
 @pytest.mark.parametrize("c", [0.5, 3.0, 40.0])
 def test_electric_potential_is_magnetic_of_swapped_profile(c):
     prof = _two_sided_profile()
-    el = build_potential(build_transform(prof, window=(-6.0, 6.0)), "el", c)
-    m = build_potential(build_transform(prof.swapped(), window=(-6.0, 6.0)), "m", c)
+    el = build_potential(_transform(prof, (-6.0, 6.0)), "el", c)
+    m = build_potential(_transform(prof.swapped(), (-6.0, 6.0)), "m", c)
     ys = np.linspace(-3.0, 3.0, 61)
     assert np.array_equal(np.asarray(el.values(ys)), np.asarray(m.values(ys)))
     assert np.array_equal(el.on_grid(ys), m.on_grid(ys))
@@ -311,10 +316,10 @@ def test_electric_potential_is_magnetic_of_swapped_profile(c):
 @pytest.mark.parametrize("periodic", [False, True])
 def test_shared_sample_matches_pointwise_values(periodic):
     if periodic:
-        data = build_transform(_periodic_two_sided_profile())
+        data = _transform(_periodic_two_sided_profile())
         ys = np.linspace(0.0, data.period_b, 257)
     else:
-        data = build_transform(_two_sided_profile(), window=(-6.0, 6.0))
+        data = _transform(_two_sided_profile(), (-6.0, 6.0))
         ys = np.linspace(-4.0, 4.0, 257)
     # the magnetic view fills the memo first, so the other two read it
     # with the triples exchanged
@@ -335,7 +340,7 @@ def test_shared_sample_matches_pointwise_values(periodic):
 
 
 def test_shared_sample_inverts_each_grid_once(monkeypatch):
-    data = build_transform(_two_sided_profile(), window=(-6.0, 6.0))
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
     calls = []
     inverse = type(data).inverse
 

@@ -22,7 +22,7 @@ from cylspec.errors import (
     WindowError,
 )
 from cylspec.liouville import build_potential, build_transform
-from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, make_profile
+from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, essential_bounds, make_profile
 from cylspec.schrodinger import (
     band_structure,
     bound_states,
@@ -113,7 +113,7 @@ def test_reflectionless_single_level():
     assert res.count == 1
     e = res.eigenvalues[0]
     assert e == pytest.approx(4.0, abs=1e-6)
-    assert res.refinement_estimate[0] < 1e-4
+    assert res.refinement_estimates[0] < 1e-4
     assert res.threshold == 5.0
     assert res.margin == pytest.approx(1.0, abs=1e-5)
 
@@ -129,14 +129,14 @@ def test_reflectionless_two_levels():
 def test_refinement_estimate_bounds_true_error():
     pot = _Well(floor=0.0, strength=6.0)
     res = bound_states(pot, 15.0, 1500)
-    for got, exact, est in zip(res.eigenvalues, (-4.0, -1.0), res.refinement_estimate):
+    for got, exact, est in zip(res.eigenvalues, (-4.0, -1.0), res.refinement_estimates):
         assert abs(got - exact) <= 10.0 * est + 1e-12
 
 
 def test_count_below_agrees_with_eigensolver():
     pot = _Well(floor=0.0, strength=6.0)
     res = bound_states(pot, 15.0, 2000)
-    n = res.grid_size
+    n = res.grid
     assert count_below(pot, 0.0, 15.0, n) == res.count
     assert count_below(pot, -2.5, 15.0, n) == 1
     assert count_below(pot, -5.0, 15.0, n) == 0
@@ -212,7 +212,7 @@ def test_wronskian_preserved_at_random_energies():
 
 def _cosine_mode(mean=1.0, amplitude=0.3, mode_constant=2.0 * math.pi**2):
     prof = make_profile(CosinePeriodic(mean, amplitude, 1.0), Constant(1.0))
-    return build_potential(build_transform(prof), "el", mode_constant)
+    return build_potential(build_transform(prof, essential_bounds(prof)), "el", mode_constant)
 
 
 def test_discriminant_does_not_depend_on_the_batch():
@@ -349,7 +349,7 @@ def test_band_structure_needs_periodicity():
 
 def _excess_data(window=(-20.0, 20.0)):
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
-    return build_transform(prof, window=window)
+    return build_transform(prof, essential_bounds(prof), window=window)
 
 
 def test_witness_search_finds_admissible_pair():
@@ -406,6 +406,6 @@ def test_cutoff_must_stay_inside_window():
 
 def test_witness_needs_product_excess():
     prof = make_profile(Sech2Bump(1.0, -0.3, 0.0, 1.0), Constant(1.0))
-    data = build_transform(prof, window=(-15.0, 15.0))
+    data = build_transform(prof, essential_bounds(prof), window=(-15.0, 15.0))
     with pytest.raises(InvalidWitnessError):
         search_witness(data)

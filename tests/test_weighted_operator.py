@@ -106,7 +106,7 @@ def test_agrees_with_transformed_solver_on_bound_states():
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
     lam = 5.0
     direct = weighted_eigenvalues(WeightedOperatorSpec(prof, lam, 14.0, 6000), 3)
-    data = build_transform(prof, window=(-20.0, 20.0))
+    data = build_transform(prof, essential_bounds(prof), window=(-20.0, 20.0))
     pot = build_potential(data, "el", lam)
     via_transform = bound_states(pot, 12.0, 4000)
     assert via_transform.count >= 1
