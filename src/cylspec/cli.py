@@ -250,8 +250,8 @@ def _parse_profile(cfg: dict) -> CoefficientProfile:
     return make_profile(eps, mu, classification=cls)
 
 
-def _parse_config(path: Path) -> tuple[dict, float, float, int]:
-    """The config, and its e_max, window halfwidth and grid."""
+def _parse_config(path: Path) -> tuple[dict, float, float, int, bool]:
+    """The config, and its e_max, window halfwidth, grid and certificate flag."""
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
@@ -276,7 +276,12 @@ def _parse_config(path: Path) -> tuple[dict, float, float, int]:
     grid = _read(num, "grid", "numerics", int, DEFAULT_GRID)
     if grid < 16:
         raise ValidationError("numerics.grid too coarse")
-    return cfg, e_max, halfwidth, grid
+    certificate = num.get("finite_gap_certificate", False)
+    if not isinstance(certificate, bool):
+        raise ValidationError(
+            f"config numerics: 'finite_gap_certificate' must be true or false, got {certificate!r}"
+        )
+    return cfg, e_max, halfwidth, grid, certificate
 
 
 # ---------------------------------------------------------------------------
@@ -403,7 +408,7 @@ def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
 
 
 def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials: bool) -> int:
-    cfg, e_max, halfwidth, grid = _parse_config(config_path)
+    cfg, e_max, halfwidth, grid, certificate = _parse_config(config_path)
     base = config_path.parent
     task = cfg["task"]
     outputs = cfg.get("outputs", {})
@@ -429,7 +434,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     doc["friedlander_validated"] = friedlander_ok
     doc["essential_bounds"] = rep.bounds
 
-    if is_periodic and bool(cfg["numerics"].get("finite_gap_certificate", False)):
+    if is_periodic and certificate:
         by_c = {m.group.mode_constant: m for m in rep.modes if m.group.flavor == "el"}
         el = sorted(by_c)
         if len(el) < 2:

@@ -20,14 +20,19 @@ count fixed by V alone and certified against twice as many steps, so
 Delta is an elementwise function of E that does not depend on the batch
 it is evaluated in; |Delta| <= 2 exactly on the bands, and det M = 1
 identically (it is a Wronskian, and checked as such).  Band
-edges are located as bracketed roots of Delta(E) = +/-2 on an adaptive
-energy grid seeded by the first-order gap predictions 2|V_n| (Fourier
-coefficients of V), then cross-validated against an independent
-plane-wave Galerkin eigensolve of the periodic and antiperiodic
-problems on one period: edge n of the band union is a periodic
-eigenvalue for n odd and an antiperiodic one for n even, alternating.
-Near-closures of gaps appear as tangencies of |Delta| with 2 and are
-reported as zero-length gaps, not errors.
+edges are found by counting (Eastham 1973; Pryce 1993): gap k of the
+band union holds exactly one Dirichlet eigenvalue mu_k of one period,
+and the Pruefer angle of the solution with u(0) = 0, u'(0) = 1, carried
+through the same propagator, counts the mu_k below any energy.
+Bisecting that count brackets every mu_k below e_max; between mu_{k-1}
+and mu_k band k is the only set where |Delta| <= 2, so its edges are the
+bisected roots of Delta = +/-2 there, each refined by a line fitted
+through samples around it.  The edges are cross-validated against an
+independent plane-wave Galerkin eigensolve of the periodic and
+antiperiodic problems on one period: edge n of the band union is a
+periodic eigenvalue for n odd and an antiperiodic one for n even,
+alternating.  Gaps where |Delta| only touches 2 are reported as closed
+gap points, not errors.
 
 The variational upper bound drives the embedded-eigenvalue existence
 test: for a trapezoid cutoff zeta supported where the slowness product
@@ -240,8 +245,11 @@ CLOSURE_TOL = 1e-8
 CROSS_TOL = 1e-6
 # |det M - 1| above this: the transfer matrix has lost its Wronskian
 _WRONSKIAN_TOL = 1e-9
-# golden-section steps that refine a tangency of |Delta| with 2
-_GOLDEN_STEPS = 60
+# |Delta| - 2 at a gap's midpoint up to this is a touch: a closed gap point
+_TOUCH_TOL = 1e-12
+# half-width of the samples a line is fitted through at each band edge;
+# where Delta is flat its rounding noise moves the bisected root more
+_FIT_SPAN = 1e-7
 
 
 def _period_grid(potential: ModePotential) -> np.ndarray:
@@ -268,17 +276,20 @@ def _magnus_steps(potential: ModePotential) -> int:
     return n
 
 
-def _transfer_batch(potential: ModePotential, energies, steps: int | None = None):
-    """One-period transfer matrices for a batch of energies.
+def _propagator(potential: ModePotential, steps: int | None = None):
+    """One-period transfer matrices of a periodic potential, V sampled once.
 
     Fourth-order Magnus propagator on n equal steps (Iserles & Norsett
     1999): on a step of length h with V sampled at its two Gauss points,
     Omega = [[a, h], [h (mean V - E), -a]] with a = sqrt(3) h^2 (V1 - V2)
     / 12.  Omega is traceless, so exp(Omega) = C I + S Omega in closed
     form, with C, S = cosh, sinh(r)/r or cos, sin(r)/r of r^2 = |det
-    Omega|.  Every energy is propagated on its own, so a value does not
-    depend on the batch it came in.  Returns the states (u, u', v, v')(b)
-    of the columns started at (1, 0) and (0, 1), as a 4 x m array.
+    Omega|.  The returned function maps a batch of energies to the states
+    (u, u', v, v')(b) of the columns started at (1, 0) and (0, 1), as a
+    4 x m array; with count=True a fifth row holds the lifted Pruefer
+    angle of the second column (see _magnus_product).  Every energy is
+    propagated on its own, so a value does not depend on the batch it
+    came in.
     """
     if potential.period_b is None:
         raise ValidationError("monodromy applies to periodic potentials only")
@@ -287,15 +298,29 @@ def _transfer_batch(potential: ModePotential, energies, steps: int | None = None
     v = _grid_values(potential, h * (np.arange(n)[:, None] + _GAUSS2).ravel()).reshape(n, 2)
     a = (math.sqrt(3.0) / 12.0) * (h * h) * (v[:, 0] - v[:, 1])
     hv = h * (0.5 * (v[:, 0] + v[:, 1]))  # h * mean V
-    es = np.atleast_1d(np.asarray(energies, dtype=float))
-    out = np.empty((4, es.size))
     chunk = max(1, _POINT_BUDGET // n)
-    for i in range(0, es.size, chunk):
-        out[:, i : i + chunk] = _magnus_product(a, hv, h, es[i : i + chunk])
-    return out
+
+    def run(energies, count=False):
+        es = np.atleast_1d(np.asarray(energies, dtype=float))
+        out = np.empty((5 if count else 4, es.size))
+        for i in range(0, es.size, chunk):
+            out[:, i : i + chunk] = _magnus_product(a, hv, h, es[i : i + chunk], count)
+        return out
+
+    return run
 
 
-def _magnus_product(a, hv, h, es):
+def _magnus_product(a, hv, h, es, count=False):
+    """Transfer matrices of the steps, multiplied pairwise.
+
+    With count=True the lifted angle phi = atan2(u, u') of the column
+    started at (0, 1) is carried through the same tree.  A step turns it
+    by atan2(m01, m11) exactly while its rotation r stays below pi; the
+    guard keeps r below pi/2.  For a product L R (R first), the lifted
+    turns of two vectors under L differ by less than pi (in the universal
+    cover of SL(2, R)), so the turn of R's image under L is the value of
+    atan2(P01, P11) - theta_R nearest theta_L.
+    """
     hq = hv[:, None] - h * es  # h (mean V - E), one row per step
     w = (a * a)[:, None] + h * hq  # -det Omega
     r = np.sqrt(np.abs(w))
@@ -307,31 +332,57 @@ def _magnus_product(a, hv, h, es):
     s = np.divide(s, r, out=np.ones_like(r), where=r > 0.0)
     sa = s * a[:, None]
     m00, m01, m10, m11 = c + sa, s * h, s * hq, c - sa
+    if count:
+        if np.any(osc & (r >= 0.5 * math.pi)):
+            raise NumericalError(
+                f"propagator steps too long to count zeros at E = {float(np.max(es)):.6g}; "
+                "lower e_max"
+            )
+        phi = np.arctan2(m01, m11)
     while m00.shape[0] > 1:  # multiply step 2j+1 onto step 2j, pairwise
         l00, l01, l10, l11 = m00[1::2], m01[1::2], m10[1::2], m11[1::2]
         r00, r01, r10, r11 = m00[0::2], m01[0::2], m10[0::2], m11[0::2]
         m00, m01 = l00 * r00 + l01 * r10, l00 * r01 + l01 * r11
         m10, m11 = l10 * r00 + l11 * r10, l10 * r01 + l11 * r11
-    return np.stack((m00[0], m10[0], m01[0], m11[0]))
+        if count:
+            turn = phi[0::2] + phi[1::2]
+            off = np.arctan2(m01, m11) - turn
+            phi = turn + (off - 2.0 * math.pi * np.round(off / (2.0 * math.pi)))
+    rows = (m00[0], m10[0], m01[0], m11[0]) + ((phi[0],) if count else ())
+    return np.stack(rows)
+
+
+def _checked_trace(sf) -> np.ndarray:
+    """Delta = u(b) + v'(b) of propagated states, after the Wronskian check."""
+    det = sf[0] * sf[3] - sf[2] * sf[1]
+    bad = float(np.max(np.abs(det - 1.0), initial=0.0))
+    if bad > _WRONSKIAN_TOL:
+        raise NumericalError(f"Wronskian drifted: |det - 1| = {bad:.3e}")
+    return sf[0] + sf[3]
+
+
+def _dirichlet_count(prop, energies) -> np.ndarray:
+    """Dirichlet eigenvalues of one period below each energy.
+
+    The column started at (0, 1) has one zero in (0, b) per Dirichlet
+    eigenvalue below E (Sturm oscillation), and its Pruefer angle passes
+    each multiple of pi upwards, so the count is ceil(phi(b) / pi) - 1.
+    """
+    sf = prop(energies, count=True)
+    _checked_trace(sf)
+    return np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
 
 
 def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
     """2x2 transfer matrix over one period; det checked against 1."""
-    sf = _transfer_batch(potential, [energy])
-    det = sf[0, 0] * sf[3, 0] - sf[2, 0] * sf[1, 0]
-    if abs(det - 1.0) > _WRONSKIAN_TOL:
-        raise NumericalError(f"Wronskian drifted: det = {det!r}")
+    sf = _propagator(potential)([energy])
+    _checked_trace(sf)
     return np.array([[sf[0, 0], sf[2, 0]], [sf[1, 0], sf[3, 0]]])
 
 
 def discriminant(potential: ModePotential, energy):
     """Delta(E) = trace of the one-period transfer matrix."""
-    sf = _transfer_batch(potential, energy)
-    det = sf[0] * sf[3] - sf[2] * sf[1]
-    bad = float(np.max(np.abs(det - 1.0)))
-    if bad > _WRONSKIAN_TOL:
-        raise NumericalError(f"Wronskian drifted: |det - 1| = {bad:.3e}")
-    trace = sf[0] + sf[3]
+    trace = _checked_trace(_propagator(potential)(energy))
     return trace if np.ndim(energy) else float(trace[0])
 
 
@@ -374,37 +425,18 @@ class BandStructure:
     antiperiodic_eigenvalues: tuple[float, ...] = field(metadata={"report": "omit"})
 
 
-def _bisect_root(delta, lo, hi, flo, target, tol):
-    """Vectorized bisection for Delta(E) = target (one or per cell) on bracketing cells."""
-    lo = np.asarray(lo, dtype=float).copy()
-    hi = np.asarray(hi, dtype=float).copy()
-    sign_lo = np.sign(np.asarray(flo, dtype=float) - target)
+def _bisect(test, lo, hi):
+    """Lockstep bisection: each midpoint replaces `lo` where test(mid)
+    holds and `hi` where it does not, until every bracket is narrower
+    than EDGE_TOL.  A bracket may run either way round."""
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     for _ in range(64):
-        mid = 0.5 * (lo + hi)
-        fm = delta(mid) - target
-        same = np.sign(fm) == sign_lo
-        lo = np.where(same, mid, lo)
-        hi = np.where(same, hi, mid)
-        if float(np.max(hi - lo)) < tol:
+        if not lo.size or float(np.max(np.abs(hi - lo))) < EDGE_TOL:
             break
-    return 0.5 * (lo + hi)
-
-
-def _refine_extremum(delta, lo, hi, sgn):
-    """Golden-section maximization of sgn * Delta on each [lo, hi], in lockstep."""
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = sgn * delta(c), sgn * delta(d)
-    for _ in range(_GOLDEN_STEPS):
-        left = fc > fd  # the maximum lies in [a, d]: drop (d, b]
-        b, a = np.where(left, d, b), np.where(left, a, c)
-        probe = np.where(left, b - gr * (b - a), a + gr * (b - a))
-        fp = sgn * delta(probe)
-        c, d = np.where(left, probe, d), np.where(left, c, probe)
-        fc, fd = np.where(left, fp, fd), np.where(left, fc, fp)
-    e_peak = 0.5 * (a + b)
-    return e_peak, sgn * delta(e_peak)
+        mid = 0.5 * (lo + hi)
+        keep = test(mid)
+        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+    return lo, hi
 
 
 def _flatten_edges(pairs, merge_tol, cap):
@@ -424,11 +456,19 @@ def _flatten_edges(pairs, merge_tol, cap):
 
 
 def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
-    """Band decomposition of a periodic mode up to e_max.
+    """Band decomposition of a periodic mode up to e_max, found by counting.
 
-    Edges are roots of Delta(E) = +/-2 from bracketed bisection on an
-    adaptive grid; the plane-wave eigensolve is the independent check
-    and must agree edge-by-edge to CROSS_TOL.
+    Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
+    of one period; the Pruefer count K = N_D(e_max) says how many lie
+    below e_max, and bisecting the count brackets mu_1 .. mu_K.  Between
+    mu_{k-1} and mu_k (mu_0 = e_start) band k is the only set where
+    |Delta| <= 2; with s = (-1)^(k-1) its lower edge is the one crossing
+    of s Delta = 2 and its upper edge the one crossing of s Delta = -2
+    there, bisected for all bands in lockstep.  Each count bracket
+    reaches the gap side of its edges, also where mu_k sits on an edge,
+    as it does for every even potential.  Band K+1 exists when e_max is
+    not in gap K.  The plane-wave eigensolve is the independent check
+    and must agree edge by edge to CROSS_TOL.
     """
     if potential.period_b is None:
         raise ValidationError("band structure applies to periodic potentials only")
@@ -455,17 +495,15 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     if not e_max > v_min:  # the potential lies wholly above e_max
         return empty
 
-    def delta(es):
-        return discriminant(potential, np.atleast_1d(np.asarray(es, dtype=float)))
+    n = _magnus_steps(potential)
+    prop = _propagator(potential, n)
 
-    # --- adaptive scan grid -------------------------------------------
-    n_max = int(math.ceil(b * math.sqrt(max(e_max - mean_v, 1.0)) / math.pi)) + 1
-    centers = [(math.pi * n / b) ** 2 + mean_v for n in range(1, n_max + 1)]
-    widths = [2.0 * abs(v_hat[n % nv]) for n in range(1, n_max + 1)]
+    def delta(es):
+        return _checked_trace(prop(es))
 
     e_start = v_min - 1.0
     for _ in range(60):
-        if float(delta(np.array([e_start]))[0]) > 2.0:
+        if float(delta([e_start])[0]) > 2.0:
             break
         e_start -= max(1.0, 0.1 * abs(e_start))
     else:
@@ -474,7 +512,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     # the propagator's step count must hold Delta to the noise floor on
     # the whole energy range: n steps against 2n
     probe = np.linspace(e_start, e_max, 257)
-    sf = _transfer_batch(potential, probe, 2 * _magnus_steps(potential))
+    sf = _propagator(potential, 2 * n)(probe)
     fine = sf[0] + sf[3]
     drift = np.abs(delta(probe) - fine) / np.maximum(1.0, np.abs(fine))
     worst = int(np.argmax(drift))
@@ -486,101 +524,67 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
             "lower e_max to leave it out"
         )
 
-    dense_hi = min(e_max, centers[min(2, len(centers) - 1)] + 2.0)
-    pieces = [np.arange(e_start, dense_hi, 0.01)]
-    if e_max > dense_hi:
-        coarse_step = max(0.05, (e_max - dense_hi) / 20000.0)
-        pieces.append(np.arange(dense_hi, e_max, coarse_step))
-        for n in range(3, n_max + 1):
-            c = centers[n - 1]
-            spacing = math.pi**2 * (2 * n + 1) / b**2
-            half = min(0.45 * spacing, max(2.0, 6.0 * widths[n - 1]))
-            lo, hi = max(c - half, dense_hi), min(c + half, e_max)
-            if hi <= lo:
-                continue
-            step = max(min(0.01, widths[n - 1] / 6.0 + 1e-12), (hi - lo) / 1500.0)
-            pieces.append(np.arange(lo, hi, step))
-    grid = np.unique(np.concatenate(pieces + [np.array([e_max])]))
-    grid = grid[(grid >= e_start) & (grid <= e_max)]
+    # --- brackets [mu_lo, mu_hi] of the Dirichlet eigenvalues below e_max
+    k_gaps = int(_dirichlet_count(prop, [e_max])[0])
+    ks = np.arange(1, k_gaps + 1)
+    mu_lo, mu_hi = _bisect(
+        lambda es: _dirichlet_count(prop, es) < ks,
+        np.full(k_gaps, e_start),
+        np.full(k_gaps, e_max),
+    )
 
-    dvals = delta(grid)
+    # --- band edges: test sg Delta < 2 holds on the band side of an edge
+    top = (-1.0) ** k_gaps * float(delta([e_max])[0])  # s Delta(e_max) of band K+1
+    n_bands = k_gaps + int(top < 2.0)
+    n_upper = n_bands - int(n_bands > k_gaps and top > -2.0)  # upper edges below e_max
+    lo_ends = np.concatenate(([e_start], mu_lo, [e_max]))
+    hi_ends = np.concatenate(([e_start], mu_hi, [e_max]))
+    s = (-1.0) ** np.arange(n_bands)
+    sg = np.concatenate((s, -s[:n_upper]))
+    band_side, gap_side = _bisect(
+        lambda es: sg * delta(es) < 2.0,
+        np.concatenate((lo_ends[1 : n_bands + 1], hi_ends[:n_upper])),
+        np.concatenate((lo_ends[:n_bands], hi_ends[1 : n_upper + 1])),
+    )
+    edges = 0.5 * (band_side + gap_side)
+    # the root of a line through 17 samples averages the rounding noise of
+    # Delta; a root outside the samples is not trusted
+    offs = np.linspace(-_FIT_SPAN, _FIT_SPAN, 17)
+    g = sg[:, None] * delta((edges[:, None] + offs).ravel()).reshape(-1, offs.size) - 2.0
+    slope, icept = np.polyfit(offs, g.T, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = -icept / slope
+    edges = np.where(np.abs(shift) <= _FIT_SPAN, edges + shift, edges)
+    lower = edges[:n_bands]
+    upper = np.append(edges[n_bands:], [e_max] * (n_bands - n_upper))
 
-    # --- crossings of Delta = +/-2 ------------------------------------
-    edges = []
-    crossing_cells = set()
-    for target in (2.0, -2.0):
-        f = dvals - target
-        sign = np.sign(f)
-        sign[sign == 0] = 1.0
-        flips = np.nonzero(sign[:-1] != sign[1:])[0]
-        if flips.size:
-            roots = _bisect_root(delta, grid[flips], grid[flips + 1], dvals[flips], target, EDGE_TOL)
-            edges.extend(float(r) for r in np.atleast_1d(roots))
-            crossing_cells.update(int(i) for i in flips)
-
-    # --- tangency sweep: near-closed gaps and sub-grid double crossings
-    closed_points = []
-    absd = np.abs(dvals)
-    inner = absd[1:-1]
-    peaks = np.nonzero((inner >= 2.0 - 1e-3) & (inner >= absd[:-2]) & (inner >= absd[2:]))[0] + 1
-    peaks = np.array([i for i in peaks if not {i - 1, i} & crossing_cells], dtype=int)
-    if peaks.size:
-        dirs = np.where(dvals[peaks] > 0, 1.0, -1.0)
-        e_peaks, tops = _refine_extremum(delta, grid[peaks - 1], grid[peaks + 1], dirs)
-        hidden = []  # (lo, hi, target): a full gap hid between grid points
-        for i, target, e_peak, peak in zip(peaks, 2.0 * dirs, e_peaks, tops):
-            if peak > 2.0 + 1e-12:
-                hidden += [(grid[i - 1], e_peak, target), (e_peak, grid[i + 1], target)]
-            elif peak >= 2.0 - CLOSURE_TOL:
-                closed_points.append(float(e_peak))
-        if hidden:
-            lo, hi, tg = (np.array(x) for x in zip(*hidden))
-            f_lo = delta(lo)
-            ok = (f_lo - tg) * (delta(hi) - tg) < 0
-            if np.any(ok):
-                roots = _bisect_root(delta, lo[ok], hi[ok], f_lo[ok], tg[ok], EDGE_TOL)
-                edges.extend(float(r) for r in roots)
-
-    def assemble(edge_list):
-        cuts = [e_start] + sorted(edge_list) + [e_max]
-        spans = [(lo, hi) for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo > 0]
-        inside = np.abs(delta([0.5 * (lo + hi) for lo, hi in spans])) <= 2.0
-        bands_ = []
-        gaps_ = []
-        for (lo, hi), band in zip(spans, inside):
-            if band:
-                if bands_ and abs(bands_[-1][1] - lo) <= max(1e-12, 4.0 * EDGE_TOL):
-                    bands_[-1] = (bands_[-1][0], hi)
-                else:
-                    bands_.append((lo, hi))
-            elif bands_ and hi < e_max:
-                gaps_.append((lo, hi))
-        return bands_, gaps_
-
-    bands, gaps = assemble(edges)
-
-    # drop gaps whose midpoint excess is below the noise floor: the sign
-    # change that produced them is not trustworthy at double precision
-    uncertified = set()
-    if gaps:
-        excess = np.abs(delta([0.5 * (lo + hi) for lo, hi in gaps])) - 2.0
-        uncertified = {e for gap, x in zip(gaps, excess) if x <= NOISE_FLOOR for e in gap}
-    if uncertified:
-        edges = [e for e in edges if e not in uncertified]
-        bands, gaps = assemble(edges)
+    # a gap is certified when |Delta| exceeds 2 by more than the noise
+    # floor at its midpoint; one that only touches 2 is a closed point
+    mids = 0.5 * (upper[:-1] + lower[1:])
+    excess = -s[:-1] * delta(mids) - 2.0
+    certified = excess > NOISE_FLOOR
+    closed_points = mids[~certified & (excess <= _TOUCH_TOL) & (excess >= -CLOSURE_TOL)]
+    bands, gaps = [], []
+    for k in range(n_bands):
+        if k and not certified[k - 1]:
+            bands[-1] = (bands[-1][0], upper[k])
+            continue
+        if k:
+            gaps.append((upper[k - 1], lower[k]))
+        bands.append((lower[k], upper[k]))
 
     # --- independent eigenvalue route -----------------------------------
     k_modes = max(32, int(math.ceil(b * math.sqrt(max(e_max, 1.0)) / math.pi)) + 16)
     per = _plane_wave_eigs(v_hat, b, antiperiodic=False, k_modes=k_modes)
     anti = _plane_wave_eigs(v_hat, b, antiperiodic=True, k_modes=k_modes)
     ref_pairs = []
-    n = 1
-    while n - 1 < min(per.size, anti.size):
-        lo_ref, hi_ref = (per[n - 1], anti[n - 1]) if n % 2 else (anti[n - 1], per[n - 1])
+    k = 1
+    while k - 1 < min(per.size, anti.size):
+        lo_ref, hi_ref = (per[k - 1], anti[k - 1]) if k % 2 else (anti[k - 1], per[k - 1])
         if lo_ref > e_max:
             break
         ref_pairs.append((float(lo_ref), float(hi_ref)))
-        n += 1
+        k += 1
     if not ref_pairs or not bands:
         if ref_pairs or bands:
             raise ResolutionError(
@@ -589,78 +593,39 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
             )
         return empty
 
-    # reconcile: every reference gap wider than CROSS_TOL must either be
-    # matched by a found gap, recovered by a targeted sweep, or shown to
-    # sit below the discriminant's resolving power
-    unresolved: list[tuple[float, float]] = []
-    merge_next: set[int] = set()  # ref band k merges with k+1
-    added = False
-    for k in range(len(ref_pairs)):
-        g_lo = ref_pairs[k][1]
-        g_hi = ref_pairs[k + 1][0] if k + 1 < len(ref_pairs) else math.inf
-        if g_lo >= e_max:
-            continue
-        width = g_hi - g_lo
-        if width <= CROSS_TOL:
-            merge_next.add(k)
-            continue
-        tol_m = max(CROSS_TOL, 0.1 * min(width, 1.0))
-        have_lo = any(abs(e - g_lo) <= tol_m for e in edges)
-        have_hi = math.isinf(g_hi) or any(abs(e - g_hi) <= tol_m for e in edges)
-        if have_lo and have_hi:
-            continue
-        pad = 0.5 * width if math.isfinite(width) else min(1.0, 0.5 * (e_max - g_lo))
-        sweep_lo = max(g_lo - pad, e_start)
-        sweep_hi = min(g_hi + pad, e_max)
-        sweep = np.linspace(sweep_lo, sweep_hi, 1201)
-        dsw = delta(sweep)
-        s = 1.0 if float(dsw[np.argmax(np.abs(dsw))]) > 0 else -1.0
-        f = s * dsw - 2.0
-        if float(np.max(f)) > NOISE_FLOOR:
-            sign = np.sign(f)
-            sign[sign == 0] = 1.0
-            flips = np.nonzero(sign[:-1] != sign[1:])[0]
-            roots = _bisect_root(
-                delta, sweep[flips], sweep[flips + 1], dsw[flips], 2.0 * s, EDGE_TOL
-            )
-            edges.extend(float(r) for r in np.atleast_1d(roots))
-            added = True
-        else:
-            hi_rep = min(g_hi, e_max)
-            unresolved.append((g_lo, hi_rep))
-            merge_next.add(k)
-    if added:
-        bands, gaps = assemble(edges)
-
-    # --- edge-by-edge agreement ------------------------------------------
+    # --- edge-by-edge agreement, the reference merged across the gaps the
+    # discriminant cannot certify ------------------------------------------
     merged_ref = []
-    for k, (lo_ref, hi_ref) in enumerate(ref_pairs):
-        if merged_ref and (k - 1) in merge_next:
-            merged_ref[-1] = (merged_ref[-1][0], hi_ref)
+    for k, pair in enumerate(ref_pairs):
+        if k and k <= certified.size and not certified[k - 1]:
+            merged_ref[-1] = (merged_ref[-1][0], pair[1])
         else:
-            merged_ref.append((lo_ref, hi_ref))
-    if (len(ref_pairs) - 1) in merge_next:
-        # unresolved gap past the last reference band: its lower edge is
-        # invisible to the discriminant, so drop it from the comparison
-        merged_ref[-1] = (merged_ref[-1][0], math.inf)
+            merged_ref.append(pair)
     ref_flat = _flatten_edges(merged_ref, CROSS_TOL, e_max)
     got_flat = _flatten_edges(bands, CROSS_TOL, e_max)
     if len(ref_flat) != len(got_flat):
         raise ResolutionError(
             f"edge count mismatch: discriminant route found {len(got_flat)} edges, "
-            f"eigenvalue route implies {len(ref_flat)}; refine the energy grid"
+            f"eigenvalue route implies {len(ref_flat)}"
         )
     max_dev = max((abs(a - r) for a, r in zip(got_flat, ref_flat)), default=0.0)
     if max_dev > CROSS_TOL:
         raise ResolutionError(
             f"band-edge cross-validation failed: max deviation {max_dev:.3e} > {CROSS_TOL:.1e}"
         )
+    # an uncertified gap wider than CROSS_TOL on the eigenvalue route is
+    # reported with that route's edges
+    unresolved = [
+        (ref_pairs[k][1], min(ref_pairs[k + 1][0], e_max))
+        for k in np.flatnonzero(~certified)
+        if k + 1 < len(ref_pairs) and ref_pairs[k + 1][0] - ref_pairs[k][1] > CROSS_TOL
+    ]
 
     return BandStructure(
         period=float(b),
         bands=tuple((float(lo), float(hi)) for lo, hi in bands),
         gaps=tuple((float(lo), float(hi)) for lo, hi in gaps),
-        closed_gap_points=tuple(sorted(closed_points)),
+        closed_gap_points=tuple(float(x) for x in closed_points),
         unresolved_gaps=tuple((float(lo), float(hi)) for lo, hi in unresolved),
         eigenvalue_band_edges=tuple((float(lo), float(hi)) for lo, hi in ref_pairs),
         e_max=float(e_max),

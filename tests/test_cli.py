@@ -273,6 +273,9 @@ _NEUMANN = [0.0, 2.0, 85.0]
         (("numerics", "e_max"), "12.5", "'e_max'"),
         (("numerics", "window_halfwidth"), math.inf, "'window_halfwidth'"),
         (("profile", "mu", "value"), True, "'value'"),
+        (("numerics", "finite_gap_certificate"), "false", "'finite_gap_certificate'"),
+        (("numerics", "finite_gap_certificate"), 1, "'finite_gap_certificate'"),
+        (("numerics", "finite_gap_certificate"), None, "'finite_gap_certificate'"),
         (
             ("cross_section",),
             {"kind": "synthetic", "dirichlet": [math.nan, 400.0], "neumann": _NEUMANN},
@@ -287,6 +290,7 @@ _NEUMANN = [0.0, 2.0, 85.0]
     ids=[
         "e_max-text", "e_max-null", "grid", "width", "amplitude", "grid-fraction",
         "count-fraction", "e_max-bool", "e_max-numeric-text", "halfwidth-inf", "value-bool",
+        "certificate-text", "certificate-number", "certificate-null",
         "dirichlet-nan", "dirichlet-csv-nan",
     ],
 )

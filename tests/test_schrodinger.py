@@ -8,20 +8,24 @@ full reduction stack.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import cylspec.schrodinger as schrodinger
 from cylspec.errors import (
     InvalidWitnessError,
     NumericalError,
+    ResolutionError,
     ValidationError,
     WindowError,
 )
-from cylspec.liouville import build_potential, build_transform
+from cylspec.liouville import ModePotential, build_potential, build_transform
 from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, essential_bounds, make_profile
 from cylspec.schrodinger import (
     band_structure,
@@ -91,6 +95,25 @@ class _PeriodicV:
     def values(self, ys):
         arr = np.atleast_1d(np.asarray(ys, dtype=float))
         out = self.offset + self.amp * np.cos(2.0 * np.pi * arr / self.period)
+        return out if np.ndim(ys) else float(out[0])
+
+
+@dataclass(frozen=True)
+class _ShiftedV(_PeriodicV):
+    """_PeriodicV plus a second harmonic shifted in phase: V is even about
+    no point, so each Dirichlet eigenvalue sits strictly inside its gap."""
+
+    amp2: float = 0.4
+    phase: float = 1.0
+
+    @property
+    def lower_bound(self):
+        return self.offset - abs(self.amp) - abs(self.amp2)
+
+    def values(self, ys):
+        arr = np.atleast_1d(np.asarray(ys, dtype=float))
+        w = 2.0 * np.pi * arr / self.period
+        out = self.offset + self.amp * np.cos(w) + self.amp2 * np.cos(2.0 * w + self.phase)
         return out if np.ndim(ys) else float(out[0])
 
 
@@ -225,6 +248,45 @@ def test_discriminant_does_not_depend_on_the_batch():
     assert np.array_equal(batch, alone)
 
 
+_SHIFTED = _ShiftedV(offset=0.0, amp=0.6, period=math.pi)
+
+
+@functools.cache
+def _sine_galerkin_levels(pot, k_max=120):
+    """Dirichlet eigenvalues of -u'' + V u on one period [0, b] in the
+    basis sin(j pi y / b), j = 1..k_max, with Gauss-Legendre quadrature;
+    independent of the propagator."""
+    b = pot.period_b
+    x, w = np.polynomial.legendre.leggauss(800)
+    y, w = 0.5 * b * (x + 1.0), 0.5 * b * w
+    j = np.arange(1, k_max + 1)
+    sines = np.sin(np.outer(j, y) * (np.pi / b))
+    h = (2.0 / b) * (sines * (w * np.asarray(pot.values(y)))) @ sines.T
+    return np.linalg.eigvalsh(h + np.diag((j * np.pi / b) ** 2))
+
+
+@functools.cache
+def _count_case(name):
+    return {"cosine": (_cosine_mode(), 0.0, 400.0), "shifted": (_SHIFTED, -1.0, 60.0)}[name]
+
+
+@pytest.mark.parametrize("name", ["cosine", "shifted"])
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
+def test_dirichlet_count_matches_sine_galerkin(name, fractions):
+    pot, lo, hi = _count_case(name)
+    levels = _sine_galerkin_levels(pot)
+    es = lo + (hi - lo) * np.array(fractions)
+    es = es[np.min(np.abs(es[:, None] - levels[None, :]), axis=1) > 1e-6]
+    prop = schrodinger._propagator(pot)
+    counts = schrodinger._dirichlet_count(prop, es)
+    assert counts.tolist() == np.searchsorted(levels, es).tolist()
+    # the angle, and so the count, does not depend on the batch
+    angles = prop(es, count=True)[4]
+    alone = [prop([e], count=True)[4, 0] for e in es]
+    assert np.array_equal(angles, alone)
+    assert counts.tolist() == [int(schrodinger._dirichlet_count(prop, [e])[0]) for e in es]
+
+
 # ---------------------------------------------------------------------------
 # band structure
 # ---------------------------------------------------------------------------
@@ -334,6 +396,72 @@ def test_unresolved_discriminant_is_rejected(monkeypatch):
     monkeypatch.setattr(schrodinger, "_magnus_steps", lambda potential: 16)
     with pytest.raises(NumericalError, match="e_max = 60.0"):
         band_structure(_cosine_mode(), 60.0)
+
+
+def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
+    bs = band_structure(_SHIFTED, 30.0)
+    assert len(bs.bands) == 6 and len(bs.gaps) == 5
+    assert bs.unresolved_gaps == () and bs.closed_gap_points == ()
+    got = np.ravel(bs.bands)[:-1]  # the last band runs to e_max
+    ref = np.ravel(bs.eigenvalue_band_edges)[:-1]
+    assert np.max(np.abs(got - ref)) <= schrodinger.CROSS_TOL
+    # each Dirichlet eigenvalue lies strictly inside its gap
+    prop = schrodinger._propagator(_SHIFTED)
+    for k, (lo, hi) in enumerate(bs.gaps, start=1):
+        assert schrodinger._dirichlet_count(prop, [lo + 1e-6, hi - 1e-6]).tolist() == [k - 1, k]
+
+
+def test_count_rejects_steps_that_turn_too_far():
+    # 256 steps over b = 1.3 turn by about h sqrt(E - 0.7) > pi / 2 near
+    # E = 1e5, past the range where one step's angle is read from atan2
+    with pytest.raises(NumericalError, match="too long to count"):
+        band_structure(_PeriodicV(offset=0.7, amp=0.0, period=1.3), 1e5)
+
+
+def test_plane_wave_route_catches_a_dropped_band(monkeypatch):
+    # e_max = 30 lies inside band 6 of the stand-in: a count that never
+    # reaches the fifth Dirichlet eigenvalue loses the last gap
+    count = schrodinger._dirichlet_count
+    top = int(count(schrodinger._propagator(_SHIFTED), [30.0])[0])
+    assert top == 5
+    monkeypatch.setattr(
+        schrodinger, "_dirichlet_count", lambda prop, es: np.minimum(count(prop, es), top - 1)
+    )
+    with pytest.raises(ResolutionError, match="edge count mismatch"):
+        band_structure(_SHIFTED, 30.0)
+
+
+def test_band_structure_work_is_bounded(monkeypatch):
+    # a dense energy scan of this mode takes 10,736,640 step-energy
+    # pairs; counting must take a quarter of that or less
+    pairs = []
+    product = schrodinger._magnus_product
+
+    def counted(a, hv, h, es, count=False):
+        pairs.append(a.size * np.size(es))
+        return product(a, hv, h, es, count)
+
+    pot = _cosine_mode()
+    monkeypatch.setattr(schrodinger, "_magnus_product", counted)
+    band_structure(pot, 110.0)
+    assert sum(pairs) <= 10_736_640 // 4
+
+
+def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatch):
+    reads = []
+    on_grid = ModePotential.on_grid
+
+    def counted(self, ys):
+        reads.append(np.size(ys))
+        return on_grid(self, ys)
+
+    pot = _cosine_mode()
+    monkeypatch.setattr(ModePotential, "on_grid", counted)
+    band_structure(pot, 30.0)
+    few = len(reads)
+    reads.clear()
+    band_structure(pot, 110.0)  # more bands, more energies
+    assert len(reads) == few <= 4
 
 
 def test_band_structure_needs_periodicity():
