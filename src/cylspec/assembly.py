@@ -26,7 +26,7 @@ import numpy as np
 
 from .cross_section import CrossSectionSpectrum
 from .errors import InsufficientDataError, ValidationError
-from .liouville import LiouvilleData, _eta_from_raw, build_potential, build_transform
+from .liouville import LiouvilleData, build_potential, build_transform
 from .profiles import (
     CoefficientProfile,
     EssentialBounds,
@@ -158,10 +158,7 @@ def _grouped_modes(budget: ModeBudget) -> list[ModeGroup]:
 @dataclass(frozen=True)
 class SpectralPoint:
     energy: float  # squared-operator energy
-    flavor: str
-    mode_constant: float
-    indices: tuple[int, ...]
-    multiplicity: int
+    group: ModeGroup = field(metadata={"report": "inline"})
     embedded: bool  # inside the ac/band support of other modes
     outside_support: bool  # below every continuous-spectrum interval
     refinement_estimate: float
@@ -253,12 +250,9 @@ def _settled_halfwidth(data: LiouvilleData, initial: float, c_max: float):
         cand = initial * (_LADDER_GROWTH**k)
         if data.y_lo > -cand or data.y_hi < cand:
             return None
-        # one read of the transform for both terms
-        e, e1, e2, m, m1, m2 = data._raw(np.array([-cand, cand]))
-        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
-        v = np.abs(et * et - etp)
-        prod = e * m
-        drift = np.abs(1.0 / prod - 1.0 / data.profile.limit_product)
+        ends = np.array([-cand, cand])
+        v = np.abs(data.curvature_term(ends))
+        drift = np.abs(1.0 / data.product_tilde(ends) - 1.0 / data.profile.limit_product)
         if float(np.max(v + c_max * drift)) < SETTLE_TOL:
             return cand
     return None
@@ -370,16 +364,13 @@ def run_stabilizing_analysis(
             points.append(
                 SpectralPoint(
                     energy=float(e),
-                    flavor=r.group.flavor,
-                    mode_constant=r.group.mode_constant,
-                    indices=r.group.indices,
-                    multiplicity=r.group.multiplicity,
+                    group=r.group,
                     embedded=embedded,
                     outside_support=outside,
                     refinement_estimate=float(est),
                 )
             )
-    points.sort(key=lambda p: (p.energy, p.mode_constant, p.flavor))
+    points.sort(key=lambda p: (p.energy, p.group.mode_constant, p.group.flavor))
 
     inf_sq = min(
         [t for t in thresholds if t <= e_max] + [p.energy for p in points],

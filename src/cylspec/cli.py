@@ -172,6 +172,8 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 
 def _need(cfg: dict, key: str, ctx: str):
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {ctx} must be a JSON object, got {cfg!r}")
     if key not in cfg:
         raise ValidationError(f"config {ctx}: missing required key '{key}'")
     return cfg[key]
@@ -336,10 +338,10 @@ def _write_bound_states_csv(path: Path, rep: SpectrumReport):
     for p in rep.squared_points:
         rows.append(
             [
-                p.flavor,
-                p.mode_constant,
-                ";".join(str(i) for i in p.indices),
-                p.multiplicity,
+                p.group.flavor,
+                p.group.mode_constant,
+                ";".join(str(i) for i in p.group.indices),
+                p.group.multiplicity,
                 p.energy,
                 math.sqrt(max(p.energy, 0.0)),
                 p.refinement_estimate,
@@ -396,7 +398,7 @@ def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
             m.group.mode_constant,
             n_boundary=rep.boundary_components,
         )
-        vals = pot.on_grid(ys)
+        vals = pot.values(ys)
         for y, v in zip(ys, vals):
             rows.append([m.group.flavor, m.group.mode_constant, float(y), float(v)])
     _write_csv(path, ["flavor", "mode_constant", "y", "value"], rows)
@@ -412,6 +414,11 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     base = config_path.parent
     task = cfg["task"]
     outputs = cfg.get("outputs", {})
+    if not isinstance(outputs, dict):
+        raise ValidationError(f"config outputs must be a JSON object, got {outputs!r}")
+    for key, name in outputs.items():
+        if not (isinstance(name, str) and name):
+            raise ValidationError(f"config outputs: '{key}' must be a file name, got {name!r}")
 
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
     profile = _parse_profile(_need(cfg, "profile", "root"))
@@ -460,20 +467,20 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
             summary, oracle_rows = _oracle_periodic(rep)
             header = ["flavor", "mode_constant", "metric", "value"]
         doc["oracle"] = summary
-        oracle_path = base / str(outputs.get("oracle_csv", "oracle.csv"))
+        oracle_path = base / outputs.get("oracle_csv", "oracle.csv")
         _write_csv(oracle_path, header, oracle_rows)
 
-    report_path = base / str(outputs.get("report", "report.json"))
+    report_path = base / outputs.get("report", "report.json")
     _atomic_write(report_path, dumps_canonical(doc) + "\n")
 
     if rep.classification == "stabilizing":
-        _write_bound_states_csv(base / str(outputs.get("bound_states_csv", "bound_states.csv")), rep)
+        _write_bound_states_csv(base / outputs.get("bound_states_csv", "bound_states.csv"), rep)
     else:
-        _write_band_edges_csv(base / str(outputs.get("band_edges_csv", "band_edges.csv")), rep)
+        _write_band_edges_csv(base / outputs.get("band_edges_csv", "band_edges.csv"), rep)
 
     if dump_potentials:
         _write_potentials_csv(
-            base / str(outputs.get("potentials_csv", "potentials.csv")), rep, halfwidth
+            base / outputs.get("potentials_csv", "potentials.csv"), rep, halfwidth
         )
 
     print(f"report written: {report_path}")

@@ -31,17 +31,16 @@ which follow from dz/dy = 1/sqrt(w).
 
 Every mode potential on a transform shares one change of variable, and
 the inverse map is almost all of the cost of evaluating a potential.
-So each distinct y-grid is inverted once per transform: `sample(ys)`
-keeps z(ys) and the eps/mu triples (value, d/dz, d^2/dz^2) at z(ys) in
-a memo shared by the transform and its swapped view, and
-`ModePotential.on_grid` reads it.  The sample does not depend on the
-flavor: the Newton slope sqrt(eps mu) and the integrand are symmetric
-in eps and mu, so z(y) of the swapped view is bitwise that of the
-original, and the magnetic view reads the same sample with the two
-triples exchanged.  Every mode still forms eta and V in its own
-orientation with the pointwise arithmetic, so `on_grid(ys)` is bitwise
-equal to `values(ys)`.  Pointwise `values(y)` stays the exact uncached
-route, which keeps the memo bounded by the grids the solvers use.
+So every read of the transformed coefficients goes through one memo:
+each distinct y-grid is inverted once per transform, and the eps/mu
+triples (value, d/dz, d^2/dz^2) at z(ys) are kept, read-only, for every
+later read of the same grid.  The memo does not depend on the flavor:
+the Newton slope sqrt(eps mu) and the integrand are symmetric in eps and
+mu, so z(y) of the swapped view is bitwise that of the original, and
+the magnetic view shares the memo with the two triples exchanged.  In
+`cylspec run` the memo holds the solver grids and a two-point grid per
+step of the settle search; library calls that read at points of their
+own (the variational witness search and bound) add those grids.
 
 The forward map is materialized as an adaptive panel decomposition of
 the integrand with a certified budget (1e-11 over the window);
@@ -71,7 +70,6 @@ from .profiles import (
 
 __all__ = [
     "PanelAntiderivative",
-    "SampledTransform",
     "LiouvilleData",
     "ModePotential",
     "build_transform",
@@ -149,28 +147,6 @@ class PanelAntiderivative:
 
 
 @dataclass(frozen=True)
-class SampledTransform:
-    """The inverse map on one y-grid and the eps/mu triples at z(ys).
-
-    Arrays are read-only: one sample is shared by every mode potential
-    on its transform.
-    """
-
-    ys: np.ndarray
-    z: np.ndarray
-    e: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    m: np.ndarray
-    m1: np.ndarray
-    m2: np.ndarray
-
-    def swapped(self) -> "SampledTransform":
-        """The same sample with the eps and mu triples exchanged."""
-        return SampledTransform(self.ys, self.z, self.m, self.m1, self.m2, self.e, self.e1, self.e2)
-
-
-@dataclass(frozen=True)
 class LiouvilleData:
     """Materialized travel-time transform over a window (or one period)."""
 
@@ -181,8 +157,9 @@ class LiouvilleData:
     y_offset: float  # F(0), subtracted so that y(0) = 0
     period_b: float | None  # travel time of one period, periodic case only
     bounds: EssentialBounds
-    # grid bytes -> SampledTransform in the orientation of the profile
-    # given to build_transform; shared with the swapped view
+    # grid shape and bytes -> the eps/mu triples at z(ys), in the
+    # orientation of the profile given to build_transform; shared with
+    # the swapped view
     samples: dict = field(default_factory=dict, repr=False, compare=False)
     samples_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
     eps_mu_swapped: bool = False  # profile is the swap of the memo's one
@@ -256,29 +233,21 @@ class LiouvilleData:
 
     # -- transported coefficients ---------------------------------------
 
-    def sample(self, ys) -> SampledTransform:
-        """z(ys) and the eps/mu triples there, inverted once per grid.
-
-        The memo is keyed on the grid's bytes, so only the exact same
-        array reuses a sample; this view's orientation is applied on
-        the way out.
-        """
-        ys = np.ascontiguousarray(ys, dtype=float)
-        key = ys.tobytes()
-        with self.samples_lock:
-            base = self.samples.get(key)
-            if base is None:
-                z = self.inverse(ys)
-                arrays = (ys.copy(), z) + self._coefficients(z)
-                for a in arrays:
-                    a.setflags(write=False)
-                own = SampledTransform(*arrays)
-                base = own.swapped() if self.eps_mu_swapped else own
-                self.samples[key] = base
-        return base.swapped() if self.eps_mu_swapped else base
-
     def _raw(self, y):
-        return self._coefficients(np.atleast_1d(np.asarray(self.inverse(y), dtype=float)))
+        """eps and mu with their first two z-derivatives at z(y), in this
+        view's orientation; each distinct grid is inverted once."""
+        ys = np.ascontiguousarray(np.atleast_1d(y), dtype=float)
+        key = (ys.shape, ys.tobytes())
+        with self.samples_lock:
+            raw = self.samples.get(key)
+            if raw is None:
+                raw = self._coefficients(self.inverse(ys))
+                for a in raw:
+                    a.setflags(write=False)
+                if self.eps_mu_swapped:
+                    raw = raw[3:] + raw[:3]
+                self.samples[key] = raw
+        return raw[3:] + raw[:3] if self.eps_mu_swapped else raw
 
     def _coefficients(self, zs):
         e = np.asarray(self.profile.epsilon.eval(zs, 0))
@@ -330,7 +299,7 @@ class LiouvilleData:
 
     def swapped(self) -> "LiouvilleData":
         """Same map with eps and mu exchanged (eta changes sign); it
-        shares the grid samples, read with the triples exchanged."""
+        shares the memo, read with the triples exchanged."""
         return replace(
             self, profile=self.profile.swapped(), eps_mu_swapped=not self.eps_mu_swapped
         )
@@ -350,14 +319,10 @@ def _transported(g, g1, g2, other, other1, order: int):
 
 
 def _eta_from_raw(e, e1, e2, m, m1, m2):
-    w = e * m
-    sw = np.sqrt(w)
-    et1 = e1 / sw
-    mt1 = m1 / sw
-    et2 = e2 / w - e1 * (e1 * m + e * m1) / (2.0 * w * w)
-    mt2 = m2 / w - m1 * (e1 * m + e * m1) / (2.0 * w * w)
-    le = et1 / e
-    lm = mt1 / m
+    le = _transported(e, e1, e2, m, m1, 1) / e
+    lm = _transported(m, m1, m2, e, e1, 1) / m
+    et2 = _transported(e, e1, e2, m, m1, 2)
+    mt2 = _transported(m, m1, m2, e, e1, 2)
     eta_val = 0.25 * (le - lm)
     eta_der = 0.25 * (et2 / e - le * le - mt2 / m + lm * lm)
     return eta_val, eta_der
@@ -421,20 +386,12 @@ class ModePotential:
     index: int | None = None
 
     def values(self, y):
-        out = self._from_raw(*self.data._raw(y))
+        e, e1, e2, m, m1, m2 = self.data._raw(y)
+        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
+        out = et * et - etp + self.mode_constant / (e * m)
         return out if np.ndim(y) else float(out[0])
 
     __call__ = values
-
-    def on_grid(self, ys) -> np.ndarray:
-        """V on a grid from the transform's shared sample; bitwise equal
-        to values(ys)."""
-        s = self.data.sample(ys)
-        return self._from_raw(s.e, s.e1, s.e2, s.m, s.m1, s.m2)
-
-    def _from_raw(self, e, e1, e2, m, m1, m2):
-        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
-        return et * et - etp + self.mode_constant / (e * m)
 
     @property
     def y_lo(self) -> float:

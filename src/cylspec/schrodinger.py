@@ -99,13 +99,6 @@ class BoundStateResult:
     margin: float | None = field(metadata={"report": "omit"})  # threshold - max eigenvalue
 
 
-def _grid_values(potential: ModePotential, ys) -> np.ndarray:
-    # V on a solver grid: a ModePotential reads its transform's shared
-    # sample, any other potential object is evaluated through values()
-    on_grid = getattr(potential, "on_grid", None)
-    return on_grid(ys) if on_grid is not None else np.asarray(potential.values(ys))
-
-
 def _require_window(potential: ModePotential, halfwidth: float):
     if potential.period_b is not None:
         raise ValidationError("bound states apply to stabilizing potentials only")
@@ -123,7 +116,7 @@ def _dirichlet_grid(potential: ModePotential, halfwidth: float, n: int):
     # interior nodes of [-L, L] with n subintervals
     h = 2.0 * halfwidth / n
     ys = -halfwidth + h * np.arange(1, n)
-    vals = _grid_values(potential, ys)
+    vals = potential.values(ys)
     diag = 2.0 / (h * h) + vals
     off = np.full(n - 2, -1.0 / (h * h))
     return diag, off, h
@@ -154,7 +147,7 @@ def bound_states(
     if grid < 16:
         raise ValidationError("grid too coarse")
     thr = potential.threshold
-    ends = _grid_values(potential, np.array([-halfwidth, halfwidth]))
+    ends = potential.values(np.array([-halfwidth, halfwidth]))
     settle = float(np.max(np.abs(ends - thr)))
     if settle >= SETTLE_TOL:
         raise WindowError(
@@ -256,8 +249,8 @@ def _period_grid(potential: ModePotential) -> np.ndarray:
     return np.linspace(0.0, potential.period_b, 4096, endpoint=False)
 
 
-def _magnus_steps(potential: ModePotential) -> int:
-    """Propagator steps per period, from the potential alone.
+def _magnus_steps(b: float, vs: np.ndarray) -> int:
+    """Propagator steps per period, from the period b and V on its grid.
 
     The propagator's error in Delta, relative to max(1, |Delta|), stayed
     below 0.83 (b^2 range V)^2 / n^4 on cosine and summed-cosine
@@ -268,8 +261,7 @@ def _magnus_steps(potential: ModePotential) -> int:
     problem takes the same steps.  band_structure certifies n against 2n
     on its energy range.
     """
-    vs = _grid_values(potential, _period_grid(potential))
-    spread = (potential.period_b**2 * float(np.ptp(vs))) ** 2
+    spread = (b**2 * float(np.ptp(vs))) ** 2
     n = 256
     while spread > NOISE_FLOOR * float(n) ** 4:
         n *= 2
@@ -293,9 +285,10 @@ def _propagator(potential: ModePotential, steps: int | None = None):
     """
     if potential.period_b is None:
         raise ValidationError("monodromy applies to periodic potentials only")
-    n = steps or _magnus_steps(potential)
-    h = potential.period_b / n
-    v = _grid_values(potential, h * (np.arange(n)[:, None] + _GAUSS2).ravel()).reshape(n, 2)
+    b = potential.period_b
+    n = steps or _magnus_steps(b, potential.values(_period_grid(potential)))
+    h = b / n
+    v = potential.values(h * (np.arange(n)[:, None] + _GAUSS2).ravel()).reshape(n, 2)
     a = (math.sqrt(3.0) / 12.0) * (h * h) * (v[:, 0] - v[:, 1])
     hv = h * (0.5 * (v[:, 0] + v[:, 1]))  # h * mean V
     chunk = max(1, _POINT_BUDGET // n)
@@ -474,7 +467,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
         raise ValidationError("band structure applies to periodic potentials only")
     b = potential.period_b
 
-    vs = _grid_values(potential, _period_grid(potential))
+    vs = potential.values(_period_grid(potential))
     nv = vs.size
     v_hat = np.fft.fft(vs) / nv
     mean_v = float(np.real(v_hat[0]))
@@ -495,7 +488,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     if not e_max > v_min:  # the potential lies wholly above e_max
         return empty
 
-    n = _magnus_steps(potential)
+    n = _magnus_steps(b, vs)
     prop = _propagator(potential, n)
 
     def delta(es):

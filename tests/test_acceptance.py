@@ -148,7 +148,7 @@ def test_04_embedded_eigenvalues_above_variational_cutoff(excess_report):
     )
     assert len(above) >= 3
     points = {
-        (p.flavor, p.mode_constant, p.energy): p for p in excess_report.squared_points
+        (p.group.flavor, p.group.mode_constant, p.energy): p for p in excess_report.squared_points
     }
     for m in el:
         lam = m.group.mode_constant

@@ -131,11 +131,11 @@ def test_point_flags_match_thresholds():
     assert len(report.squared_points) >= 2
     thresholds = {m.group.mode_constant: m.threshold for m in report.modes}
     for pt in report.squared_points:
-        others = [t for c, t in thresholds.items() if c != pt.mode_constant]
+        others = [t for c, t in thresholds.items() if c != pt.group.mode_constant]
         assert pt.embedded == (pt.energy >= min(others))
         assert pt.outside_support == (pt.energy < min(thresholds.values()))
         # bound-state energies always respect the universal floor
-        mode = next(m for m in report.modes if m.group.mode_constant == pt.mode_constant)
+        mode = next(m for m in report.modes if m.group.mode_constant == pt.group.mode_constant)
         assert pt.energy >= mode.lower_bound
 
 
@@ -231,7 +231,7 @@ def test_energies_scale_with_epsilon():
         rep4 = run_stabilizing_analysis(prof4, spectrum, 3.0, halfwidth=20.0, grid=1000)
         assert len(rep.squared_points) == len(rep4.squared_points) > 0
         for p, p4 in zip(rep.squared_points, rep4.squared_points):
-            assert (p.flavor, p.mode_constant) == (p4.flavor, p4.mode_constant)
+            assert p.group == p4.group
             tol = p4.refinement_estimate + p.refinement_estimate / 4.0
             assert abs(p4.energy - p.energy / 4.0) <= tol
 

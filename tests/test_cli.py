@@ -286,12 +286,20 @@ _NEUMANN = [0.0, 2.0, 85.0]
             {"kind": "synthetic", "dirichlet_csv": "d.csv", "neumann": _NEUMANN},
             "d.csv:2",
         ),
+        (("numerics",), "e_max", "numerics must be a JSON object"),
+        (("cross_section",), "kind", "cross_section must be a JSON object"),
+        (("profile", "classification"), "kind", "classification must be a JSON object"),
+        (("outputs",), [], "outputs must be a JSON object"),
+        (("outputs",), {"report": None}, "'report'"),
+        (("outputs",), {"report": ""}, "'report'"),
     ],
     ids=[
         "e_max-text", "e_max-null", "grid", "width", "amplitude", "grid-fraction",
         "count-fraction", "e_max-bool", "e_max-numeric-text", "halfwidth-inf", "value-bool",
         "certificate-text", "certificate-number", "certificate-null",
         "dirichlet-nan", "dirichlet-csv-nan",
+        "numerics-text", "cross_section-text", "classification-text", "outputs-list",
+        "output-null", "output-empty",
     ],
 )
 def test_malformed_number_is_bad_input(tmp_path, capsys, path, value, named):

@@ -309,34 +309,41 @@ def test_electric_potential_is_magnetic_of_swapped_profile(c):
     m = build_potential(_transform(prof.swapped(), (-6.0, 6.0)), "m", c)
     ys = np.linspace(-3.0, 3.0, 61)
     assert np.array_equal(np.asarray(el.values(ys)), np.asarray(m.values(ys)))
-    assert np.array_equal(el.on_grid(ys), m.on_grid(ys))
     assert el.threshold == m.threshold and el.lower_bound == m.lower_bound
 
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_shared_sample_matches_pointwise_values(periodic):
-    if periodic:
-        data = _transform(_periodic_two_sided_profile())
-        ys = np.linspace(0.0, data.period_b, 257)
-    else:
-        data = _transform(_two_sided_profile(), (-6.0, 6.0))
-        ys = np.linspace(-4.0, 4.0, 257)
+    def fresh():
+        if periodic:
+            data = _transform(_periodic_two_sided_profile())
+            return data, np.linspace(0.0, data.period_b, 257)
+        return _transform(_two_sided_profile(), (-6.0, 6.0)), np.linspace(-4.0, 4.0, 257)
+
+    def pots(data):
+        return {
+            "m": build_potential(data, "m", 2.5),
+            "el": build_potential(data, "el", 2.5),
+            "zero": build_potential(data, "zero", 0.0, n_boundary=2),
+        }
+
+    cold = {}
+    for flavor in ("m", "el", "zero"):
+        data, ys = fresh()  # a memo this flavor fills itself
+        cold[flavor] = pots(data)[flavor].values(ys)
     # the magnetic view fills the memo first, so the other two read it
-    # with the triples exchanged
-    pots = [
-        build_potential(data, "m", 2.5),
-        build_potential(data, "el", 2.5),
-        build_potential(data, "zero", 0.0, n_boundary=2),
-    ]
-    for pot in pots:
-        assert np.array_equal(pot.on_grid(ys), np.asarray(pot.values(ys)))
-    assert len(data.samples) == 1
-    assert data.swapped().samples is data.samples
-    sample = data.sample(ys)
-    assert np.array_equal(sample.ys, ys)
-    assert np.array_equal(sample.z, np.asarray(data.inverse(ys)))
-    with pytest.raises(ValueError):
-        sample.e[0] = 0.0  # shared between modes, so read-only
+    # with the triples exchanged; then the other way round
+    for first in ("m", "el"):
+        data, ys = fresh()
+        warm = pots(data)
+        for flavor in (first, "m", "el", "zero"):
+            assert np.array_equal(warm[flavor].values(ys), cold[flavor]), (first, flavor)
+        assert len(data.samples) == 1
+        assert data.swapped().samples is data.samples
+        for raw in (data._raw(ys), data.swapped()._raw(ys)):
+            for a in raw:
+                with pytest.raises(ValueError):
+                    a[0] = 0.0  # shared between modes, so read-only
 
 
 def test_shared_sample_inverts_each_grid_once(monkeypatch):
@@ -351,9 +358,9 @@ def test_shared_sample_inverts_each_grid_once(monkeypatch):
     monkeypatch.setattr(type(data), "inverse", counted)
     ys = np.linspace(-4.0, 4.0, 101)
     for c in (1.0, 2.0, 3.0):
-        build_potential(data, "el", c).on_grid(ys)
-        build_potential(data, "m", c).on_grid(ys)
-        build_potential(data, "el", c).on_grid(ys.copy())  # same bytes
+        build_potential(data, "el", c).values(ys)
+        build_potential(data, "m", c).values(ys)
+        build_potential(data, "el", c).values(ys.copy())  # same bytes
     assert calls == [101]
-    build_potential(data, "el", 1.0).on_grid(ys[1:])  # another grid
+    build_potential(data, "el", 1.0).values(ys[1:])  # another grid
     assert calls == [101, 100]
