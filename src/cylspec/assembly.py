@@ -34,7 +34,9 @@ from .profiles import (
     Stabilizing,
     essential_bounds,
 )
-from .schrodinger import SETTLE_TOL, BandStructure, BoundStateResult, band_structure, bound_states
+from .schrodinger import (
+    SETTLE_TOL, BandStructure, BoundStateResult, band_structure, bound_states, merge_intervals
+)
 
 __all__ = [
     "ModeBudget",
@@ -192,22 +194,11 @@ _MERGE_TOL = 1e-9
 _GAP_REPORT_TOL = 1e-6
 
 
-def _merge_intervals(intervals, tol=_MERGE_TOL):
-    out: list[list[float]] = []
-    for lo, hi in sorted(intervals):
-        if out and lo - out[-1][1] <= tol:
-            out[-1][1] = max(out[-1][1], hi)
-        else:
-            out.append([lo, hi])
-    return [(a, b) for a, b in out]
-
-
-def _union_gaps(intervals):
-    gaps = []
-    for (a, b), (c, d) in zip(intervals[:-1], intervals[1:]):
-        if c > b:
-            gaps.append(GapReport(lower=b, upper=c, possibly_closed=(c - b) < _GAP_REPORT_TOL))
-    return gaps
+def _union_gaps(union):
+    return [
+        GapReport(lower=b, upper=c, possibly_closed=(c - b) < _GAP_REPORT_TOL)
+        for (_, b), (c, _) in zip(union[:-1], union[1:])
+    ]
 
 
 def _symmetrize(intervals, points):
@@ -218,8 +209,7 @@ def _symmetrize(intervals, points):
     """
     pos = [(math.sqrt(max(a, 0.0)), math.sqrt(max(b, 0.0))) for a, b in intervals]
     mirrored = [(-b, -a) for a, b in pos]
-    support = sorted(mirrored + pos)
-    support = _merge_intervals(support, tol=0.0)
+    support = merge_intervals(mirrored + pos, 0.0)
     pts = []
     for e in points:
         r = math.sqrt(max(e, 0.0))
@@ -273,11 +263,7 @@ def _solve_groups(data: LiouvilleData, spectrum: CrossSectionSpectrum, groups, s
 
     def run(group: ModeGroup):
         pot = build_potential(
-            data,
-            group.flavor,
-            group.mode_constant,
-            index=group.indices[0],
-            n_boundary=spectrum.boundary_components,
+            data, group.flavor, group.mode_constant, n_boundary=spectrum.boundary_components
         )
         return solve(group, pot)
 
@@ -291,7 +277,7 @@ def _report(kind, spectrum, bounds, budget, transform, results, intervals, point
     """Union the per-mode intervals and mirror them to the first-order
     operator; inf_sq is the bottom of the squared spectrum, which sets
     the central gap of a simply connected cross-section."""
-    union = _merge_intervals(intervals)
+    union = merge_intervals(intervals, _MERGE_TOL)
     central = None
     if spectrum.boundary_components == 1 and math.isfinite(inf_sq) and inf_sq > 0:
         r = math.sqrt(inf_sq)
@@ -433,7 +419,8 @@ def finite_gap_certificate(
     on, with (2N+1) pi^2 > (w_high - w_low + 2 delta) b^2 so the free
     spacing dominates), every point above K = pi^2 N^2 / b^2 + w_high +
     delta lies inside one of the two families' bands.  The conclusion
-    is then verified directly on a grid of step 1e-3.
+    is then checked exactly: [K, e_max] must lie inside one interval of
+    the union of the two families' eigenvalue bands.
     """
     b = low.period
     if abs(high.period - b) > 1e-12 * max(1.0, b):
@@ -468,14 +455,15 @@ def finite_gap_certificate(
             d = max(d, abs(hi - (math.pi * n / b) ** 2 - w))
         return d
 
+    # N is the first index whose suffix maximum of deviations is below delta
     ok = False
     k_start = math.nan
-    n_cert, max_dev = 0, math.inf
-    for n0 in range(n_spacing, n_avail + 1):
-        devs = [deviation(n) for n in range(n0, n_avail + 1)]
-        if devs and max(devs) < delta:
-            n_cert, max_dev = n0, max(devs)
+    n_cert, max_dev, suffix_max = 0, math.inf, 0.0
+    for n in range(n_avail, n_spacing - 1, -1):
+        suffix_max = max(suffix_max, deviation(n))
+        if suffix_max >= delta:
             break
+        n_cert, max_dev = n, suffix_max
     if not n_cert:
         reason = "edge deviations never drop below delta in the analyzed range"
     else:
@@ -483,17 +471,12 @@ def finite_gap_certificate(
         if k_start >= e_max:
             reason = f"coverage start {k_start:.6g} is not below e_max {e_max:.6g}"
         else:
-            union = _merge_intervals(list(pairs1) + list(pairs2), tol=0.0)
-            boundaries = np.array([x for lo, hi in union for x in (lo, hi)])
-            es = np.arange(k_start, e_max, 1e-3)
-            es = np.append(es, e_max)
-            # inside some interval iff searchsorted index is odd
-            idx = np.searchsorted(boundaries, es)
-            covered = idx % 2 == 1
-            on_edge = np.isin(es, boundaries)
-            ok = bool(np.all(covered | on_edge))
-            first_bad = float(es[~(covered | on_edge)][0]) if not ok else math.nan
-            reason = "verified" if ok else f"energy {first_bad:.6f} in [K, e_max] is uncovered"
+            # [K, e_max] must lie in one interval of the union; coverage
+            # ends at the top of the interval holding K, or at K itself
+            union = merge_intervals(list(pairs1) + list(pairs2), 0.0)
+            end = next((hi for lo, hi in union if lo <= k_start <= hi), k_start)
+            ok = end >= e_max
+            reason = "verified" if ok else f"coverage of [K, e_max] ends at energy {end:.6f}"
     return FiniteGapCertificate(
         verified=ok,
         reason=reason,

@@ -8,8 +8,8 @@ The config names a cross-section, a coefficient profile, a task, and
 numeric knobs, each a finite JSON number (integral where an integer is
 meant); artifacts (a JSON report plus CSV tables) land next to the
 config unless it gives other paths.  Exit status: 0 on success, 2 for
-anything wrong with the inputs, 3 when a numeric routine could not
-certify its result.
+anything wrong with the inputs or an output that cannot be written, 3
+when a numeric routine could not certify its result.
 
 Reports must be byte-identical across reruns of the same config, so
 everything goes through a canonical writer: floats at 17 significant
@@ -20,6 +20,7 @@ are the field names of the result dataclasses, in field order.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -64,7 +65,7 @@ from .weighted_operator import WeightedOperatorSpec, weighted_eigenvalues
 __all__ = ["main"]
 
 _SCHEMA_VERSION = 1
-_TASKS = ("stabilizing_analysis", "periodic_analysis", "oracle_check")
+_TASKS = ("stabilizing_analysis", "periodic_analysis")
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +137,21 @@ def dumps_canonical(obj) -> str:
 
 
 def _atomic_write(path: Path, text: str):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    """Write through a temporary file beside path; an OSError from any
+    step is raised again naming path, not the temporary file."""
+    tmp = None
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+    except BaseException as exc:
+        if tmp:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -452,7 +457,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
             by_c[el[0]].structure, by_c[el[1]].structure, e_max
         )
 
-    if with_oracle or task == "oracle_check":
+    if with_oracle:
         if rep.classification == "stabilizing":
             summary, oracle_rows = _oracle_stabilizing(profile, rep, halfwidth)
             header = [
@@ -499,7 +504,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="parallel mode solves (default: CYLSPEC_JOBS or 1)",
+        help="parallel mode solves (default: 1)",
     )
     runp.add_argument(
         "--oracle",
@@ -513,28 +518,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("CYLSPEC_JOBS", "").strip()
-        if env:
-            try:
-                jobs = int(env)
-            except ValueError:
-                print(f"error: CYLSPEC_JOBS is not an integer: {env!r}", file=sys.stderr)
-                return 2
-    if jobs is not None and jobs < 1:
+    if args.jobs is not None and args.jobs < 1:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 2
 
     try:
-        return _run(args.config, jobs, args.oracle, args.dump_potentials)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _run(args.config, args.jobs, args.oracle, args.dump_potentials)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except CylspecError as exc:
+    except (CylspecError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -94,25 +94,16 @@ CrossSectionSpec = Rectangle | Disk | Synthetic
 
 
 def _rectangle_levels(width: float, height: float, count: int, lowest: int) -> list[float]:
-    # enumerate pi^2 (m^2/w^2 + n^2/h^2) over m, n >= lowest in ascending order
+    # the lowest count of pi^2 (m^2/w^2 + n^2/h^2) over m, n >= lowest; the
+    # cap is the level m = n = count + 1, so the diagonal levels m = n <=
+    # count + 1 alone put more than count levels under it
     pi2 = np.pi * np.pi
     cap = pi2 * (count + 1) ** 2 * (1.0 / width**2 + 1.0 / height**2)
-    while True:
-        vals = []
-        m = lowest
-        while pi2 * m * m / width**2 <= cap:
-            n = lowest
-            while True:
-                v = pi2 * (m * m / width**2 + n * n / height**2)
-                if v > cap:
-                    break
-                vals.append(v)
-                n += 1
-            m += 1
-        if len(vals) >= count:
-            vals.sort()
-            return vals[:count]
-        cap *= 2.0  # cap estimate too low for thin rectangles; widen and retry
+    reach = np.sqrt(cap / pi2)  # m <= width * reach and n <= height * reach
+    m = np.arange(lowest, int(width * reach) + 2)[:, None]
+    n = np.arange(lowest, int(height * reach) + 2)
+    v = pi2 * (m * m / width**2 + n * n / height**2)
+    return np.sort(v[v <= cap])[:count].tolist()
 
 
 def _disk_levels(radius: float, count: int, neumann: bool) -> list[float]:

@@ -37,5 +37,5 @@ class NumericalError(CylspecError):
 
 
 class ResolutionError(NumericalError):
-    """Band-edge location failed or cross-validation disagreed; a finer
-    energy grid is advised."""
+    """Band-edge location failed or cross-validation disagreed; lowering
+    e_max leaves out the modes and bands that could not be resolved."""

@@ -383,7 +383,6 @@ class ModePotential:
     threshold: float | None
     lower_bound: float
     period_b: float | None
-    index: int | None = None
 
     def values(self, y):
         e, e1, e2, m, m1, m2 = self.data._raw(y)
@@ -407,7 +406,6 @@ def build_potential(
     flavor: str,
     mode_constant: float,
     *,
-    index: int | None = None,
     n_boundary: int = 1,
 ) -> ModePotential:
     """Assemble the reduced potential for one mode.
@@ -448,5 +446,4 @@ def build_potential(
         threshold=threshold,
         lower_bound=float(lower_bound),
         period_b=data.period_b,
-        index=index,
     )

@@ -432,20 +432,27 @@ def _bisect(test, lo, hi):
     return lo, hi
 
 
-def _flatten_edges(pairs, merge_tol, cap):
-    """Merge bands across gaps below merge_tol, list edges below cap."""
-    merged = []
-    for lo, hi in pairs:
-        if merged and lo - merged[-1][1] <= merge_tol:
-            merged[-1] = (merged[-1][0], hi)
+def merge_intervals(intervals, tol):
+    """Sorted union of closed intervals; neighbours at most tol apart join."""
+    out = []
+    for lo, hi in sorted(intervals):
+        if out and lo - out[-1][1] <= tol:
+            out[-1] = (out[-1][0], max(out[-1][1], hi))
         else:
-            merged.append((lo, hi))
-    flat = []
-    for lo, hi in merged:
-        flat.append(lo)
-        if hi < cap - 1e-12:
-            flat.append(hi)
-    return flat
+            out.append((lo, hi))
+    return out
+
+
+def _join_uncertified(pairs, certified):
+    """(lower, upper) pairs with pair k joined to the one before it when
+    the gap between them is not certified (certified[k - 1] is False)."""
+    out = []
+    for k, (lo, hi) in enumerate(pairs):
+        if 0 < k <= certified.size and not certified[k - 1]:
+            out[-1] = (out[-1][0], hi)
+        else:
+            out.append((lo, hi))
+    return out
 
 
 def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
@@ -557,14 +564,8 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     excess = -s[:-1] * delta(mids) - 2.0
     certified = excess > NOISE_FLOOR
     closed_points = mids[~certified & (excess <= _TOUCH_TOL) & (excess >= -CLOSURE_TOL)]
-    bands, gaps = [], []
-    for k in range(n_bands):
-        if k and not certified[k - 1]:
-            bands[-1] = (bands[-1][0], upper[k])
-            continue
-        if k:
-            gaps.append((upper[k - 1], lower[k]))
-        bands.append((lower[k], upper[k]))
+    bands = _join_uncertified(zip(lower, upper), certified)
+    gaps = [(upper[k], lower[k + 1]) for k in np.flatnonzero(certified)]
 
     # --- independent eigenvalue route -----------------------------------
     k_modes = max(32, int(math.ceil(b * math.sqrt(max(e_max, 1.0)) / math.pi)) + 16)
@@ -588,14 +589,13 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
 
     # --- edge-by-edge agreement, the reference merged across the gaps the
     # discriminant cannot certify ------------------------------------------
-    merged_ref = []
-    for k, pair in enumerate(ref_pairs):
-        if k and k <= certified.size and not certified[k - 1]:
-            merged_ref[-1] = (merged_ref[-1][0], pair[1])
-        else:
-            merged_ref.append(pair)
-    ref_flat = _flatten_edges(merged_ref, CROSS_TOL, e_max)
-    got_flat = _flatten_edges(bands, CROSS_TOL, e_max)
+    def edges(pairs):  # every lower edge, and the upper ones below e_max
+        out = []
+        for lo, hi in merge_intervals(pairs, CROSS_TOL):
+            out += [lo, hi] if hi < e_max - 1e-12 else [lo]
+        return out
+
+    ref_flat, got_flat = edges(_join_uncertified(ref_pairs, certified)), edges(bands)
     if len(ref_flat) != len(got_flat):
         raise ResolutionError(
             f"edge count mismatch: discriminant route found {len(got_flat)} edges, "

@@ -28,7 +28,7 @@ from cylspec.profiles import (
     essential_bounds,
     make_profile,
 )
-from cylspec.schrodinger import band_structure
+from cylspec.schrodinger import BandStructure, band_structure
 
 
 def _unit_square(count=40):
@@ -307,3 +307,72 @@ def test_certificate_rejects_period_mismatch():
     b = band_structure(_FlatV(2.0, 0.5), 15.0)
     with pytest.raises(ValidationError):
         finite_gap_certificate(a, b)
+
+
+# Hand-built band pairs on the period b = pi, where the free edge pattern
+# of band n is ((n - 1)^2 + w, n^2 + w).  Means 0 and 2 give delta = 0.5,
+# and the spacing condition (2N + 1) pi^2 > 3 b^2 holds from N = 2 on, so
+# K = N^2 + 2.5.
+
+
+def _hand_built(w, pairs, e_max):
+    return BandStructure(
+        period=math.pi,
+        mean_potential=w,
+        bands=tuple(pairs),
+        gaps=(),
+        closed_gap_points=(),
+        unresolved_gaps=(),
+        eigenvalue_band_edges=tuple(pairs),
+        validation_max_dev=0.0,
+        e_max=e_max,
+        periodic_eigenvalues=(),
+        antiperiodic_eigenvalues=(),
+    )
+
+
+def _free_pairs(w, count):
+    return [((n - 1) ** 2 + w, n**2 + w) for n in range(1, count + 1)]
+
+
+def test_certificate_coverage_closed_at_both_ends():
+    # K = 6.5 is the lower end of the last band of the upper family and
+    # e_max = 11 its upper end; no band reaches below 6.5 to cover K
+    low = _hand_built(0.0, [(0.0, 1.0), (1.0, 4.0)], 11.0)
+    pairs = [(2.0, 3.0), (3.0, 6.0), (6.5, 11.0)]
+    cert = finite_gap_certificate(low, _hand_built(2.0, pairs, 11.0))
+    assert cert.n_asymptotic == 2 and cert.coverage_start == 6.5
+    assert cert.verified, cert.reason
+    # one ulp of daylight under K and the check fails there
+    pairs[-1] = (math.nextafter(6.5, 7.0), 11.0)
+    cert = finite_gap_certificate(low, _hand_built(2.0, pairs, 11.0))
+    assert not cert.verified
+    assert cert.reason == "coverage of [K, e_max] ends at energy 6.500000"
+    # a gap narrower than any energy grid step, between grid points
+    pairs[-1:] = [(6.5, 8.0002), (8.0008, 11.0)]
+    cert = finite_gap_certificate(low, _hand_built(2.0, pairs, 11.0))
+    assert cert.reason == "coverage of [K, e_max] ends at energy 8.000200"
+
+
+def test_certificate_names_last_covered_energy():
+    # both families' bands stop at 9 and 11, below the analyzed e_max 12
+    low = _hand_built(0.0, _free_pairs(0.0, 3), 12.0)
+    high = _hand_built(2.0, _free_pairs(2.0, 3), 12.0)
+    cert = finite_gap_certificate(low, high)
+    assert cert.n_asymptotic == 2 and cert.coverage_start == 6.5
+    assert not cert.verified
+    assert cert.reason == "coverage of [K, e_max] ends at energy 11.000000"
+
+
+def test_certificate_takes_first_index_after_which_deviations_stay_below():
+    # deviations per band n: 0 at n = 2, 0.7 at n = 3, then 0.1, 0.2, 0.05
+    lows, highs = _free_pairs(0.0, 6), _free_pairs(2.0, 6)
+    lows[2] = (4.0, 9.7)
+    lows[3] = (9.1, 16.0)
+    highs[4] = (18.0, 27.2)
+    lows[5] = (25.05, 36.0)
+    cert = finite_gap_certificate(_hand_built(0.0, lows, 30.0), _hand_built(2.0, highs, 30.0))
+    assert cert.n_asymptotic == 4
+    assert cert.max_edge_deviation == pytest.approx(0.2, abs=1e-12)
+    assert cert.coverage_start == 18.5
+    assert cert.verified, cert.reason

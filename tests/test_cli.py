@@ -120,14 +120,6 @@ def test_oracle_flag_writes_comparison(tmp_path):
     assert len(lines) >= 2
 
 
-def test_oracle_check_task_implies_oracle(tmp_path):
-    cfg = _write_cfg(tmp_path, _stabilizing_cfg(task="oracle_check"))
-    assert main(["run", str(cfg)]) == 0
-    assert (tmp_path / "oracle.csv").exists()
-    report = json.loads((tmp_path / "report.json").read_text())
-    assert "oracle" in report
-
-
 def test_dump_potentials(tmp_path):
     cfg = _write_cfg(tmp_path, _stabilizing_cfg())
     assert main(["run", str(cfg), "--dump-potentials"]) == 0
@@ -223,8 +215,9 @@ def test_wrong_schema_version(tmp_path):
 
 
 def test_unknown_task(tmp_path):
-    cfg = _write_cfg(tmp_path, _stabilizing_cfg(task="resolvent_analysis"))
-    assert main(["run", str(cfg)]) == 2
+    for task in ("resolvent_analysis", "oracle_check"):
+        cfg = _write_cfg(tmp_path, _stabilizing_cfg(task=task))
+        assert main(["run", str(cfg)]) == 2
 
 
 def test_negative_e_max(tmp_path):
@@ -330,17 +323,20 @@ def test_profile_bounds_computed_once_per_run(tmp_path, monkeypatch, make_cfg):
     assert len(calls) == 1
 
 
-def test_bad_jobs_values(tmp_path, monkeypatch):
+def test_bad_jobs_values(tmp_path):
     cfg = _write_cfg(tmp_path, _stabilizing_cfg())
     assert main(["run", str(cfg), "--jobs", "0"]) == 2
-    monkeypatch.setenv("CYLSPEC_JOBS", "two")
+
+
+def test_unwritable_output_is_bad_input(tmp_path, capsys):
+    # the report path names an existing directory: exit 2 with a message
+    # naming that path, and no temporary file left behind
+    (tmp_path / "sub").mkdir()
+    cfg = _write_cfg(tmp_path, _periodic_cfg(outputs={"report": "sub"}))
     assert main(["run", str(cfg)]) == 2
-
-
-def test_jobs_env_fallback(tmp_path, monkeypatch):
-    cfg = _write_cfg(tmp_path, _stabilizing_cfg())
-    monkeypatch.setenv("CYLSPEC_JOBS", "2")
-    assert main(["run", str(cfg)]) == 0
+    err = capsys.readouterr().err
+    assert str(tmp_path / "sub") in err and ".tmp" not in err
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_cli_import_leaves_out_scipy_integrate():

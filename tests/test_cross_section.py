@@ -89,31 +89,34 @@ def test_rectangle_anisotropic_first():
     assert sp.neumann[1] == pytest.approx(PI2 / 4.0, rel=1e-14)
 
 
+def _brute_levels(w, h, count, lowest, top=300):
+    levels = sorted(
+        PI2 * (m * m / w**2 + n * n / h**2)
+        for m in range(lowest, top + 1)
+        for n in range(lowest, top + 1)
+    )
+    # every level past the enumerated range lies above the ones kept
+    assert levels[count - 1] < PI2 * (top + 1) ** 2 / max(w, h) ** 2
+    return levels[:count]
+
+
+# (width, height, count): random shapes, thin ones of aspect 25, and the
+# level count of a 220-mode budget
+_RECTANGLES = [
+    (float(w), float(h), 25) for w, h in np.random.default_rng(11).uniform(0.5, 3.0, (5, 2))
+] + [(2.5, 0.1, 220), (0.1, 2.5, 60), (1.0, 1.0, 220), (1.7, 0.6, 220)]
+
+
 def test_rectangle_enumeration_against_brute_force():
-    rng = np.random.default_rng(11)
-    for _ in range(5):
-        w, h = rng.uniform(0.5, 3.0, size=2)
-        count = 25
-        got = dirichlet_eigenvalues(Rectangle(float(w), float(h)), count)
-        brute = sorted(
-            PI2 * (m * m / w**2 + n * n / h**2)
-            for m in range(1, 60)
-            for n in range(1, 60)
-        )[:count]
-        assert np.allclose(got, brute, rtol=1e-13)
+    for w, h, count in _RECTANGLES:
+        got = dirichlet_eigenvalues(Rectangle(w, h), count)
+        assert got == _brute_levels(w, h, count, 1), (w, h, count)
 
 
 def test_rectangle_neumann_brute_force():
-    rng = np.random.default_rng(12)
-    w, h = rng.uniform(0.5, 3.0, size=2)
-    count = 25
-    got = neumann_eigenvalues(Rectangle(float(w), float(h)), count)
-    brute = sorted(
-        PI2 * (m * m / w**2 + n * n / h**2)
-        for m in range(0, 60)
-        for n in range(0, 60)
-    )[:count]
-    assert np.allclose(got, brute, rtol=1e-13, atol=1e-13)
+    for w, h, count in _RECTANGLES:
+        got = neumann_eigenvalues(Rectangle(w, h), count)
+        assert got == _brute_levels(w, h, count, 0), (w, h, count)
 
 
 def test_disk_dirichlet_against_bessel_oracle():

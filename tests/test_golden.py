@@ -48,6 +48,17 @@ def _first_difference(got, want, path):
     return None
 
 
+def _first_line_difference(got: bytes, want: bytes) -> str:
+    """The first line where two texts differ, with both versions."""
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    for i, (g, w) in enumerate(zip(got_lines, want_lines), start=1):
+        if g != w:
+            return f"line {i}: {g!r}, expected {w!r}"
+    if len(got_lines) != len(want_lines):
+        return f"{len(got_lines)} lines, expected {len(want_lines)}"
+    return "the lines are equal, the bytes are not"
+
+
 @pytest.mark.parametrize(
     "case, jobs", RUNS, ids=[c if j == 1 else f"{c}-jobs{j}" for c, j in RUNS]
 )
@@ -65,4 +76,6 @@ def test_artifacts_match_golden_bytes(case, jobs, tmp_path):
         if name.endswith(".json") and got != want:
             diff = _first_difference(json.loads(got), json.loads(want), "")
             where = f"{name}: {diff or 'parsed documents are equal, the bytes are not'}"
+        elif got != want:
+            where = f"{name}: {_first_line_difference(got, want)}"
         assert got == want, where

@@ -223,10 +223,10 @@ def test_window_validation():
 def test_mode_potential_landmarks():
     prof = _bump_profile()  # eps in [1, 2], limit 1; mu = 1
     data = _transform(prof, (-8.0, 8.0))
-    pot = build_potential(data, "el", 3.0, index=1)
+    pot = build_potential(data, "el", 3.0)
     assert pot.threshold == pytest.approx(3.0, rel=1e-15)
     assert pot.lower_bound == pytest.approx(1.5, rel=1e-15)
-    assert pot.flavor == "el" and pot.index == 1
+    assert pot.flavor == "el" and pot.mode_constant == 3.0
     # far from the bump the potential settles at the threshold
     assert float(pot.values(data.y_hi - 0.1)) == pytest.approx(3.0, abs=1e-6)
 
