@@ -22,8 +22,6 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .cross_section import CrossSectionSpectrum
 from .errors import InsufficientDataError, ValidationError
 from .liouville import LiouvilleData, build_potential, build_transform
@@ -35,7 +33,13 @@ from .profiles import (
     essential_bounds,
 )
 from .schrodinger import (
-    SETTLE_TOL, BandStructure, BoundStateResult, band_structure, bound_states, merge_intervals
+    SETTLE_TOL,
+    BandStructure,
+    BoundStateResult,
+    band_structure,
+    bound_states,
+    merge_intervals,
+    settle_residual,
 )
 
 __all__ = [
@@ -232,20 +236,18 @@ _LADDER_GROWTH = 1.3
 _LADDER_STEPS = 6
 
 
-def _settled_halfwidth(data: LiouvilleData, initial: float, c_max: float):
-    """Smallest halfwidth from the growth ladder where every budgeted
-    potential has settled: |V - threshold| <= curvature + c * drift at
-    the window ends, bounded here with the largest mode constant."""
+def _settled_halfwidth(pots, initial: float) -> float:
+    """Smallest halfwidth from the growth ladder at which every budgeted
+    potential has settled: its settle_residual is below SETTLE_TOL, the
+    test bound_states applies."""
     for k in range(_LADDER_STEPS):
         cand = initial * (_LADDER_GROWTH**k)
-        if data.y_lo > -cand or data.y_hi < cand:
-            return None
-        ends = np.array([-cand, cand])
-        v = np.abs(data.curvature_term(ends))
-        drift = np.abs(1.0 / data.product_tilde(ends) - 1.0 / data.profile.limit_product)
-        if float(np.max(v + c_max * drift)) < SETTLE_TOL:
+        if all(settle_residual(pot, cand) < SETTLE_TOL for pot in pots):
             return cand
-    return None
+    raise ValidationError(
+        "could not settle the potential tails inside the transform window; "
+        "the coefficients approach their limits too slowly for this halfwidth"
+    )
 
 
 def _prologue(profile: CoefficientProfile, spectrum: CrossSectionSpectrum, e_max: float, kind):
@@ -257,20 +259,16 @@ def _prologue(profile: CoefficientProfile, spectrum: CrossSectionSpectrum, e_max
     return bounds, budget, _grouped_modes(budget)
 
 
-def _solve_groups(data: LiouvilleData, spectrum: CrossSectionSpectrum, groups, solve, jobs):
-    """solve(group, potential) for every group, in group order; on a
-    thread pool when jobs > 1."""
+def _potentials(data: LiouvilleData, spectrum: CrossSectionSpectrum, groups):
+    n = spectrum.boundary_components
+    return [build_potential(data, g.flavor, g.mode_constant, n_boundary=n) for g in groups]
 
-    def run(group: ModeGroup):
-        pot = build_potential(
-            data, group.flavor, group.mode_constant, n_boundary=spectrum.boundary_components
-        )
-        return solve(group, pot)
 
-    if jobs and jobs > 1 and len(groups) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(run, groups))
-    return [run(g) for g in groups]
+def _solve_groups(groups, pots, solve, jobs):
+    """solve(group, potential) for every group, in group order, on a pool
+    of `jobs` threads (one by default)."""
+    with ThreadPoolExecutor(max_workers=jobs or 1) as pool:
+        return list(pool.map(solve, groups, pots))
 
 
 def _report(kind, spectrum, bounds, budget, transform, results, intervals, points, inf_sq):
@@ -314,13 +312,8 @@ def run_stabilizing_analysis(
     lo_speed = math.sqrt(bounds.eps_lower * bounds.mu_lower)
     z_half = halfwidth * _LADDER_GROWTH**_LADDER_STEPS / lo_speed * 1.05 + 1.0
     data = build_transform(profile, bounds, window=(-z_half, z_half))
-    constants = (0.0,) + budget.electric_constants + budget.magnetic_constants
-    settled = _settled_halfwidth(data, halfwidth, max(constants))
-    if settled is None:
-        raise ValidationError(
-            "could not settle the potential tails inside the transform window; "
-            "the coefficients approach their limits too slowly for this halfwidth"
-        )
+    pots = _potentials(data, spectrum, groups)
+    settled = _settled_halfwidth(pots, halfwidth)
 
     def solve(group: ModeGroup, pot) -> StabilizingModeResult:
         res = bound_states(pot, settled, grid)
@@ -334,7 +327,7 @@ def run_stabilizing_analysis(
             ac_interval=ac,
         )
 
-    results = _solve_groups(data, spectrum, groups, solve, jobs)
+    results = _solve_groups(groups, pots, solve, jobs)
     thresholds = [r.threshold for r in results]
 
     points: list[SpectralPoint] = []
@@ -383,7 +376,8 @@ def run_periodic_analysis(
         bs = band_structure(pot, e_max)
         return PeriodicModeResult(group=group, lower_bound=pot.lower_bound, structure=bs)
 
-    results = _solve_groups(data, spectrum, groups, solve, jobs)
+    pots = _potentials(data, spectrum, groups)
+    results = _solve_groups(groups, pots, solve, jobs)
     intervals = [band for r in results for band in r.structure.bands]
     inf_sq = min((r.structure.bands[0][0] for r in results if r.structure.bands), default=math.inf)
     return _report("periodic", spectrum, bounds, budget, data, results, intervals, (), inf_sq)
@@ -407,20 +401,19 @@ class FiniteGapCertificate:
     max_edge_deviation: float  # over bands n >= N, both structures
 
 
-def finite_gap_certificate(
-    low: BandStructure, high: BandStructure, e_max: float | None = None
-) -> FiniteGapCertificate:
+def finite_gap_certificate(low: BandStructure, high: BandStructure) -> FiniteGapCertificate:
     """Certify that the two-mode band union has no gaps in [K, e_max].
 
-    The two structures must share the period.  With w_k the mean
-    potentials, delta = (w_high - w_low) / 4 splits the asymptotic edge
-    patterns pi^2 n^2 / b^2 + w_k of the two structures; once both edge
-    families deviate from their pattern by less than delta (from band N
-    on, with (2N+1) pi^2 > (w_high - w_low + 2 delta) b^2 so the free
-    spacing dominates), every point above K = pi^2 N^2 / b^2 + w_high +
-    delta lies inside one of the two families' bands.  The conclusion
-    is then checked exactly: [K, e_max] must lie inside one interval of
-    the union of the two families' eigenvalue bands.
+    The two structures must share the period, and e_max is the smaller
+    of their analyzed ranges.  With w_k the mean potentials, delta =
+    (w_high - w_low) / 4 splits the asymptotic edge patterns pi^2 n^2 /
+    b^2 + w_k of the two structures; once both edge families deviate
+    from their pattern by less than delta (from band N on, with (2N+1)
+    pi^2 > (w_high - w_low + 2 delta) b^2 so the free spacing
+    dominates), every point above K = pi^2 N^2 / b^2 + w_high + delta
+    lies inside one of the two families' bands.  The conclusion is then
+    checked exactly: [K, e_max] must lie inside one interval of the
+    union of the two families' eigenvalue bands.
     """
     b = low.period
     if abs(high.period - b) > 1e-12 * max(1.0, b):
@@ -433,11 +426,7 @@ def finite_gap_certificate(
     if sep <= 0:
         raise ValidationError("mean potentials coincide; certificate needs distinct modes")
     delta = sep / 4.0
-    cap = min(low.e_max, high.e_max)
-    if e_max is None:
-        e_max = cap
-    if e_max > cap + 1e-12:
-        raise ValidationError("e_max exceeds the analyzed range of the band structures")
+    e_max = min(low.e_max, high.e_max)
 
     n_spacing = 1
     while (2 * n_spacing + 1) * math.pi**2 <= (sep + 2.0 * delta) * b * b:

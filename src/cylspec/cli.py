@@ -66,6 +66,14 @@ __all__ = ["main"]
 
 _SCHEMA_VERSION = 1
 _TASKS = ("stabilizing_analysis", "periodic_analysis")
+# config "outputs" key -> default file name, beside the config
+_OUTPUTS = {
+    "report": "report.json",
+    "oracle_csv": "oracle.csv",
+    "bound_states_csv": "bound_states.csv",
+    "band_edges_csv": "band_edges.csv",
+    "potentials_csv": "potentials.csv",
+}
 
 
 # ---------------------------------------------------------------------------
@@ -156,8 +164,7 @@ def _atomic_write(path: Path, text: str):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    buf = []
-    buf.append(",".join(header))
+    buf = [",".join(header)]
     for row in rows:
         cells = []
         for v in row:
@@ -302,10 +309,10 @@ def _oracle_stabilizing(profile, rep: SpectrumReport, halfwidth: float) -> tuple
     in their own axial variable."""
     rows = []
     worst = 0.0
-    picked = [m for m in rep.modes if m.bound.count > 0][:3]
+    picked = [m for m in rep.modes if m.bound.eigenvalues][:3]
     for m in picked:
         prof = profile if m.group.flavor != "m" else profile.swapped()
-        n_eigs = min(5, m.bound.count)
+        n_eigs = min(5, len(m.bound.eigenvalues))
         spec = WeightedOperatorSpec(prof, m.group.mode_constant, halfwidth, 8000)
         wres = weighted_eigenvalues(spec, n_eigs)
         for i in range(n_eigs):
@@ -424,6 +431,16 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     for key, name in outputs.items():
         if not (isinstance(name, str) and name):
             raise ValidationError(f"config outputs: '{key}' must be a file name, got {name!r}")
+    # every path this run writes, checked before any compute
+    written = ["report", "bound_states_csv" if task == "stabilizing_analysis" else "band_edges_csv"]
+    if with_oracle:
+        written.append("oracle_csv")
+    if dump_potentials:
+        written.append("potentials_csv")
+    paths = {key: base / outputs.get(key, _OUTPUTS[key]) for key in written}
+    for key, path in paths.items():
+        if path.is_dir():
+            raise ValidationError(f"config outputs: '{key}' names a directory: {path}")
 
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
     profile = _parse_profile(_need(cfg, "profile", "root"))
@@ -447,15 +464,13 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     doc["essential_bounds"] = rep.bounds
 
     if is_periodic and certificate:
-        by_c = {m.group.mode_constant: m for m in rep.modes if m.group.flavor == "el"}
-        el = sorted(by_c)
+        # groups are distinct in (flavor, constant) and sorted by constant
+        el = [m.structure for m in rep.modes if m.group.flavor == "el"][:2]
         if len(el) < 2:
             raise ValidationError(
                 "finite_gap_certificate needs two distinct electric mode constants in budget"
             )
-        doc["finite_gap_certificate"] = finite_gap_certificate(
-            by_c[el[0]].structure, by_c[el[1]].structure, e_max
-        )
+        doc["finite_gap_certificate"] = finite_gap_certificate(*el)
 
     if with_oracle:
         if rep.classification == "stabilizing":
@@ -472,23 +487,19 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
             summary, oracle_rows = _oracle_periodic(rep)
             header = ["flavor", "mode_constant", "metric", "value"]
         doc["oracle"] = summary
-        oracle_path = base / outputs.get("oracle_csv", "oracle.csv")
-        _write_csv(oracle_path, header, oracle_rows)
+        _write_csv(paths["oracle_csv"], header, oracle_rows)
 
-    report_path = base / outputs.get("report", "report.json")
-    _atomic_write(report_path, dumps_canonical(doc) + "\n")
+    _atomic_write(paths["report"], dumps_canonical(doc) + "\n")
 
     if rep.classification == "stabilizing":
-        _write_bound_states_csv(base / outputs.get("bound_states_csv", "bound_states.csv"), rep)
+        _write_bound_states_csv(paths["bound_states_csv"], rep)
     else:
-        _write_band_edges_csv(base / outputs.get("band_edges_csv", "band_edges.csv"), rep)
+        _write_band_edges_csv(paths["band_edges_csv"], rep)
 
     if dump_potentials:
-        _write_potentials_csv(
-            base / outputs.get("potentials_csv", "potentials.csv"), rep, halfwidth
-        )
+        _write_potentials_csv(paths["potentials_csv"], rep, halfwidth)
 
-    print(f"report written: {report_path}")
+    print(f"report written: {paths['report']}")
     return 0
 
 

@@ -19,7 +19,8 @@ the potentials are
 
 The magnetic branch is exactly the electric one with the roles of eps
 and mu exchanged (eta flips sign under the swap), so a single code path
-serves all three flavors, driven by a swapped view of the transform.
+serves all three flavors: a magnetic potential reads the eps and mu
+data of the one transform in exchanged roles.
 
 Transported derivatives never touch finite differences: with
 w = eps*mu and ' denoting d/dz,
@@ -34,13 +35,14 @@ the inverse map is almost all of the cost of evaluating a potential.
 So every read of the transformed coefficients goes through one memo:
 each distinct y-grid is inverted once per transform, and the eps/mu
 triples (value, d/dz, d^2/dz^2) at z(ys) are kept, read-only, for every
-later read of the same grid.  The memo does not depend on the flavor:
-the Newton slope sqrt(eps mu) and the integrand are symmetric in eps and
-mu, so z(y) of the swapped view is bitwise that of the original, and
-the magnetic view shares the memo with the two triples exchanged.  In
-`cylspec run` the memo holds the solver grids and a two-point grid per
-step of the settle search; library calls that read at points of their
-own (the variational witness search and bound) add those grids.
+later read of the same grid.  The memo holds one orientation, that of
+the transform's profile, and serves every flavor: each mode potential
+orders the two triples by its own flavor.  (The Newton slope sqrt(eps
+mu) and the integrand are symmetric in eps and mu, so a transform of
+the swapped profile has bitwise the same z(y).)  In `cylspec run` the
+memo holds the solver grids and a two-point grid per step of the settle
+search; library calls that read at points of their own (the variational
+witness search and bound) add those grids.
 
 The forward map is materialized as an adaptive panel decomposition of
 the integrand with a certified budget (1e-11 over the window);
@@ -53,7 +55,7 @@ b = y(a), and so does its inverse.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -157,12 +159,10 @@ class LiouvilleData:
     y_offset: float  # F(0), subtracted so that y(0) = 0
     period_b: float | None  # travel time of one period, periodic case only
     bounds: EssentialBounds
-    # grid shape and bytes -> the eps/mu triples at z(ys), in the
-    # orientation of the profile given to build_transform; shared with
-    # the swapped view
+    # grid shape and bytes -> the eps/mu triples at z(ys), shared by
+    # every mode potential on this transform
     samples: dict = field(default_factory=dict, repr=False, compare=False)
     samples_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
-    eps_mu_swapped: bool = False  # profile is the swap of the memo's one
 
     # -- maps -----------------------------------------------------------
 
@@ -234,8 +234,8 @@ class LiouvilleData:
     # -- transported coefficients ---------------------------------------
 
     def _raw(self, y):
-        """eps and mu with their first two z-derivatives at z(y), in this
-        view's orientation; each distinct grid is inverted once."""
+        """eps and mu with their first two z-derivatives at z(y); each
+        distinct grid is inverted once."""
         ys = np.ascontiguousarray(np.atleast_1d(y), dtype=float)
         key = (ys.shape, ys.tobytes())
         with self.samples_lock:
@@ -244,10 +244,8 @@ class LiouvilleData:
                 raw = self._coefficients(self.inverse(ys))
                 for a in raw:
                     a.setflags(write=False)
-                if self.eps_mu_swapped:
-                    raw = raw[3:] + raw[:3]
                 self.samples[key] = raw
-        return raw[3:] + raw[:3] if self.eps_mu_swapped else raw
+        return raw
 
     def _coefficients(self, zs):
         e = np.asarray(self.profile.epsilon.eval(zs, 0))
@@ -280,29 +278,17 @@ class LiouvilleData:
         return out if np.ndim(y) else float(out[0])
 
     def eta(self, y):
-        out = self._eta_pair(y)[0]
+        out = _eta_from_raw(*self._raw(y))[0]
         return out if np.ndim(y) else float(out[0])
 
     def eta_prime(self, y):
-        out = self._eta_pair(y)[1]
+        out = _eta_from_raw(*self._raw(y))[1]
         return out if np.ndim(y) else float(out[0])
-
-    def _eta_pair(self, y):
-        e, e1, e2, m, m1, m2 = self._raw(y)
-        return _eta_from_raw(e, e1, e2, m, m1, m2)
 
     def curvature_term(self, y):
-        """eta^2 - eta', the mode-independent part of the potential."""
-        et, etp = self._eta_pair(y)
-        out = et * et - etp
+        """eta^2 - eta', the mode-independent part of the electric potential."""
+        out = _curvature(self._raw(y))
         return out if np.ndim(y) else float(out[0])
-
-    def swapped(self) -> "LiouvilleData":
-        """Same map with eps and mu exchanged (eta changes sign); it
-        shares the memo, read with the triples exchanged."""
-        return replace(
-            self, profile=self.profile.swapped(), eps_mu_swapped=not self.eps_mu_swapped
-        )
 
 
 def _transported(g, g1, g2, other, other1, order: int):
@@ -326,6 +312,11 @@ def _eta_from_raw(e, e1, e2, m, m1, m2):
     eta_val = 0.25 * (le - lm)
     eta_der = 0.25 * (et2 / e - le * le - mt2 / m + lm * lm)
     return eta_val, eta_der
+
+
+def _curvature(raw):
+    et, etp = _eta_from_raw(*raw)
+    return et * et - etp
 
 
 def build_transform(
@@ -379,15 +370,25 @@ class ModePotential:
 
     flavor: str  # "el" | "m" | "zero"
     mode_constant: float
-    data: LiouvilleData  # already swapped for the magnetic flavor
+    data: LiouvilleData  # the transform, shared by every flavor
     threshold: float | None
     lower_bound: float
     period_b: float | None
 
+    def _raw(self, y):
+        # the memo triples in this flavor's roles: the magnetic potential
+        # is the electric one with eps and mu exchanged
+        raw = self.data._raw(y)
+        return raw[3:] + raw[:3] if self.flavor == "m" else raw
+
+    def curvature_term(self, y):
+        """eta^2 - eta' of this flavor, the mode-independent part of V."""
+        out = _curvature(self._raw(y))
+        return out if np.ndim(y) else float(out[0])
+
     def values(self, y):
-        e, e1, e2, m, m1, m2 = self.data._raw(y)
-        et, etp = _eta_from_raw(e, e1, e2, m, m1, m2)
-        out = et * et - etp + self.mode_constant / (e * m)
+        raw = self._raw(y)
+        out = _curvature(raw) + self.mode_constant / (raw[0] * raw[3])
         return out if np.ndim(y) else float(out[0])
 
     __call__ = values
@@ -410,19 +411,16 @@ def build_potential(
 ) -> ModePotential:
     """Assemble the reduced potential for one mode.
 
-    The magnetic flavor runs the electric construction on the swapped
-    transform; the zero flavor is the electric one at constant 0 and
-    exists only when the boundary has at least two components.
+    Every flavor reads the same transform; the magnetic potential reads
+    its eps and mu in exchanged roles.  The zero flavor is the electric
+    one at constant 0 and exists only when the boundary has at least two
+    components.
     """
     cls = data.profile.classification
-    if flavor == "el":
+    if flavor in ("el", "m"):
         if not mode_constant > 0:
-            raise ValidationError("electric flavor needs a positive mode constant")
-        mode_data = data
-    elif flavor == "m":
-        if not mode_constant > 0:
-            raise ValidationError("magnetic flavor needs a positive mode constant")
-        mode_data = data.swapped()
+            kind = "electric" if flavor == "el" else "magnetic"
+            raise ValidationError(f"{kind} flavor needs a positive mode constant")
     elif flavor == "zero":
         if mode_constant != 0.0:
             raise ValidationError("zero flavor carries mode constant 0")
@@ -430,7 +428,6 @@ def build_potential(
             raise TopologyError(
                 "zero-mode branch needs a multiply connected cross-section (N >= 2)"
             )
-        mode_data = data
     else:
         raise ValidationError(f"unknown flavor {flavor!r}")
 
@@ -442,7 +439,7 @@ def build_potential(
     return ModePotential(
         flavor=flavor,
         mode_constant=float(mode_constant),
-        data=mode_data,
+        data=data,
         threshold=threshold,
         lower_bound=float(lower_bound),
         period_b=data.period_b,

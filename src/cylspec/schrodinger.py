@@ -62,6 +62,7 @@ from .profiles import Stabilizing, locate_product_excess
 
 __all__ = [
     "BoundStateResult",
+    "settle_residual",
     "bound_states",
     "count_below",
     "monodromy",
@@ -94,9 +95,6 @@ class BoundStateResult:
     refinement_estimates: tuple[float, ...]
     window_halfwidth: float  # halfwidth L of [-L, L]
     grid: int  # finer grid (2n) behind the reported values
-    count: int = field(metadata={"report": "omit"})
-    threshold: float = field(metadata={"report": "omit"})
-    margin: float | None = field(metadata={"report": "omit"})  # threshold - max eigenvalue
 
 
 def _require_window(potential: ModePotential, halfwidth: float):
@@ -110,6 +108,12 @@ def _require_window(potential: ModePotential, halfwidth: float):
             f"transform window [{potential.y_lo:.3f}, {potential.y_hi:.3f}] "
             f"does not cover [-{halfwidth}, {halfwidth}]"
         )
+
+
+def settle_residual(potential: ModePotential, halfwidth: float) -> float:
+    """max |V - threshold| at the window ends y = -L and y = L."""
+    ends = potential.values(np.array([-halfwidth, halfwidth]))
+    return float(np.max(np.abs(ends - potential.threshold)))
 
 
 def _dirichlet_grid(potential: ModePotential, halfwidth: float, n: int):
@@ -147,8 +151,7 @@ def bound_states(
     if grid < 16:
         raise ValidationError("grid too coarse")
     thr = potential.threshold
-    ends = potential.values(np.array([-halfwidth, halfwidth]))
-    settle = float(np.max(np.abs(ends - thr)))
+    settle = settle_residual(potential, halfwidth)
     if settle >= SETTLE_TOL:
         raise WindowError(
             f"potential not settled at the window ends "
@@ -180,17 +183,11 @@ def bound_states(
         if refined < thr:
             pairs.append((float(refined), float(est)))
     pairs.sort()
-    values = tuple(v for v, _ in pairs)
-    estimates = tuple(e for _, e in pairs)
-    margin = (thr - max(values)) if values else None
     return BoundStateResult(
-        eigenvalues=values,
-        refinement_estimates=estimates,
+        eigenvalues=tuple(v for v, _ in pairs),
+        refinement_estimates=tuple(e for _, e in pairs),
         window_halfwidth=float(halfwidth),
         grid=2 * grid,
-        count=len(values),
-        threshold=float(thr),
-        margin=margin,
     )
 
 
@@ -407,15 +404,13 @@ class BandStructure:
 
     period: float  # travel time b of one period
     mean_potential: float
-    bands: tuple[tuple[float, float], ...]
-    gaps: tuple[tuple[float, float], ...]
-    closed_gap_points: tuple[float, ...]
-    unresolved_gaps: tuple[tuple[float, float], ...]
-    eigenvalue_band_edges: tuple[tuple[float, float], ...]
-    validation_max_dev: float
     e_max: float = field(metadata={"report": "omit"})
-    periodic_eigenvalues: tuple[float, ...] = field(metadata={"report": "omit"})
-    antiperiodic_eigenvalues: tuple[float, ...] = field(metadata={"report": "omit"})
+    bands: tuple[tuple[float, float], ...] = ()
+    gaps: tuple[tuple[float, float], ...] = ()
+    closed_gap_points: tuple[float, ...] = ()
+    unresolved_gaps: tuple[tuple[float, float], ...] = ()
+    eigenvalue_band_edges: tuple[tuple[float, float], ...] = ()
+    validation_max_dev: float = 0.0
 
 
 def _bisect(test, lo, hi):
@@ -478,19 +473,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     nv = vs.size
     v_hat = np.fft.fft(vs) / nv
     mean_v = float(np.real(v_hat[0]))
-    empty = BandStructure(
-        period=float(b),
-        bands=(),
-        gaps=(),
-        closed_gap_points=(),
-        unresolved_gaps=(),
-        eigenvalue_band_edges=(),
-        e_max=float(e_max),
-        mean_potential=mean_v,
-        periodic_eigenvalues=(),
-        antiperiodic_eigenvalues=(),
-        validation_max_dev=0.0,
-    )
+    empty = BandStructure(period=float(b), mean_potential=mean_v, e_max=float(e_max))
     v_min = float(np.min(vs))
     if not e_max > v_min:  # the potential lies wholly above e_max
         return empty
@@ -501,12 +484,11 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     def delta(es):
         return _checked_trace(prop(es))
 
+    # below V every propagator step is hyperbolic with positive entries,
+    # so their product (det 1) has Delta > 2; the check catches a V that
+    # dips more than 1 below v_min between its samples
     e_start = v_min - 1.0
-    for _ in range(60):
-        if float(delta([e_start])[0]) > 2.0:
-            break
-        e_start -= max(1.0, 0.1 * abs(e_start))
-    else:
+    if not float(delta([e_start])[0]) > 2.0:
         raise ResolutionError("could not find the region below the first band")
 
     # the propagator's step count must hold Delta to the noise floor on
@@ -571,14 +553,11 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     k_modes = max(32, int(math.ceil(b * math.sqrt(max(e_max, 1.0)) / math.pi)) + 16)
     per = _plane_wave_eigs(v_hat, b, antiperiodic=False, k_modes=k_modes)
     anti = _plane_wave_eigs(v_hat, b, antiperiodic=True, k_modes=k_modes)
-    ref_pairs = []
-    k = 1
-    while k - 1 < min(per.size, anti.size):
-        lo_ref, hi_ref = (per[k - 1], anti[k - 1]) if k % 2 else (anti[k - 1], per[k - 1])
-        if lo_ref > e_max:
-            break
-        ref_pairs.append((float(lo_ref), float(hi_ref)))
-        k += 1
+    # band k runs from a periodic to an antiperiodic eigenvalue for k odd,
+    # the other way round for k even
+    odd = np.arange(per.size) % 2 == 0
+    lo_ref, hi_ref = np.where(odd, per, anti), np.where(odd, anti, per)
+    ref_pairs = [(float(lo), float(hi)) for lo, hi in zip(lo_ref, hi_ref) if lo <= e_max]
     if not ref_pairs or not bands:
         if ref_pairs or bands:
             raise ResolutionError(
@@ -620,11 +599,9 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
         gaps=tuple((float(lo), float(hi)) for lo, hi in gaps),
         closed_gap_points=tuple(float(x) for x in closed_points),
         unresolved_gaps=tuple((float(lo), float(hi)) for lo, hi in unresolved),
-        eigenvalue_band_edges=tuple((float(lo), float(hi)) for lo, hi in ref_pairs),
+        eigenvalue_band_edges=tuple(ref_pairs),
         e_max=float(e_max),
         mean_potential=mean_v,
-        periodic_eigenvalues=tuple(float(x) for x in per[per <= e_max + 1.0]),
-        antiperiodic_eigenvalues=tuple(float(x) for x in anti[anti <= e_max + 1.0]),
         validation_max_dev=float(max_dev),
     )
 
@@ -738,7 +715,7 @@ def variational_upper_bound(
         return np.minimum(up, down)
 
     def curv_weighted(y):
-        return np.asarray(data.curvature_term(y)) * zeta(y) ** 2
+        return np.asarray(potential.curvature_term(y)) * zeta(y) ** 2
 
     def invprod_weighted(y):
         return zeta(y) ** 2 / np.asarray(data.product_tilde(y))

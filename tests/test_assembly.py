@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cylspec.assembly import (
+    _LADDER_GROWTH,
     finite_gap_certificate,
     mode_budget,
     run_periodic_analysis,
@@ -20,15 +21,16 @@ from cylspec.assembly import (
 )
 from cylspec.cross_section import Rectangle, Synthetic, build_spectrum
 from cylspec.errors import InsufficientDataError, ValidationError
-from cylspec.liouville import LiouvilleData
+from cylspec.liouville import LiouvilleData, build_potential
 from cylspec.profiles import (
     Constant,
     CosinePeriodic,
+    GaussianBump,
     Sech2Bump,
     essential_bounds,
     make_profile,
 )
-from cylspec.schrodinger import BandStructure, band_structure
+from cylspec.schrodinger import SETTLE_TOL, BandStructure, band_structure, settle_residual
 
 
 def _unit_square(count=40):
@@ -147,7 +149,7 @@ def test_zero_branch_present_for_multiply_connected():
     z = zero_modes[0]
     assert z.group.multiplicity == 2
     assert z.threshold == 0.0
-    assert z.bound.count == 0
+    assert z.bound.eigenvalues == ()
     # essential spectrum reaches down to zero, so no central gap
     assert report.central_gap is None
     assert report.squared_support[0][0] == pytest.approx(0.0, abs=1e-12)
@@ -234,6 +236,51 @@ def test_energies_scale_with_epsilon():
             assert p.group == p4.group
             tol = p4.refinement_estimate + p.refinement_estimate / 4.0
             assert abs(p4.energy - p.energy / 4.0) <= tol
+
+
+def test_swap_law_exchanges_electric_and_magnetic_groups():
+    # with neumann = (0,) + dirichlet the electric modes of a profile and
+    # the magnetic modes of its swap (eps <-> mu) solve the same problems,
+    # so the two analyses agree group for group, to the last bit
+    dirichlet = (3.0, 7.0, 200.0)
+    spec = Synthetic(dirichlet=dirichlet, neumann=(0.0,) + dirichlet)
+    spectrum = build_spectrum(spec, 3, 4)
+    prof = make_profile(Sech2Bump(1.0, 0.5, 0.3, 1.0), GaussianBump(1.0, 0.4, -0.2, 1.2))
+    reports = [
+        run_stabilizing_analysis(p, spectrum, 30.0, grid=1000) for p in (prof, prof.swapped())
+    ]
+    assert sum(len(m.bound.eigenvalues) for m in reports[0].modes) > 0
+    for rep, other in (reports, reports[::-1]):
+        electric = [m for m in rep.modes if m.group.flavor == "el"]
+        magnetic = {m.group.mode_constant: m for m in other.modes if m.group.flavor == "m"}
+        assert len(electric) == len(magnetic) == 2
+        for el in electric:
+            m = magnetic[el.group.mode_constant]
+            assert (el.threshold, el.lower_bound) == (m.threshold, m.lower_bound)
+            assert el.bound == m.bound
+
+
+def test_ladder_settles_every_potential_at_the_first_step_it_can():
+    # a wide bump settles slowly, so the ladder climbs from halfwidth 10;
+    # mode constants far apart settle at different steps, and the zero
+    # branch (N = 2) has the curvature term alone
+    prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 2.5), Constant(1.0))
+    spec = Synthetic(
+        dirichlet=(0.05, 50.0, 200.0), neumann=(0.0, 0.02, 200.0), boundary_components=2
+    )
+    spectrum = build_spectrum(spec, 3, 3)
+    report = run_stabilizing_analysis(prof, spectrum, 40.0, halfwidth=10.0, grid=500)
+    settled = report.modes[0].bound.window_halfwidth
+    step = round(math.log(settled / 10.0) / math.log(_LADDER_GROWTH))
+    assert step >= 1 and settled == 10.0 * _LADDER_GROWTH**step
+    pots = [
+        build_potential(report.transform, m.group.flavor, m.group.mode_constant, n_boundary=2)
+        for m in report.modes
+    ]
+    assert [p.flavor for p in pots] == ["zero", "m", "el", "el"]
+    assert all(settle_residual(p, settled) < SETTLE_TOL for p in pots)
+    earlier = 10.0 * _LADDER_GROWTH ** (step - 1)
+    assert any(settle_residual(p, earlier) >= SETTLE_TOL for p in pots)
 
 
 # ---------------------------------------------------------------------------
@@ -326,8 +373,6 @@ def _hand_built(w, pairs, e_max):
         eigenvalue_band_edges=tuple(pairs),
         validation_max_dev=0.0,
         e_max=e_max,
-        periodic_eigenvalues=(),
-        antiperiodic_eigenvalues=(),
     )
 
 

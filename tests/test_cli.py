@@ -328,7 +328,7 @@ def test_bad_jobs_values(tmp_path):
     assert main(["run", str(cfg), "--jobs", "0"]) == 2
 
 
-def test_unwritable_output_is_bad_input(tmp_path, capsys):
+def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch):
     # the report path names an existing directory: exit 2 with a message
     # naming that path, and no temporary file left behind
     (tmp_path / "sub").mkdir()
@@ -337,6 +337,17 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert str(tmp_path / "sub") in err and ".tmp" not in err
     assert not list(tmp_path.glob("*.tmp"))
+
+    # the paths are checked before any compute: with --oracle nothing is
+    # written, and the analysis driver is never called
+    def never(*args, **kwargs):
+        raise AssertionError("analysis ran before the outputs were checked")
+
+    monkeypatch.setattr(cli, "run_periodic_analysis", never)
+    assert main(["run", str(cfg), "--oracle"]) == 2
+    assert str(tmp_path / "sub") in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name, "sub"]
+    assert not list((tmp_path / "sub").iterdir())
 
 
 def test_cli_import_leaves_out_scipy_integrate():

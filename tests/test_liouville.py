@@ -123,7 +123,7 @@ def test_swap_flips_eta_exactly():
         GaussianBump(1.0, 0.5, -0.4, 1.1),
     )
     data = _transform(prof, (-6.0, 6.0))
-    sw = data.swapped()
+    sw = _transform(prof.swapped(), (-6.0, 6.0))
     ys = np.linspace(-3.0, 3.0, 31)
     assert np.array_equal(np.asarray(sw.eta(ys)), -np.asarray(data.eta(ys)))
     # curvature picks up the sign of eta' only
@@ -249,6 +249,8 @@ def test_magnetic_potential_is_electric_on_swapped_profile():
     prod = np.asarray(data.product_tilde(ys))
     expect = et * et + etp + 4.0 / prod
     assert np.allclose(np.asarray(pot_m.values(ys)), expect, rtol=1e-12, atol=1e-12)
+    curv = np.asarray(pot_m.curvature_term(ys))
+    assert np.allclose(curv, et * et + etp, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_flavor_rules():
@@ -292,14 +294,15 @@ def _periodic_two_sided_profile():
 
 
 def test_swapped_inverse_is_bitwise_equal():
-    data = _transform(_two_sided_profile(), (-6.0, 6.0))
+    prof = _two_sided_profile()
+    data = _transform(prof, (-6.0, 6.0))
+    sw = _transform(prof.swapped(), (-6.0, 6.0))
     ys = np.linspace(data.y_lo, data.y_hi, 301)
-    assert np.array_equal(np.asarray(data.swapped().inverse(ys)), np.asarray(data.inverse(ys)))
-    pdata = _transform(_periodic_two_sided_profile())
+    assert np.array_equal(np.asarray(sw.inverse(ys)), np.asarray(data.inverse(ys)))
+    pprof = _periodic_two_sided_profile()
+    pdata, psw = _transform(pprof), _transform(pprof.swapped())
     ys = np.linspace(-2.0 * pdata.period_b, 3.0 * pdata.period_b, 301)
-    assert np.array_equal(
-        np.asarray(pdata.swapped().inverse(ys)), np.asarray(pdata.inverse(ys))
-    )
+    assert np.array_equal(np.asarray(psw.inverse(ys)), np.asarray(pdata.inverse(ys)))
 
 
 @pytest.mark.parametrize("c", [0.5, 3.0, 40.0])
@@ -314,11 +317,13 @@ def test_electric_potential_is_magnetic_of_swapped_profile(c):
 
 @pytest.mark.parametrize("periodic", [False, True])
 def test_shared_sample_matches_pointwise_values(periodic):
-    def fresh():
+    prof = _periodic_two_sided_profile() if periodic else _two_sided_profile()
+
+    def fresh(p=prof):
         if periodic:
-            data = _transform(_periodic_two_sided_profile())
+            data = _transform(p)
             return data, np.linspace(0.0, data.period_b, 257)
-        return _transform(_two_sided_profile(), (-6.0, 6.0)), np.linspace(-4.0, 4.0, 257)
+        return _transform(p, (-6.0, 6.0)), np.linspace(-4.0, 4.0, 257)
 
     def pots(data):
         return {
@@ -331,19 +336,25 @@ def test_shared_sample_matches_pointwise_values(periodic):
     for flavor in ("m", "el", "zero"):
         data, ys = fresh()  # a memo this flavor fills itself
         cold[flavor] = pots(data)[flavor].values(ys)
-    # the magnetic view fills the memo first, so the other two read it
-    # with the triples exchanged; then the other way round
+    # the magnetic potential fills the memo first, so the other two read
+    # it with the triples in their own roles; then the other way round
     for first in ("m", "el"):
         data, ys = fresh()
         warm = pots(data)
         for flavor in (first, "m", "el", "zero"):
             assert np.array_equal(warm[flavor].values(ys), cold[flavor]), (first, flavor)
-        assert len(data.samples) == 1
-        assert data.swapped().samples is data.samples
-        for raw in (data._raw(ys), data.swapped()._raw(ys)):
+        assert len(data.samples) == 1  # one entry serves every flavor
+        for raw in (data._raw(ys), warm["m"]._raw(ys)):
             for a in raw:
                 with pytest.raises(ValueError):
                     a[0] = 0.0  # shared between modes, so read-only
+    # a transform of the swapped profile is a separate memo, in which the
+    # two branches trade places bitwise
+    sw, ys = fresh(prof.swapped())
+    swapped = pots(sw)
+    assert np.array_equal(swapped["el"].values(ys), cold["m"])
+    assert np.array_equal(swapped["m"].values(ys), cold["el"])
+    assert len(sw.samples) == 1
 
 
 def test_shared_sample_inverts_each_grid_once(monkeypatch):

@@ -109,7 +109,7 @@ def test_agrees_with_transformed_solver_on_bound_states():
     data = build_transform(prof, essential_bounds(prof), window=(-20.0, 20.0))
     pot = build_potential(data, "el", lam)
     via_transform = bound_states(pot, 12.0, 4000)
-    assert via_transform.count >= 1
+    assert len(via_transform.eigenvalues) >= 1
     for i, e in enumerate(via_transform.eigenvalues):
         assert direct.eigenvalues[i] == pytest.approx(e, rel=1e-3)
 
