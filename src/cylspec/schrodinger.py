@@ -14,22 +14,22 @@ O(h^4), so E = (4 E_2n - E_n)/3 cancels the leading term.
 
 Periodic V with period b: the spectrum is a union of bands whose edges
 are characterized by the discriminant Delta(E), the trace of the one-
-period transfer matrix M(E).  M is the product of closed-form steps of
-a fourth-order Magnus propagator on exact samples of V, with a step
-count fixed by V alone and certified against twice as many steps, so
-Delta is an elementwise function of E that does not depend on the batch
-it is evaluated in; |Delta| <= 2 exactly on the bands, and det M = 1
-identically (it is a Wronskian, and checked as such).  Band
-edges are found by counting (Eastham 1973; Pryce 1993): gap k of the
-band union holds exactly one Dirichlet eigenvalue mu_k of one period,
-and the Pruefer angle of the solution with u(0) = 0, u'(0) = 1, carried
-through the same propagator, counts the mu_k below any energy.
-Bisecting that count brackets every mu_k below e_max; between mu_{k-1}
-and mu_k band k is the only set where |Delta| <= 2, so its edges are the
-bisected roots of Delta = +/-2 there, each refined by a line fitted
-through samples around it.  The edges are cross-validated against an
-independent plane-wave Galerkin eigensolve of the periodic and
-antiperiodic problems on one period: edge n of the band union is a
+period transfer matrix M(E).  M is the product of closed-form steps of a
+sixth-order Magnus propagator (Blanes, Casas & Ros 2000) on exact
+samples of V, with a step count fixed by V and e_max and certified
+against twice as many steps, so Delta is an elementwise function of E
+that does not depend on the batch it is evaluated in; |Delta| <= 2
+exactly on the bands, and det M = 1 identically (it is a Wronskian, and
+checked as such).  Band edges are found by counting (Eastham 1973; Pryce
+1993): gap k of the band union holds exactly one Dirichlet eigenvalue
+mu_k of one period, and the Pruefer angle of the solution with u(0) = 0,
+u'(0) = 1, carried through the same propagator, counts the mu_k below
+any energy.  Bisecting that count brackets every mu_k below e_max;
+between mu_{k-1} and mu_k band k is the only set where |Delta| <= 2, so
+its edges are the bisected roots of Delta = +/-2 there, each refined by
+a line fitted through samples around it.  The edges are cross-validated
+against an independent plane-wave Galerkin eigensolve of the periodic
+and antiperiodic problems on one period: edge n of the band union is a
 periodic eigenvalue for n odd and an antiperiodic one for n even,
 alternating.  Gaps where |Delta| only touches 2 are reported as closed
 gap points, not errors.
@@ -221,7 +221,7 @@ def count_below(potential: ModePotential, energy: float, halfwidth: float, grid:
 
 
 # Gauss-Legendre points of one propagator step, as fractions of the step
-_GAUSS2 = (0.5 - math.sqrt(3.0) / 6.0, 0.5 + math.sqrt(3.0) / 6.0)
+_GAUSS3 = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 # step-energy pairs per propagator chunk: bounds its memory, not the batch
 _POINT_BUDGET = 1 << 15
 # |Delta| - 2 below this is not a certified gap; the propagator's step
@@ -246,21 +246,29 @@ def _period_grid(potential: ModePotential) -> np.ndarray:
     return np.linspace(0.0, potential.period_b, 4096, endpoint=False)
 
 
-def _magnus_steps(b: float, vs: np.ndarray) -> int:
-    """Propagator steps per period, from the period b and V on its grid.
+def _magnus_steps(b: float, vs: np.ndarray, e_max: float) -> int:
+    """Propagator steps per period, from the period b, V on its grid and
+    the highest energy whose zeros are counted.
 
-    The propagator's error in Delta, relative to max(1, |Delta|), stayed
-    below 0.83 (b^2 range V)^2 / n^4 on cosine and summed-cosine
-    profiles in eps and mu with mode constants from 1 to 40 pi^2, largest
-    at the low end of the energy range; n is the least power of two, at
-    least 256, that puts (b^2 range V)^2 / n^4 below the noise floor.  It
-    is invariant under V(y) -> V(y/s)/s^2, b -> s b, so a rescaled
-    problem takes the same steps.  band_structure certifies n against 2n
-    on its energy range.
+    The propagator's error in Delta on [min V - 1, E], relative to
+    max(1, |Delta|), stayed below 9.6 (b^2 range V)^2 / n^6 for n from 64
+    to 512 and every E up to the bound the floor below puts on n, on
+    cosine and summed-cosine profiles (up to three harmonics) in eps and
+    mu with mode constants from 1 to 40 pi^2.  n is the least power of
+    two, at least 256, that puts 10 (b^2 range V)^2 / n^6 below the noise
+    floor.  The least n guards the band edges, which move by the error in
+    Delta over |Delta'|, small at the edges of narrow gaps: with 128 steps
+    an edge of the cosine mode el 2 pi^2 still moved by 1.7e-10, with 256
+    it had settled to rounding.  The floor n >= 2 b sqrt(e_max - min V)
+    / pi keeps each step's rotation r below pi/2 up to e_max, as counting
+    needs.  Both terms are invariant under V(y) -> V(y/s)/s^2, b -> s b, e_max -> e_max/s^2, so
+    a rescaled problem takes the same steps.  band_structure certifies n
+    against 2n on its energy range.
     """
     spread = (b**2 * float(np.ptp(vs))) ** 2
+    turn = 2.0 * b * math.sqrt(max(e_max - float(np.min(vs)), 0.0)) / math.pi
     n = 256
-    while spread > NOISE_FLOOR * float(n) ** 4:
+    while 10.0 * spread > NOISE_FLOOR * float(n) ** 6 or n < turn:
         n *= 2
     return n
 
@@ -268,39 +276,61 @@ def _magnus_steps(b: float, vs: np.ndarray) -> int:
 def _propagator(potential: ModePotential, steps: int | None = None):
     """One-period transfer matrices of a periodic potential, V sampled once.
 
-    Fourth-order Magnus propagator on n equal steps (Iserles & Norsett
-    1999): on a step of length h with V sampled at its two Gauss points,
-    Omega = [[a, h], [h (mean V - E), -a]] with a = sqrt(3) h^2 (V1 - V2)
-    / 12.  Omega is traceless, so exp(Omega) = C I + S Omega in closed
-    form, with C, S = cosh, sinh(r)/r or cos, sin(r)/r of r^2 = |det
-    Omega|.  The returned function maps a batch of energies to the states
-    (u, u', v, v')(b) of the columns started at (1, 0) and (0, 1), as a
-    4 x m array; with count=True a fifth row holds the lifted Pruefer
-    angle of the second column (see _magnus_product).  Every energy is
-    propagated on its own, so a value does not depend on the batch it
-    came in.
+    Sixth-order Magnus propagator on n equal steps (Blanes, Casas & Ros,
+    BIT 40, 2000): on a step of length h with A_i = [[0, 1], [V_i - E,
+    0]] at its three Gauss points, alpha_1 = h A_2, alpha_2 = sqrt(15) h
+    (A_3 - A_1) / 3, alpha_3 = 10 h (A_3 - 2 A_2 + A_1) / 3, C_1 =
+    [alpha_1, alpha_2], C_2 = -[alpha_1, 2 alpha_3 + C_1] / 60 and Omega =
+    alpha_1 + alpha_3 / 12 + [-20 alpha_1 - alpha_3 + C_1, alpha_2 + C_2]
+    / 240.  alpha_2 and alpha_3 are multiples of [[0, 0], [1, 0]] that do
+    not depend on E, so the commutators leave Omega = [[p, j], [k, -p]]
+    with p and k affine in E and j constant, all computed once per
+    potential.  Omega is traceless, so exp(Omega) = C I + S Omega in
+    closed form, with C, S = cosh, sinh(r)/r or cos, sin(r)/r of r^2 =
+    |det Omega|.  The returned function maps a batch of energies to the
+    states (u, u', v, v')(b) of the columns started at (1, 0) and (0, 1),
+    as a 4 x m array; with count=True a fifth row holds the lifted
+    Pruefer angle of the second column (see _magnus_product).  Every
+    energy is propagated on its own, so a value does not depend on the
+    batch it came in.  n must be a power of two.
     """
     if potential.period_b is None:
         raise ValidationError("monodromy applies to periodic potentials only")
     b = potential.period_b
-    n = steps or _magnus_steps(b, potential.values(_period_grid(potential)))
+    # discriminant and monodromy count no zeros, so need no turn floor
+    n = steps or _magnus_steps(b, potential.values(_period_grid(potential)), -math.inf)
     h = b / n
-    v = potential.values(h * (np.arange(n)[:, None] + _GAUSS2).ravel()).reshape(n, 2)
-    a = (math.sqrt(3.0) / 12.0) * (h * h) * (v[:, 0] - v[:, 1])
-    hv = h * (0.5 * (v[:, 0] + v[:, 1]))  # h * mean V
+    v = potential.values(h * (np.arange(n)[:, None] + _GAUSS3).ravel()).reshape(n, 3)
+    d = (math.sqrt(15.0) / 3.0) * h * (v[:, 2] - v[:, 0])  # alpha_2 = d K
+    g = (10.0 / 3.0) * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])  # alpha_3 = g K
+    # the commutators in closed form, with q = V_2 - E:
+    #   p = -h d / 12 + h^2 g d / 7200 + (h^3 d / 180) q
+    #   j = h - h^2 g / 180 + h^3 d^2 / 3600
+    #   k = g / 12 + h g^2 / 3600 - h d^2 / 120 + (h + h^2 g / 180 + h^3 d^2 / 3600) q
+    # kept as (p0, p1, j, k0, k1) with p = p0 - p1 E and k = k0 - k1 E
+    hd, hhd = h * d, h * h * d * d / 3600.0
+    p1 = h * h * hd / 180.0
+    k1 = h + h * h * g / 180.0 + h * hhd
+    omega = (
+        -hd / 12.0 + h * g * hd / 7200.0 + p1 * v[:, 1],  # p0
+        p1,
+        h - h * h * g / 180.0 + h * hhd,  # j
+        g / 12.0 + h * g * g / 3600.0 - hd * d / 120.0 + k1 * v[:, 1],  # k0
+        k1,
+    )
     chunk = max(1, _POINT_BUDGET // n)
 
     def run(energies, count=False):
         es = np.atleast_1d(np.asarray(energies, dtype=float))
         out = np.empty((5 if count else 4, es.size))
         for i in range(0, es.size, chunk):
-            out[:, i : i + chunk] = _magnus_product(a, hv, h, es[i : i + chunk], count)
+            out[:, i : i + chunk] = _magnus_product(omega, es[i : i + chunk], count)
         return out
 
     return run
 
 
-def _magnus_product(a, hv, h, es, count=False):
+def _magnus_product(omega, es, count=False):
     """Transfer matrices of the steps, multiplied pairwise.
 
     With count=True the lifted angle phi = atan2(u, u') of the column
@@ -311,17 +341,20 @@ def _magnus_product(a, hv, h, es, count=False):
     cover of SL(2, R)), so the turn of R's image under L is the value of
     atan2(P01, P11) - theta_R nearest theta_L.
     """
-    hq = hv[:, None] - h * es  # h (mean V - E), one row per step
-    w = (a * a)[:, None] + h * hq  # -det Omega
-    r = np.sqrt(np.abs(w))
-    c, s = np.empty_like(r), np.empty_like(r)
+    p0, p1, j, k0, k1 = omega
+    od = p0[:, None] - p1[:, None] * es  # diagonal of Omega, one row per step
+    ol = k0[:, None] - k1[:, None] * es  # lower corner
+    w = od * od + j[:, None] * ol  # -det Omega
     osc = w < 0.0  # each element takes one branch, not both
+    # r takes w's buffer and s * od takes od's: the leaves are the peak memory
+    r = np.sqrt(np.abs(w, out=w), out=w)
+    c, s = np.empty_like(r), np.empty_like(r)
     for part, cos, sin in ((osc, np.cos, np.sin), (~osc, np.cosh, np.sinh)):
         rp = r[part]
         c[part], s[part] = cos(rp), sin(rp)
     s = np.divide(s, r, out=np.ones_like(r), where=r > 0.0)
-    sa = s * a[:, None]
-    m00, m01, m10, m11 = c + sa, s * h, s * hq, c - sa
+    od *= s
+    m00, m01, m10, m11 = c + od, s * j[:, None], s * ol, c - od
     if count:
         if np.any(osc & (r >= 0.5 * math.pi)):
             raise NumericalError(
@@ -478,7 +511,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     if not e_max > v_min:  # the potential lies wholly above e_max
         return empty
 
-    n = _magnus_steps(b, vs)
+    n = _magnus_steps(b, vs, e_max)
     prop = _propagator(potential, n)
 
     def delta(es):

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 import cylspec.schrodinger as schrodinger
 from cylspec.errors import (
@@ -115,6 +116,23 @@ class _ShiftedV(_PeriodicV):
         w = 2.0 * np.pi * arr / self.period
         out = self.offset + self.amp * np.cos(w) + self.amp2 * np.cos(2.0 * w + self.phase)
         return out if np.ndim(ys) else float(out[0])
+
+
+@dataclass(frozen=True)
+class _Translated:
+    """A periodic stand-in read at y + shift."""
+
+    pot: _PeriodicV
+    shift: float
+
+    threshold = None
+
+    @property
+    def period_b(self):
+        return self.pot.period_b
+
+    def values(self, ys):
+        return self.pot.values(np.asarray(ys, dtype=float) + self.shift)
 
 
 # ---------------------------------------------------------------------------
@@ -242,6 +260,51 @@ def test_discriminant_does_not_depend_on_the_batch():
     batch = np.asarray(discriminant(pot, es))
     alone = np.array([discriminant(pot, float(e)) for e in es])
     assert np.array_equal(batch, alone)
+
+
+def test_propagator_is_sixth_order():
+    # a wrong coefficient in Omega lowers the order, and more steps can
+    # hide that from the n-vs-2n check: against 4096 steps, the error in
+    # Delta must fall by at least 40 per doubling (64 at sixth order)
+    pot = _ShiftedV(offset=0.0, amp=0.8, period=math.pi, amp2=0.3)
+    es = np.linspace(-2.1, 60.0, 257)
+
+    def trace(n):
+        return schrodinger._checked_trace(schrodinger._propagator(pot, n)(es))
+
+    ref = trace(4096)
+    errs = [np.max(np.abs(trace(n) - ref) / np.maximum(1.0, np.abs(ref))) for n in (32, 64, 128)]
+    assert errs[0] > 1e-9  # well above rounding, so the ratios measure the step
+    assert errs[0] / errs[1] >= 40.0 and errs[1] / errs[2] >= 40.0
+
+
+def test_step_matches_the_commutator_formula():
+    # the closed-form Omega against the commutators of Blanes, Casas & Ros
+    # taken literally on 2 x 2 matrices; terms beyond sixth order, which
+    # the order test cannot see, must match too
+    pot = _ShiftedV(offset=0.0, amp=3.0, period=math.pi, amp2=1.5)
+    n = 16
+    h = pot.period_b / n
+
+    def comm(x, y):
+        return x @ y - y @ x
+
+    for e in (-5.0, 0.3, 7.0, 40.0):
+        m = np.eye(2)
+        for i in range(n):
+            a = [
+                np.array([[0.0, 1.0], [pot.values(h * (i + t)) - e, 0.0]])
+                for t in schrodinger._GAUSS3
+            ]
+            a1 = h * a[1]
+            a2 = math.sqrt(15.0) * h / 3.0 * (a[2] - a[0])
+            a3 = 10.0 * h / 3.0 * (a[2] - 2.0 * a[1] + a[0])
+            c1 = comm(a1, a2)
+            c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
+            m = expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0) @ m
+        sf = schrodinger._propagator(pot, n)([e])[:, 0]
+        got = np.array([[sf[0], sf[2]], [sf[1], sf[3]]])
+        assert np.max(np.abs(got - m)) <= 1e-14 * np.max(np.abs(m))
 
 
 _SHIFTED = _ShiftedV(offset=0.0, amp=0.6, period=math.pi)
@@ -378,8 +441,8 @@ def test_band_edges_scale_with_epsilon():
     # tolerance is edge_tol, below edge_tol plus the n-vs-2n estimate.
     pot, pot4 = _cosine_mode(), _cosine_mode(mean=4.0, amplitude=1.2)
     steps = [
-        schrodinger._magnus_steps(p.period_b, p.values(schrodinger._period_grid(p)))
-        for p in (pot, pot4)
+        schrodinger._magnus_steps(p.period_b, p.values(schrodinger._period_grid(p)), e_max)
+        for p, e_max in ((pot, 60.0), (pot4, 15.0))
     ]
     assert steps[0] == steps[1]
     bs, bs4 = band_structure(pot, 60.0), band_structure(pot4, 15.0)
@@ -391,9 +454,25 @@ def test_band_edges_scale_with_epsilon():
         assert np.max(np.abs(got - ref)) <= edge_tol, name
 
 
+@pytest.mark.parametrize("s", [0.1, 0.37, 0.5])
+@given(amp=st.floats(0.3, 1.0), amp2=st.floats(0.2, 0.6), phase=st.floats(0.3, 2.8))
+def test_translation_leaves_band_edges_unchanged(s, amp, amp2, phase):
+    # V(y + s b) has the same Delta as V, so the same bands on both routes
+    pot = _ShiftedV(offset=0.0, amp=amp, period=math.pi, amp2=amp2, phase=phase)
+    bs = band_structure(pot, 20.0)
+    moved = band_structure(_Translated(pot, s * math.pi), 20.0)
+    tol = bs.validation_max_dev + moved.validation_max_dev + schrodinger.EDGE_TOL
+    for name, bound in (("bands", tol), ("gaps", tol), ("eigenvalue_band_edges", 1e-9)):
+        got, ref = np.asarray(getattr(moved, name)), np.asarray(getattr(bs, name))
+        assert got.shape == ref.shape and got.size > 0, name
+        assert np.max(np.abs(got - ref)) <= bound, name
+    assert moved.closed_gap_points == bs.closed_gap_points == ()
+    assert moved.unresolved_gaps == bs.unresolved_gaps == ()
+
+
 def test_unresolved_discriminant_is_rejected(monkeypatch):
     # too few propagator steps for the potential: n against 2n exposes it
-    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda b, vs: 16)
+    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda b, vs, e_max: 16)
     with pytest.raises(NumericalError, match="e_max = 60.0"):
         band_structure(_cosine_mode(), 60.0)
 
@@ -411,11 +490,20 @@ def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
         assert schrodinger._dirichlet_count(prop, [lo + 1e-6, hi - 1e-6]).tolist() == [k - 1, k]
 
 
-def test_count_rejects_steps_that_turn_too_far():
+def test_count_rejects_steps_that_turn_too_far(monkeypatch):
     # 256 steps over b = 1.3 turn by about h sqrt(E - 0.7) > pi / 2 near
     # E = 1e5, past the range where one step's angle is read from atan2
+    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda b, vs, e_max: 256)
     with pytest.raises(NumericalError, match="too long to count"):
         band_structure(_PeriodicV(offset=0.7, amp=0.0, period=1.3), 1e5)
+
+
+def test_step_count_keeps_every_step_countable_up_to_e_max():
+    # the floor n >= 2 b sqrt(e_max - min V) / pi keeps each step's turn
+    # below pi / 2, so the same constant potential is counted to 1e5
+    bs = band_structure(_PeriodicV(offset=0.7, amp=0.0, period=1.3), 1e5)
+    assert len(bs.bands) == 1 and bs.gaps == () and bs.unresolved_gaps == ()
+    assert bs.bands[0] == pytest.approx((0.7, 1e5), abs=1e-7)
 
 
 def test_plane_wave_route_catches_a_dropped_band(monkeypatch):
@@ -433,18 +521,18 @@ def test_plane_wave_route_catches_a_dropped_band(monkeypatch):
 
 def test_band_structure_work_is_bounded(monkeypatch):
     # a dense energy scan of this mode takes 10,736,640 step-energy
-    # pairs; counting must take a quarter of that or less
+    # pairs; counting must take an eighth of that or less
     pairs = []
     product = schrodinger._magnus_product
 
-    def counted(a, hv, h, es, count=False):
-        pairs.append(a.size * np.size(es))
-        return product(a, hv, h, es, count)
+    def counted(omega, es, count=False):
+        pairs.append(omega[0].size * np.size(es))
+        return product(omega, es, count)
 
     pot = _cosine_mode()
     monkeypatch.setattr(schrodinger, "_magnus_product", counted)
     band_structure(pot, 110.0)
-    assert sum(pairs) <= 10_736_640 // 4
+    assert sum(pairs) <= 10_736_640 // 8
 
 
 def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatch):
