@@ -29,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import jn_zeros, jnp_zeros
 
 from .errors import InsufficientDataError, ValidationError
 
@@ -107,6 +106,10 @@ def _rectangle_levels(width: float, height: float, count: int, lowest: int) -> l
 
 
 def _disk_levels(radius: float, count: int, neumann: bool) -> list[float]:
+    # imported here: only disk sections need Bessel zeros, and scipy.special
+    # would add to every run's start-up
+    from scipy.special import jn_zeros, jnp_zeros
+
     # pool zeros order by order; order m >= 1 enters with multiplicity 2
     zeros_of = jnp_zeros if neumann else jn_zeros
     vals: list[float] = [0.0] if neumann else []

@@ -45,9 +45,12 @@ search; library calls that read at points of their own (the variational
 witness search and bound) add those grids.
 
 The forward map is materialized as an adaptive panel decomposition of
-the integrand with a certified budget (1e-11 over the window);
-inversion is a safeguarded Newton iteration bracketed by monotonicity
-(y'(z) = sqrt(w) >= sqrt(inf w) > 0).  For periodic coefficients the
+the integrand with a certified budget (1e-11 over the window).
+Inversion starts from the chord of the map between its panel breaks and
+runs Newton per point, bisecting a step that leaves the point's bracket
+(the map is monotone: y'(z) = sqrt(w) >= sqrt(inf w) > 0); each point
+stops as soon as it meets the residual tolerance, so a batch costs the
+few evaluations of its slowest point.  For periodic coefficients the
 map extends to the whole axis through y(z + a) = y(z) + b with
 b = y(a), and so does its inverse.
 """
@@ -192,7 +195,7 @@ class LiouvilleData:
         return out if np.ndim(z) else float(out[0])
 
     def inverse(self, y):
-        """z(y) by safeguarded Newton; exact bracket from monotonicity."""
+        """z(y) by per-point Newton; exact bracket from monotonicity."""
         ys = np.atleast_1d(np.asarray(y, dtype=float))
         if self.period_b is not None:
             a = self.z_hi - self.z_lo
@@ -207,19 +210,27 @@ class LiouvilleData:
         return out if np.ndim(y) else float(out[0])
 
     def _invert_window(self, ys):
+        # Newton on F(z) = target per point, bisecting where a step leaves
+        # the point's bracket; a point leaves the batch once it meets the
+        # tolerance, so a converged point is never stepped again
+        panels = self.antiderivative
         targets = ys + self.y_offset  # antiderivative values to hit
-        total = float(self.antiderivative.cumulative[-1])
-        lo = np.full_like(targets, self.z_lo)
-        hi = np.full_like(targets, self.z_hi)
-        z = self.z_lo + (self.z_hi - self.z_lo) * np.clip(targets / total, 0.0, 1.0)
-        scale = max(1.0, total)
+        tol = _INVERSE_TOL * max(1.0, float(panels.cumulative[-1]))
+        # start from the chord of F between the panel breaks around each target
+        out = np.interp(targets, panels.cumulative, panels.breaks)
+        # the points not yet converged: indices, iterates, targets, brackets
+        todo, z, t = np.arange(out.size), out, targets
+        lo, hi = np.full_like(z, self.z_lo), np.full_like(z, self.z_hi)
         for _ in range(100):
-            g = self.antiderivative.eval(z) - targets
+            g = panels.eval(z) - t
+            live = np.abs(g) > tol
+            out[todo[~live]] = z[~live]
+            if not live.any():
+                return out
+            todo, z, t, g, lo, hi = todo[live], z[live], t[live], g[live], lo[live], hi[live]
             below = g < 0
             lo = np.where(below, z, lo)
             hi = np.where(below, hi, z)
-            if np.all(np.abs(g) <= _INVERSE_TOL * scale):
-                break
             slope = np.sqrt(
                 np.asarray(self.profile.epsilon.eval(z, 0))
                 * np.asarray(self.profile.mu.eval(z, 0))
@@ -227,9 +238,7 @@ class LiouvilleData:
             step = z - g / slope
             inside = (step > lo) & (step < hi)
             z = np.where(inside, step, 0.5 * (lo + hi))
-        else:
-            raise NumericalError("inverse map iteration did not converge")
-        return z
+        raise NumericalError("inverse map iteration did not converge")
 
     # -- transported coefficients ---------------------------------------
 

@@ -24,12 +24,15 @@ checked as such).  Band edges are found by counting (Eastham 1973; Pryce
 1993): gap k of the band union holds exactly one Dirichlet eigenvalue
 mu_k of one period, and the Pruefer angle of the solution with u(0) = 0,
 u'(0) = 1, carried through the same propagator, counts the mu_k below
-any energy.  Bisecting that count brackets every mu_k below e_max;
-between mu_{k-1} and mu_k band k is the only set where |Delta| <= 2, so
-its edges are the bisected roots of Delta = +/-2 there, each refined by
-a line fitted through samples around it.  The edges are cross-validated
-against an independent plane-wave Galerkin eigensolve of the periodic
-and antiperiodic problems on one period: edge n of the band union is a
+any energy.  A bracket search on the angle brackets every mu_k below
+e_max; between mu_{k-1} and mu_k band k is the only set where |Delta|
+<= 2, so its edges are the roots of Delta = +/-2 there, bracketed the
+same way and each refined by a line fitted through samples around it.
+Both are ITP searches (Oliveira & Takahashi 2020): superlinear on
+these smooth functions, and never more than a few steps behind
+bisection.  The edges are cross-validated against an independent
+plane-wave Galerkin eigensolve of the periodic and antiperiodic
+problems on one period: edge n of the band union is a
 periodic eigenvalue for n odd and an antiperiodic one for n even,
 alternating.  Gaps where |Delta| only touches 2 are reported as closed
 gap points, not errors.
@@ -227,8 +230,14 @@ _POINT_BUDGET = 1 << 15
 # |Delta| - 2 below this is not a certified gap; the propagator's step
 # count is chosen, and checked, to keep its error in Delta below it too
 NOISE_FLOOR = 1e-10
-# bisection width of a band edge
+# width of the bracket a band edge or Dirichlet eigenvalue is narrowed to
 EDGE_TOL = 1e-10
+# ITP truncation kappa1 = _ITP_KAPPA1 / w0 (with kappa2 = 2), and the
+# steps n0 a bracket may take beyond bisection's count (see _itp)
+_ITP_KAPPA1 = 0.2
+_ITP_N0 = 8
+# least share of its width a new point keeps from an end that has not moved
+_FRESH_END = 1.0 / 64.0
 # a tangency of |Delta| within this of 2 is reported as a closed gap
 CLOSURE_TOL = 1e-8
 # band edges of the two routes must agree to this; narrower gaps merge
@@ -238,7 +247,7 @@ _WRONSKIAN_TOL = 1e-9
 # |Delta| - 2 at a gap's midpoint up to this is a touch: a closed gap point
 _TOUCH_TOL = 1e-12
 # half-width of the samples a line is fitted through at each band edge;
-# where Delta is flat its rounding noise moves the bisected root more
+# where Delta is flat its rounding noise moves the bracketed root more
 _FIT_SPAN = 1e-7
 
 
@@ -384,16 +393,22 @@ def _checked_trace(sf) -> np.ndarray:
     return sf[0] + sf[3]
 
 
-def _dirichlet_count(prop, energies) -> np.ndarray:
-    """Dirichlet eigenvalues of one period below each energy.
+def _dirichlet_angle(prop, energies):
+    """Lifted Pruefer angle phi(b) of the column started at (0, 1), and
+    the Dirichlet eigenvalues of one period below each energy.
 
-    The column started at (0, 1) has one zero in (0, b) per Dirichlet
-    eigenvalue below E (Sturm oscillation), and its Pruefer angle passes
-    each multiple of pi upwards, so the count is ceil(phi(b) / pi) - 1.
+    The column has one zero in (0, b) per Dirichlet eigenvalue below E
+    (Sturm oscillation), and its Pruefer angle passes each multiple of
+    pi upwards, so the count is ceil(phi(b) / pi) - 1.
     """
     sf = prop(energies, count=True)
     _checked_trace(sf)
-    return np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
+    return sf[4], np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
+
+
+def _dirichlet_count(prop, energies) -> np.ndarray:
+    """Dirichlet eigenvalues of one period below each energy."""
+    return _dirichlet_angle(prop, energies)[1]
 
 
 def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
@@ -446,17 +461,92 @@ class BandStructure:
     validation_max_dev: float = 0.0
 
 
-def _bisect(test, lo, hi):
-    """Lockstep bisection: each midpoint replaces `lo` where test(mid)
-    holds and `hi` where it does not, until every bracket is narrower
-    than EDGE_TOL.  A bracket may run either way round."""
+def _itp(fun, lo, hi):
+    """Lockstep ITP search (Oliveira & Takahashi, ACM TOMS 47, 2020) of
+    a batch of brackets, each narrowed until it is below EDGE_TOL wide.
+
+    fun(es, i) returns, for energies es in brackets i, whether each
+    passes the test and the test function f, negative where it passes.
+    Each new point replaces `lo` where it passes and `hi` where it does
+    not, so `lo` passes and `hi` fails on return; a bracket may run
+    either way round.  The point is the regula falsi estimate from f at
+    the two ends, moved towards the midpoint by kappa1 w^2 (w the
+    bracket's width, kappa1 = _ITP_KAPPA1 / w0 with w0 its first width)
+    and held within the ITP radius of the midpoint, so that a bracket
+    takes at most n0 steps more than bisection; a bracket still wider
+    than EDGE_TOL after that many steps raises NumericalError.  The
+    values at the ends are forced to the sides the test gave them, so
+    the estimate never leaves the bracket, and the value at an end kept
+    twice in a row is halved (the Illinois rule), so that the estimate
+    does not creep along a curved f, such as the shallow hump of
+    sg Delta - 2 across a narrow gap.
+
+    Two rules keep the point off the ends.  It stays 0.45 EDGE_TOL
+    inside, so that once the estimate is good the next step lands across
+    the root and closes the bracket.  And it stays _FRESH_END of the
+    width away from an end that has not moved yet.  Where a Dirichlet
+    eigenvalue sits on the far edge of its gap, f is zero up to rounding
+    at the gap-side end as well, and the estimate is drawn to that end;
+    a truncation shrinking like w^2 could then step over the whole gap
+    into the stretch next to the end where rounding decides the test.
+    A gap whose excess over 2 clears NOISE_FLOOR is about 1e5 times
+    wider than that stretch, so steps that close in on the end by a
+    factor of 64 at most land in the gap first.
+    """
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-    for _ in range(64):
-        if not lo.size or float(np.max(np.abs(hi - lo))) < EDGE_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        keep = test(mid)
-        lo, hi = np.where(keep, mid, lo), np.where(keep, hi, mid)
+    if not lo.size:
+        return lo, hi
+    every = np.arange(lo.size)
+    _, f = fun(np.concatenate((lo, hi)), np.concatenate((every, every)))
+    f_lo, f_hi = np.minimum(f[: lo.size], 0.0), np.maximum(f[lo.size :], 0.0)
+    w0 = np.abs(hi - lo)
+    lo0, hi0 = lo.copy(), hi.copy()
+    moved = np.zeros(lo.size, dtype=int)  # +1: lo moved last, -1: hi did
+    # the least number of halvings that takes each bracket below EDGE_TOL
+    halvings = np.floor(np.log2(np.maximum(w0, EDGE_TOL) / EDGE_TOL)) + 1.0
+    cap = int(np.max(halvings)) + _ITP_N0
+    todo = np.flatnonzero(w0 >= EDGE_TOL)
+    for j in range(cap):
+        if not todo.size:
+            return lo, hi
+        a, b, fa, fb, w = lo[todo], hi[todo], f_lo[todo], f_hi[todo], w0[todo]
+        mid, width = 0.5 * (a + b), np.abs(b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = (a * fb - b * fa) / (fb - fa)
+        x = np.where(np.isfinite(x), x, mid)
+        side = np.sign(mid - x)
+        trunc = _ITP_KAPPA1 * width * width / w
+        x = np.where(trunc <= np.abs(mid - x), x + side * trunc, mid)
+        # the radius keeps the width within w0 2^(n0 - j - 1) / 2 after this
+        # step: the cap then leaves brackets half of EDGE_TOL wide in exact
+        # arithmetic, and the other half absorbs the rounding of the points
+        radius = np.maximum(w * 2.0 ** (_ITP_N0 - j - 2) - 0.5 * width, 0.0)
+        x = np.where(np.abs(x - mid) <= radius, x, mid - side * radius)
+        # a point keeps 0.45 EDGE_TOL from each end, and a share of the
+        # width from an end that has not moved yet
+        keep_a = np.where(a == lo0[todo], _FRESH_END * width, 0.0)
+        keep_b = np.where(b == hi0[todo], _FRESH_END * width, 0.0)
+        share = np.clip(
+            (x - a) / (b - a),
+            np.maximum(keep_a, 0.45 * EDGE_TOL) / width,
+            1.0 - np.maximum(keep_b, 0.45 * EDGE_TOL) / width,
+        )
+        x = a + share * (b - a)
+        passes, fx = fun(x, todo)
+        # Illinois: an end kept twice in a row has its value halved
+        step = np.where(passes, 1, -1)
+        fa = np.where(step + moved[todo] == -2, 0.5 * fa, fa)
+        fb = np.where(step + moved[todo] == 2, 0.5 * fb, fb)
+        moved[todo] = step
+        lo[todo], f_lo[todo] = np.where(passes, x, a), np.where(passes, np.minimum(fx, 0.0), fa)
+        hi[todo], f_hi[todo] = np.where(passes, b, x), np.where(passes, fb, np.maximum(fx, 0.0))
+        todo = todo[np.abs(hi[todo] - lo[todo]) >= EDGE_TOL]
+    if todo.size:
+        ends = np.concatenate((lo[todo], hi[todo]))
+        raise NumericalError(
+            f"{todo.size} band-edge brackets in [{ends.min():.6g}, {ends.max():.6g}] still "
+            f"wider than EDGE_TOL = {EDGE_TOL:.0e} after {cap} steps"
+        )
     return lo, hi
 
 
@@ -488,15 +578,17 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
 
     Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
     of one period; the Pruefer count K = N_D(e_max) says how many lie
-    below e_max, and bisecting the count brackets mu_1 .. mu_K.  Between
+    below e_max, and an ITP search on phi(b, E) - k pi, with the count
+    deciding the side of each point, brackets mu_1 .. mu_K.  Between
     mu_{k-1} and mu_k (mu_0 = e_start) band k is the only set where
     |Delta| <= 2; with s = (-1)^(k-1) its lower edge is the one crossing
     of s Delta = 2 and its upper edge the one crossing of s Delta = -2
-    there, bisected for all bands in lockstep.  Each count bracket
-    reaches the gap side of its edges, also where mu_k sits on an edge,
-    as it does for every even potential.  Band K+1 exists when e_max is
-    not in gap K.  The plane-wave eigensolve is the independent check
-    and must agree edge by edge to CROSS_TOL.
+    there, bracketed for all bands in one lockstep ITP search on
+    sg Delta - 2.  Each count bracket reaches the gap side of its edges,
+    also where mu_k sits on an edge, as it does for every even
+    potential.  Band K+1 exists when e_max is not in gap K.  The
+    plane-wave eigensolve is the independent check and must agree edge
+    by edge to CROSS_TOL.
     """
     if potential.period_b is None:
         raise ValidationError("band structure applies to periodic potentials only")
@@ -542,11 +634,12 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     # --- brackets [mu_lo, mu_hi] of the Dirichlet eigenvalues below e_max
     k_gaps = int(_dirichlet_count(prop, [e_max])[0])
     ks = np.arange(1, k_gaps + 1)
-    mu_lo, mu_hi = _bisect(
-        lambda es: _dirichlet_count(prop, es) < ks,
-        np.full(k_gaps, e_start),
-        np.full(k_gaps, e_max),
-    )
+
+    def below_mu(es, i):  # fewer than k below, and phi(b) - k pi, increasing
+        phi, below = _dirichlet_angle(prop, es)
+        return below < ks[i], phi - math.pi * ks[i]
+
+    mu_lo, mu_hi = _itp(below_mu, np.full(k_gaps, e_start), np.full(k_gaps, e_max))
 
     # --- band edges: test sg Delta < 2 holds on the band side of an edge
     top = (-1.0) ** k_gaps * float(delta([e_max])[0])  # s Delta(e_max) of band K+1
@@ -556,8 +649,13 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     hi_ends = np.concatenate(([e_start], mu_hi, [e_max]))
     s = (-1.0) ** np.arange(n_bands)
     sg = np.concatenate((s, -s[:n_upper]))
-    band_side, gap_side = _bisect(
-        lambda es: sg * delta(es) < 2.0,
+
+    def on_band(es, i):  # sg Delta - 2, negative on the band side
+        f = sg[i] * delta(es) - 2.0
+        return f < 0.0, f
+
+    band_side, gap_side = _itp(
+        on_band,
         np.concatenate((lo_ends[1 : n_bands + 1], hi_ends[:n_upper])),
         np.concatenate((lo_ends[:n_bands], hi_ends[1 : n_upper + 1])),
     )

@@ -362,6 +362,16 @@ def test_cli_import_leaves_out_scipy_integrate():
     subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
 
 
+def test_cli_import_leaves_out_scipy_special():
+    # only disk sections need Bessel zeros
+    code = (
+        "import sys, cylspec.cli; "
+        "assert 'scipy.special' not in sys.modules, 'imported at start-up'"
+    )
+    src = str(Path(cylspec.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+
+
 # ---------------------------------------------------------------------------
 # canonical serialization
 # ---------------------------------------------------------------------------

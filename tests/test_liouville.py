@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cylspec import liouville
 from cylspec.errors import TopologyError, ValidationError
 from cylspec.liouville import build_potential, build_transform
 from cylspec.profiles import (
@@ -291,6 +292,25 @@ def _two_sided_profile():
 
 def _periodic_two_sided_profile():
     return make_profile(CosinePeriodic(1.0, 0.3, 1.0), CosinePeriodic(1.5, 0.4, 1.0))
+
+
+def test_inverse_stops_iterating_converged_points(monkeypatch):
+    data = _transform(_periodic_two_sided_profile())
+    ys = np.linspace(0.0, data.period_b, 5000, endpoint=False)
+    calls = []
+    evaluate = data.antiderivative.eval
+
+    def counted(z):
+        calls.append(np.size(z))
+        return evaluate(z)
+
+    monkeypatch.setattr(data.antiderivative, "eval", counted)
+    zs = data.inverse(ys)
+    # Newton meets the tolerance in a few steps; iterating every point
+    # until the last one converged took 44 evaluations
+    assert len(calls) <= 6
+    residual = np.abs(evaluate(zs) - ys)
+    assert np.max(residual) <= liouville._INVERSE_TOL * max(1.0, data.period_b)
 
 
 def test_swapped_inverse_is_bitwise_equal():

@@ -533,6 +533,48 @@ def test_band_structure_work_is_bounded(monkeypatch):
     monkeypatch.setattr(schrodinger, "_magnus_product", counted)
     band_structure(pot, 110.0)
     assert sum(pairs) <= 10_736_640 // 8
+    # the bracket searches stop a bracket once it is narrow enough, and
+    # bisecting them all took 92 propagator calls
+    assert len(pairs) <= 45
+
+
+def _itp_steps(lo, hi):
+    # the ITP bound: bisection's halvings below EDGE_TOL, plus n0
+    halvings = math.floor(math.log2(abs(hi - lo) / schrodinger.EDGE_TOL)) + 1
+    return halvings + schrodinger._ITP_N0
+
+
+@pytest.mark.parametrize("rounding", [0.0, -1e-15])
+def test_edge_search_finds_the_interior_root_past_a_zero_at_an_end(rounding):
+    # f vanishes at the failing end 1 and at the root r, as sg Delta - 2
+    # does across a gap whose Dirichlet eigenvalue sits on the far edge.
+    # A rounding error of -1e-15 reads every point within 1e-9 of the end
+    # as passing; the search must find the gap first and return r
+    r = 1.0 - 1e-6
+    calls = []
+
+    def fun(es, i):
+        f = (es - r) * (1.0 - es) + rounding
+        calls.append(es.size)
+        return f < 0.0, f
+
+    lo, hi = schrodinger._itp(fun, [0.0], [1.0])
+    assert hi[0] - lo[0] < schrodinger.EDGE_TOL
+    assert abs(lo[0] - r) < 2e-9
+    assert len(calls) - 1 <= _itp_steps(0.0, 1.0)
+    # f is a shallow hump between r and the end; halving the value of an
+    # end kept twice stops the estimate creeping along it (bisection
+    # takes 34 steps here)
+    assert len(calls) - 1 <= 20
+
+
+def test_bracket_search_raises_when_a_bracket_cannot_narrow():
+    # at 1e7 neighbouring doubles lie further apart than EDGE_TOL
+    def fun(es, i):
+        return es < 1e7 + 0.5, es - (1e7 + 0.5)
+
+    with pytest.raises(NumericalError, match="EDGE_TOL"):
+        schrodinger._itp(fun, [1e7], [1e7 + 1.0])
 
 
 def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatch):
