@@ -303,17 +303,17 @@ def _parse_config(path: Path) -> tuple[dict, float, float, int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_stabilizing(profile, rep: SpectrumReport, halfwidth: float) -> tuple[dict, list]:
+def _oracle_stabilizing(profile, rep: SpectrumReport) -> tuple[dict, list]:
     """Compare the direct weighted discretization against the transform
-    route on the lowest few distinct modes; both see the same halfwidth
-    in their own axial variable."""
+    route on the lowest few distinct modes; each solves on the halfwidth
+    the mode settled on, in its own axial variable."""
     rows = []
     worst = 0.0
     picked = [m for m in rep.modes if m.bound.eigenvalues][:3]
     for m in picked:
         prof = profile if m.group.flavor != "m" else profile.swapped()
         n_eigs = min(5, len(m.bound.eigenvalues))
-        spec = WeightedOperatorSpec(prof, m.group.mode_constant, halfwidth, 8000)
+        spec = WeightedOperatorSpec(prof, m.group.mode_constant, m.bound.window_halfwidth, 8000)
         wres = weighted_eigenvalues(spec, n_eigs)
         for i in range(n_eigs):
             a = wres.eigenvalues[i]
@@ -474,7 +474,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
 
     if with_oracle:
         if rep.classification == "stabilizing":
-            summary, oracle_rows = _oracle_stabilizing(profile, rep, halfwidth)
+            summary, oracle_rows = _oracle_stabilizing(profile, rep)
             header = [
                 "flavor",
                 "mode_constant",

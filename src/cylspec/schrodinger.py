@@ -16,10 +16,10 @@ Periodic V with period b: the spectrum is a union of bands whose edges
 are characterized by the discriminant Delta(E), the trace of the one-
 period transfer matrix M(E).  M is the product of closed-form steps of a
 sixth-order Magnus propagator (Blanes, Casas & Ros 2000) on exact
-samples of V, with a step count fixed by V and e_max and certified
-against twice as many steps, so Delta is an elementwise function of E
-that does not depend on the batch it is evaluated in; |Delta| <= 2
-exactly on the bands, and det M = 1 identically (it is a Wronskian, and
+samples of V, on the fewest steps (256 or more, doubling) that agree
+with twice as many to the noise floor; that count depends on V and e_max
+alone, so Delta does not depend on the batch it is evaluated in; |Delta|
+<= 2 exactly on the bands, and det M = 1 identically (it is a Wronskian, and
 checked as such).  Band edges are found by counting (Eastham 1973; Pryce
 1993): gap k of the band union holds exactly one Dirichlet eigenvalue
 mu_k of one period, and the Pruefer angle of the solution with u(0) = 0,
@@ -227,8 +227,8 @@ def count_below(potential: ModePotential, energy: float, halfwidth: float, grid:
 _GAUSS3 = (0.5 - math.sqrt(15.0) / 10.0, 0.5, 0.5 + math.sqrt(15.0) / 10.0)
 # step-energy pairs per propagator chunk: bounds its memory, not the batch
 _POINT_BUDGET = 1 << 15
-# |Delta| - 2 below this is not a certified gap; the propagator's step
-# count is chosen, and checked, to keep its error in Delta below it too
+# |Delta| - 2 below this is not a certified gap; the propagator takes
+# the least step count whose Delta agrees with twice the steps to it
 NOISE_FLOOR = 1e-10
 # width of the bracket a band edge or Dirichlet eigenvalue is narrowed to
 EDGE_TOL = 1e-10
@@ -252,37 +252,56 @@ _FIT_SPAN = 1e-7
 
 
 def _period_grid(potential: ModePotential) -> np.ndarray:
+    if potential.period_b is None:
+        raise ValidationError("the discriminant applies to periodic potentials only")
     return np.linspace(0.0, potential.period_b, 4096, endpoint=False)
 
 
-def _magnus_steps(b: float, vs: np.ndarray, e_max: float) -> int:
-    """Propagator steps per period, from the period b, V on its grid and
-    the highest energy whose zeros are counted.
+def _magnus_steps(potential: ModePotential, vs: np.ndarray, e_max: float):
+    """Steps n per period, and the propagator on them, for energies up to
+    e_max; vs is V on the period grid.
 
-    The propagator's error in Delta on [min V - 1, E], relative to
-    max(1, |Delta|), stayed below 9.6 (b^2 range V)^2 / n^6 for n from 64
-    to 512 and every E up to the bound the floor below puts on n, on
-    cosine and summed-cosine profiles (up to three harmonics) in eps and
-    mu with mode constants from 1 to 40 pi^2.  n is the least power of
-    two, at least 256, that puts 10 (b^2 range V)^2 / n^6 below the noise
-    floor.  The least n guards the band edges, which move by the error in
-    Delta over |Delta'|, small at the edges of narrow gaps: with 128 steps
-    an edge of the cosine mode el 2 pi^2 still moved by 1.7e-10, with 256
-    it had settled to rounding.  The floor n >= 2 b sqrt(e_max - min V)
-    / pi keeps each step's rotation r below pi/2 up to e_max, as counting
-    needs.  Both terms are invariant under V(y) -> V(y/s)/s^2, b -> s b, e_max -> e_max/s^2, so
-    a rescaled problem takes the same steps.  band_structure certifies n
-    against 2n on its energy range.
+    n starts at max(256, 2 b sqrt(e_max - min V) / pi) and doubles while
+    Delta on n and 2n steps differ by more than NOISE_FLOOR, relative to
+    max(1, |Delta|), at 257 energies on [min V - 1, e_max]; a doubling
+    that does not halve that drift raises NumericalError.  The least n
+    guards band edges, which move by the error in Delta over |Delta'|: at
+    128 steps an edge of the cosine mode el 2 pi^2 moved by 1.7e-10.  The
+    floor keeps each step's rotation below pi/2 up to e_max, for counting.
+    Both, and the drift, are invariant under V(y) -> V(y/s)/s^2, b -> s b,
+    E -> E/s^2, so a rescaled problem takes the same steps.
     """
-    spread = (b**2 * float(np.ptp(vs))) ** 2
-    turn = 2.0 * b * math.sqrt(max(e_max - float(np.min(vs)), 0.0)) / math.pi
+    v_min = float(np.min(vs))
+    turn = 2.0 * potential.period_b * math.sqrt(max(e_max - v_min, 0.0)) / math.pi
     n = 256
-    while 10.0 * spread > NOISE_FLOOR * float(n) ** 6 or n < turn:
+    while n < turn:
         n *= 2
-    return n
+    probe = np.linspace(v_min - 1.0, e_max, 257)
+    prop = _propagator(potential, n)
+    coarse, last = _checked_trace(prop(probe)), math.inf
+    while True:
+        fine_prop = _propagator(potential, 2 * n)
+        fine = _checked_trace(fine_prop(probe))
+        drift = np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))
+        worst = int(np.argmax(drift))
+        if drift[worst] <= NOISE_FLOOR:
+            return n, prop
+        if not drift[worst] < 0.5 * last:
+            raise NumericalError(
+                f"discriminant not resolved below e_max = {e_max}: {n} and {2 * n} steps "
+                f"differ by {drift[worst]:.3e} at E = {probe[worst]:.6g}, above the noise "
+                f"floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; lower e_max"
+            )
+        n, prop, coarse, last = 2 * n, fine_prop, fine, drift[worst]
 
 
-def _propagator(potential: ModePotential, steps: int | None = None):
+def _range_propagator(potential: ModePotential):
+    """The propagator whose steps resolve Delta on [min V - 1, max V]."""
+    vs = potential.values(_period_grid(potential))
+    return _magnus_steps(potential, vs, float(np.max(vs)))[1]
+
+
+def _propagator(potential: ModePotential, n: int):
     """One-period transfer matrices of a periodic potential, V sampled once.
 
     Sixth-order Magnus propagator on n equal steps (Blanes, Casas & Ros,
@@ -303,12 +322,7 @@ def _propagator(potential: ModePotential, steps: int | None = None):
     energy is propagated on its own, so a value does not depend on the
     batch it came in.  n must be a power of two.
     """
-    if potential.period_b is None:
-        raise ValidationError("monodromy applies to periodic potentials only")
-    b = potential.period_b
-    # discriminant and monodromy count no zeros, so need no turn floor
-    n = steps or _magnus_steps(b, potential.values(_period_grid(potential)), -math.inf)
-    h = b / n
+    h = potential.period_b / n
     v = potential.values(h * (np.arange(n)[:, None] + _GAUSS3).ravel()).reshape(n, 3)
     d = (math.sqrt(15.0) / 3.0) * h * (v[:, 2] - v[:, 0])  # alpha_2 = d K
     g = (10.0 / 3.0) * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])  # alpha_3 = g K
@@ -394,33 +408,27 @@ def _checked_trace(sf) -> np.ndarray:
 
 
 def _dirichlet_angle(prop, energies):
-    """Lifted Pruefer angle phi(b) of the column started at (0, 1), and
-    the Dirichlet eigenvalues of one period below each energy.
+    """Lifted Pruefer angle phi(b) of the column started at (0, 1), the
+    Dirichlet eigenvalues of one period below each energy, and Delta.
 
     The column has one zero in (0, b) per Dirichlet eigenvalue below E
     (Sturm oscillation), and its Pruefer angle passes each multiple of
     pi upwards, so the count is ceil(phi(b) / pi) - 1.
     """
     sf = prop(energies, count=True)
-    _checked_trace(sf)
-    return sf[4], np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
-
-
-def _dirichlet_count(prop, energies) -> np.ndarray:
-    """Dirichlet eigenvalues of one period below each energy."""
-    return _dirichlet_angle(prop, energies)[1]
+    return sf[4], np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int), _checked_trace(sf)
 
 
 def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
     """2x2 transfer matrix over one period; det checked against 1."""
-    sf = _propagator(potential)([energy])
+    sf = _range_propagator(potential)([energy])
     _checked_trace(sf)
     return np.array([[sf[0, 0], sf[2, 0]], [sf[1, 0], sf[3, 0]]])
 
 
 def discriminant(potential: ModePotential, energy):
     """Delta(E) = trace of the one-period transfer matrix."""
-    trace = _checked_trace(_propagator(potential)(energy))
+    trace = _checked_trace(_range_propagator(potential)(energy))
     return trace if np.ndim(energy) else float(trace[0])
 
 
@@ -448,6 +456,9 @@ class BandStructure:
     `eigenvalue_band_edges` lists (lower, upper) per band from the
     interlaced periodic / antiperiodic eigenvalues, which stay sharp at
     any width; asymptotic edge statements should read them.
+    `validation_max_dev` cannot fall below the plane-wave route's
+    rounding, about 1e-11: its Galerkin matrix has norm near (2 pi
+    k_modes / b)^2.
     """
 
     period: float  # travel time b of one period
@@ -590,59 +601,39 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     plane-wave eigensolve is the independent check and must agree edge
     by edge to CROSS_TOL.
     """
-    if potential.period_b is None:
-        raise ValidationError("band structure applies to periodic potentials only")
-    b = potential.period_b
-
     vs = potential.values(_period_grid(potential))
-    nv = vs.size
-    v_hat = np.fft.fft(vs) / nv
+    b = potential.period_b
+    v_hat = np.fft.fft(vs) / vs.size
     mean_v = float(np.real(v_hat[0]))
     empty = BandStructure(period=float(b), mean_potential=mean_v, e_max=float(e_max))
     v_min = float(np.min(vs))
     if not e_max > v_min:  # the potential lies wholly above e_max
         return empty
 
-    n = _magnus_steps(b, vs, e_max)
-    prop = _propagator(potential, n)
+    _, prop = _magnus_steps(potential, vs, e_max)
 
     def delta(es):
         return _checked_trace(prop(es))
 
-    # below V every propagator step is hyperbolic with positive entries,
-    # so their product (det 1) has Delta > 2; the check catches a V that
-    # dips more than 1 below v_min between its samples
+    # below V every propagator step is hyperbolic with positive entries, so
+    # their product (det 1) has Delta > 2; the check catches a V that dips
+    # more than 1 below v_min between its samples.  The same call counts K.
     e_start = v_min - 1.0
-    if not float(delta([e_start])[0]) > 2.0:
+    _, (_, k_gaps), (delta_start, delta_top) = _dirichlet_angle(prop, [e_start, e_max])
+    if not delta_start > 2.0:
         raise ResolutionError("could not find the region below the first band")
 
-    # the propagator's step count must hold Delta to the noise floor on
-    # the whole energy range: n steps against 2n
-    probe = np.linspace(e_start, e_max, 257)
-    sf = _propagator(potential, 2 * n)(probe)
-    fine = sf[0] + sf[3]
-    drift = np.abs(delta(probe) - fine) / np.maximum(1.0, np.abs(fine))
-    worst = int(np.argmax(drift))
-    if drift[worst] > NOISE_FLOOR:
-        raise NumericalError(
-            f"discriminant not resolved below e_max = {e_max}: n and 2n propagator steps "
-            f"differ by {drift[worst]:.3e} (relative) at E = {probe[worst]:.6g}, above the "
-            f"noise floor {NOISE_FLOOR:.0e}; the potential varies too much for this mode, "
-            "lower e_max to leave it out"
-        )
-
     # --- brackets [mu_lo, mu_hi] of the Dirichlet eigenvalues below e_max
-    k_gaps = int(_dirichlet_count(prop, [e_max])[0])
     ks = np.arange(1, k_gaps + 1)
 
     def below_mu(es, i):  # fewer than k below, and phi(b) - k pi, increasing
-        phi, below = _dirichlet_angle(prop, es)
+        phi, below, _ = _dirichlet_angle(prop, es)
         return below < ks[i], phi - math.pi * ks[i]
 
     mu_lo, mu_hi = _itp(below_mu, np.full(k_gaps, e_start), np.full(k_gaps, e_max))
 
     # --- band edges: test sg Delta < 2 holds on the band side of an edge
-    top = (-1.0) ** k_gaps * float(delta([e_max])[0])  # s Delta(e_max) of band K+1
+    top = (-1.0) ** k_gaps * float(delta_top)  # s Delta(e_max) of band K+1
     n_bands = k_gaps + int(top < 2.0)
     n_upper = n_bands - int(n_bands > k_gaps and top > -2.0)  # upper edges below e_max
     lo_ends = np.concatenate(([e_start], mu_lo, [e_max]))

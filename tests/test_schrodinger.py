@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -101,11 +102,13 @@ class _PeriodicV:
 
 @dataclass(frozen=True)
 class _ShiftedV(_PeriodicV):
-    """_PeriodicV plus a second harmonic shifted in phase: V is even about
-    no point, so each Dirichlet eigenvalue sits strictly inside its gap."""
+    """_PeriodicV plus a higher harmonic (the second by default) shifted in
+    phase: V is even about no point, so each Dirichlet eigenvalue sits
+    strictly inside its gap."""
 
     amp2: float = 0.4
     phase: float = 1.0
+    harmonic: int = 2
 
     @property
     def lower_bound(self):
@@ -114,7 +117,8 @@ class _ShiftedV(_PeriodicV):
     def values(self, ys):
         arr = np.atleast_1d(np.asarray(ys, dtype=float))
         w = 2.0 * np.pi * arr / self.period
-        out = self.offset + self.amp * np.cos(w) + self.amp2 * np.cos(2.0 * w + self.phase)
+        out = self.offset + self.amp * np.cos(w)
+        out += self.amp2 * np.cos(self.harmonic * w + self.phase)
         return out if np.ndim(ys) else float(out[0])
 
 
@@ -252,6 +256,11 @@ def _cosine_mode(mean=1.0, amplitude=0.3, mode_constant=2.0 * math.pi**2):
     return build_potential(build_transform(prof, essential_bounds(prof)), "el", mode_constant)
 
 
+def _accepted(pot, e_max):
+    """(steps, propagator) that band_structure takes for pot up to e_max."""
+    return schrodinger._magnus_steps(pot, pot.values(schrodinger._period_grid(pot)), e_max)
+
+
 def test_discriminant_does_not_depend_on_the_batch():
     # below, across and above the potential's range, in more energies
     # than one propagator chunk holds
@@ -326,24 +335,24 @@ def _sine_galerkin_levels(pot, k_max=120):
 
 @functools.cache
 def _count_case(name):
-    return {"cosine": (_cosine_mode(), 0.0, 400.0), "shifted": (_SHIFTED, -1.0, 60.0)}[name]
+    pot, lo, hi = {"cosine": (_cosine_mode(), 0.0, 400.0), "shifted": (_SHIFTED, -1.0, 60.0)}[name]
+    return pot, lo, hi, _accepted(pot, hi)[1]
 
 
 @pytest.mark.parametrize("name", ["cosine", "shifted"])
 @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=40))
 def test_dirichlet_count_matches_sine_galerkin(name, fractions):
-    pot, lo, hi = _count_case(name)
+    pot, lo, hi, prop = _count_case(name)
     levels = _sine_galerkin_levels(pot)
     es = lo + (hi - lo) * np.array(fractions)
     es = es[np.min(np.abs(es[:, None] - levels[None, :]), axis=1) > 1e-6]
-    prop = schrodinger._propagator(pot)
-    counts = schrodinger._dirichlet_count(prop, es)
+    counts = schrodinger._dirichlet_angle(prop, es)[1]
     assert counts.tolist() == np.searchsorted(levels, es).tolist()
     # the angle, and so the count, does not depend on the batch
     angles = prop(es, count=True)[4]
     alone = [prop([e], count=True)[4, 0] for e in es]
     assert np.array_equal(angles, alone)
-    assert counts.tolist() == [int(schrodinger._dirichlet_count(prop, [e])[0]) for e in es]
+    assert counts.tolist() == [int(schrodinger._dirichlet_angle(prop, [e])[1][0]) for e in es]
 
 
 # ---------------------------------------------------------------------------
@@ -435,23 +444,19 @@ def test_potential_above_e_max_has_no_bands():
 def test_band_edges_scale_with_epsilon():
     # eps -> 4 eps at constant mu doubles the period and quarters the
     # potential, V4(y) = V(y / 2) / 4, so every energy scales by 1/4.  The
-    # samples of V4 are exactly V / 4 and the step count is scale
-    # invariant, so the two discriminants agree bitwise up to the energy
-    # scale and only bisection (edge_tol) separates the edges: the
-    # tolerance is edge_tol, below edge_tol plus the n-vs-2n estimate.
+    # samples of V4 are exactly V / 4, and the n-vs-2n drift that picks
+    # the step count is scale invariant, so both take the same steps and
+    # the two discriminants agree bitwise up to the energy scale.  Only
+    # the edge searches, each to its own EDGE_TOL bracket, separate the
+    # edges, so the tolerance is EDGE_TOL.
     pot, pot4 = _cosine_mode(), _cosine_mode(mean=4.0, amplitude=1.2)
-    steps = [
-        schrodinger._magnus_steps(p.period_b, p.values(schrodinger._period_grid(p)), e_max)
-        for p, e_max in ((pot, 60.0), (pot4, 15.0))
-    ]
-    assert steps[0] == steps[1]
+    assert _accepted(pot, 60.0)[0] == _accepted(pot4, 15.0)[0]
     bs, bs4 = band_structure(pot, 60.0), band_structure(pot4, 15.0)
-    edge_tol = 1e-10
     for name in ("bands", "gaps", "eigenvalue_band_edges"):
         got = np.asarray(getattr(bs4, name))
         ref = np.asarray(getattr(bs, name)) / 4.0
         assert got.shape == ref.shape and got.size > 0, name
-        assert np.max(np.abs(got - ref)) <= edge_tol, name
+        assert np.max(np.abs(got - ref)) <= schrodinger.EDGE_TOL, name
 
 
 @pytest.mark.parametrize("s", [0.1, 0.37, 0.5])
@@ -471,10 +476,36 @@ def test_translation_leaves_band_edges_unchanged(s, amp, amp2, phase):
 
 
 def test_unresolved_discriminant_is_rejected(monkeypatch):
-    # too few propagator steps for the potential: n against 2n exposes it
-    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda b, vs, e_max: 16)
-    with pytest.raises(NumericalError, match="e_max = 60.0"):
+    # no step count meets a floor below rounding: once rounding dominates,
+    # a doubling stops halving the n-vs-2n drift, and the rule gives up
+    monkeypatch.setattr(schrodinger, "NOISE_FLOOR", 1e-30)
+    t0 = time.perf_counter()
+    with pytest.raises(NumericalError, match="e_max = 60.0.*no longer halves"):
         band_structure(_cosine_mode(), 60.0)
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_step_count_drops_where_the_envelope_was_loose():
+    # this mode took 512 steps under the (b^2 range V)^2 / n^6 envelope;
+    # 256 already hold Delta to the noise floor
+    assert _accepted(_cosine_mode(mode_constant=10.0 * math.pi**2), 110.0)[0] == 256
+
+
+def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
+    # 24 ripples per period: 256 steps leave a drift of about 1e-9
+    pot = _ShiftedV(offset=0.0, amp=0.5, period=math.pi, amp2=2.0, harmonic=24)
+    vs = pot.values(schrodinger._period_grid(pot))
+    n, prop = schrodinger._magnus_steps(pot, vs, 40.0)
+    probe = np.linspace(float(np.min(vs)) - 1.0, 40.0, 257)
+
+    def drift(k):
+        coarse = schrodinger._checked_trace(schrodinger._propagator(pot, k)(probe))
+        fine = schrodinger._checked_trace(schrodinger._propagator(pot, 2 * k)(probe))
+        return np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine)))
+
+    assert n > 256
+    assert drift(n // 2) > schrodinger.NOISE_FLOOR >= drift(n)
+    assert np.array_equal(prop(probe), schrodinger._propagator(pot, n)(probe))
 
 
 def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
@@ -485,15 +516,17 @@ def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
     ref = np.ravel(bs.eigenvalue_band_edges)[:-1]
     assert np.max(np.abs(got - ref)) <= schrodinger.CROSS_TOL
     # each Dirichlet eigenvalue lies strictly inside its gap
-    prop = schrodinger._propagator(_SHIFTED)
+    prop = _accepted(_SHIFTED, 30.0)[1]
     for k, (lo, hi) in enumerate(bs.gaps, start=1):
-        assert schrodinger._dirichlet_count(prop, [lo + 1e-6, hi - 1e-6]).tolist() == [k - 1, k]
+        assert schrodinger._dirichlet_angle(prop, [lo + 1e-6, hi - 1e-6])[1].tolist() == [k - 1, k]
 
 
 def test_count_rejects_steps_that_turn_too_far(monkeypatch):
     # 256 steps over b = 1.3 turn by about h sqrt(E - 0.7) > pi / 2 near
     # E = 1e5, past the range where one step's angle is read from atan2
-    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda b, vs, e_max: 256)
+    monkeypatch.setattr(
+        schrodinger, "_magnus_steps", lambda pot, vs, e_max: (256, schrodinger._propagator(pot, 256))
+    )
     with pytest.raises(NumericalError, match="too long to count"):
         band_structure(_PeriodicV(offset=0.7, amp=0.0, period=1.3), 1e5)
 
@@ -509,12 +542,15 @@ def test_step_count_keeps_every_step_countable_up_to_e_max():
 def test_plane_wave_route_catches_a_dropped_band(monkeypatch):
     # e_max = 30 lies inside band 6 of the stand-in: a count that never
     # reaches the fifth Dirichlet eigenvalue loses the last gap
-    count = schrodinger._dirichlet_count
-    top = int(count(schrodinger._propagator(_SHIFTED), [30.0])[0])
+    angle = schrodinger._dirichlet_angle
+    top = int(angle(_accepted(_SHIFTED, 30.0)[1], [30.0])[1][0])
     assert top == 5
-    monkeypatch.setattr(
-        schrodinger, "_dirichlet_count", lambda prop, es: np.minimum(count(prop, es), top - 1)
-    )
+
+    def capped(prop, es):
+        phi, below, trace = angle(prop, es)
+        return phi, np.minimum(below, top - 1), trace
+
+    monkeypatch.setattr(schrodinger, "_dirichlet_angle", capped)
     with pytest.raises(ResolutionError, match="edge count mismatch"):
         band_structure(_SHIFTED, 30.0)
 
