@@ -65,7 +65,6 @@ from .weighted_operator import WeightedOperatorSpec, weighted_eigenvalues
 __all__ = ["main"]
 
 _SCHEMA_VERSION = 1
-_TASKS = ("stabilizing_analysis", "periodic_analysis")
 # config "outputs" key -> default file name, beside the config
 _OUTPUTS = {
     "report": "report.json",
@@ -278,8 +277,9 @@ def _parse_config(path: Path) -> tuple[dict, float, float, int, bool]:
     if ver != _SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {ver!r}; this build reads {_SCHEMA_VERSION}")
     task = _need(cfg, "task", "root")
-    if task not in _TASKS:
-        raise ValidationError(f"unknown task {task!r}; expected one of {_TASKS}")
+    tasks = tuple(_ANALYSES)
+    if task not in tasks:
+        raise ValidationError(f"unknown task {task!r}; expected one of {tasks}")
     num = _need(cfg, "numerics", "root")
     e_max = _read(num, "e_max", "numerics")
     if not e_max > 0:
@@ -303,7 +303,7 @@ def _parse_config(path: Path) -> tuple[dict, float, float, int, bool]:
 # ---------------------------------------------------------------------------
 
 
-def _oracle_stabilizing(profile, rep: SpectrumReport) -> tuple[dict, list]:
+def _oracle_stabilizing(profile, rep: SpectrumReport) -> tuple[dict, list, list]:
     """Compare the direct weighted discretization against the transform
     route on the lowest few distinct modes; each solves on the halfwidth
     the mode settled on, in its own axial variable."""
@@ -326,10 +326,20 @@ def _oracle_stabilizing(profile, rep: SpectrumReport) -> tuple[dict, list]:
         "modes_compared": len(picked),
         "max_rel_deviation": worst,
     }
-    return summary, rows
+    header = [
+        "flavor",
+        "mode_constant",
+        "eigenvalue_index",
+        "weighted_route",
+        "transform_route",
+        "rel_deviation",
+    ]
+    return summary, header, rows
 
 
-def _oracle_periodic(rep: SpectrumReport) -> tuple[dict, list]:
+def _oracle_periodic(profile, rep: SpectrumReport) -> tuple[dict, list, list]:
+    """Each mode's discriminant band edges against its plane-wave
+    eigenvalue edges, as band_structure measured them; profile is unused."""
     rows = []
     worst = 0.0
     for m in rep.modes:
@@ -337,7 +347,7 @@ def _oracle_periodic(rep: SpectrumReport) -> tuple[dict, list]:
         worst = max(worst, dev)
         rows.append([m.group.flavor, m.group.mode_constant, "edge_max_abs_dev", dev])
     summary = {"kind": "discriminant_vs_eigenvalue_edges", "max_abs_deviation": worst}
-    return summary, rows
+    return summary, ["flavor", "mode_constant", "metric", "value"], rows
 
 
 # ---------------------------------------------------------------------------
@@ -416,6 +426,15 @@ def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
     _write_csv(path, ["flavor", "mode_constant", "y", "value"], rows)
 
 
+# task -> its coefficient class, its table's output key and writer, its oracle
+_ANALYSES = {
+    "stabilizing_analysis": (
+        Stabilizing, "bound_states_csv", _write_bound_states_csv, _oracle_stabilizing
+    ),
+    "periodic_analysis": (Periodic, "band_edges_csv", _write_band_edges_csv, _oracle_periodic),
+}
+
+
 # ---------------------------------------------------------------------------
 # main pipeline
 # ---------------------------------------------------------------------------
@@ -425,6 +444,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     cfg, e_max, halfwidth, grid, certificate = _parse_config(config_path)
     base = config_path.parent
     task = cfg["task"]
+    kind, table_key, write_table, oracle = _ANALYSES[task]
     outputs = cfg.get("outputs", {})
     if not isinstance(outputs, dict):
         raise ValidationError(f"config outputs must be a JSON object, got {outputs!r}")
@@ -432,7 +452,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
         if not (isinstance(name, str) and name):
             raise ValidationError(f"config outputs: '{key}' must be a file name, got {name!r}")
     # every path this run writes, checked before any compute
-    written = ["report", "bound_states_csv" if task == "stabilizing_analysis" else "band_edges_csv"]
+    written = ["report", table_key]
     if with_oracle:
         written.append("oracle_csv")
     if dump_potentials:
@@ -445,14 +465,10 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
     profile = _parse_profile(_need(cfg, "profile", "root"))
     friedlander_ok = validate_friedlander(spectrum)
+    if not isinstance(profile.classification, kind):
+        raise ValidationError(f"task {task} requires {kind.__name__.lower()} coefficients")
 
-    is_periodic = isinstance(profile.classification, Periodic)
-    if task == "stabilizing_analysis" and is_periodic:
-        raise ValidationError("task stabilizing_analysis requires stabilizing coefficients")
-    if task == "periodic_analysis" and not is_periodic:
-        raise ValidationError("task periodic_analysis requires periodic coefficients")
-
-    if is_periodic:
+    if kind is Periodic:
         rep = run_periodic_analysis(profile, spectrum, e_max, jobs=jobs)
     else:
         rep = run_stabilizing_analysis(
@@ -463,7 +479,7 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     doc["friedlander_validated"] = friedlander_ok
     doc["essential_bounds"] = rep.bounds
 
-    if is_periodic and certificate:
+    if kind is Periodic and certificate:
         # groups are distinct in (flavor, constant) and sorted by constant
         el = [m.structure for m in rep.modes if m.group.flavor == "el"][:2]
         if len(el) < 2:
@@ -473,29 +489,11 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
         doc["finite_gap_certificate"] = finite_gap_certificate(*el)
 
     if with_oracle:
-        if rep.classification == "stabilizing":
-            summary, oracle_rows = _oracle_stabilizing(profile, rep)
-            header = [
-                "flavor",
-                "mode_constant",
-                "eigenvalue_index",
-                "weighted_route",
-                "transform_route",
-                "rel_deviation",
-            ]
-        else:
-            summary, oracle_rows = _oracle_periodic(rep)
-            header = ["flavor", "mode_constant", "metric", "value"]
-        doc["oracle"] = summary
-        _write_csv(paths["oracle_csv"], header, oracle_rows)
+        doc["oracle"], header, rows = oracle(profile, rep)
+        _write_csv(paths["oracle_csv"], header, rows)
 
     _atomic_write(paths["report"], dumps_canonical(doc) + "\n")
-
-    if rep.classification == "stabilizing":
-        _write_bound_states_csv(paths["bound_states_csv"], rep)
-    else:
-        _write_band_edges_csv(paths["band_edges_csv"], rep)
-
+    write_table(paths[table_key], rep)
     if dump_potentials:
         _write_potentials_csv(paths["potentials_csv"], rep, halfwidth)
 

@@ -231,10 +231,7 @@ class LiouvilleData:
             below = g < 0
             lo = np.where(below, z, lo)
             hi = np.where(below, hi, z)
-            slope = np.sqrt(
-                np.asarray(self.profile.epsilon.eval(z, 0))
-                * np.asarray(self.profile.mu.eval(z, 0))
-            )
+            slope = np.sqrt(self.profile.product(z))
             step = z - g / slope
             inside = (step > lo) & (step < hi)
             z = np.where(inside, step, 0.5 * (lo + hi))
@@ -349,9 +346,7 @@ def build_transform(
             raise ValidationError("transform window must contain z = 0")
 
     def integrand(z):
-        return np.sqrt(
-            np.asarray(profile.epsilon.eval(z, 0)) * np.asarray(profile.mu.eval(z, 0))
-        )
+        return np.sqrt(profile.product(z))
 
     panels = PanelAntiderivative(integrand, z_lo, z_hi, _FORWARD_TOL)
     offset = float(panels.eval(0.0)) if z_lo < 0.0 else 0.0

@@ -56,25 +56,36 @@ _BOUND_SAMPLES = 20001
 _EXCESS_SAMPLES = 40001
 
 
-def _ret(z, values):
-    if np.isscalar(z) or getattr(z, "ndim", 1) == 0:
-        return float(values)
-    return values
-
-
-@dataclass(frozen=True)
-class Constant:
-    value: float
+class _Family:
+    """A closed-form family: `eval` checks the derivative order and gives a
+    float for a scalar z; the subclass's `_eval(z, order)` works on a
+    float array.  A leaf is its own only term, with no limit and no bump
+    window unless it says otherwise."""
 
     def eval(self, z, order: int = 0):
         if order not in (0, 1, 2):
             raise ValidationError(f"derivative order {order} not available")
-        u = np.asarray(z, dtype=float)
-        out = np.full_like(u, self.value) if order == 0 else np.zeros_like(u)
-        return _ret(z, out)
+        out = self._eval(np.asarray(z, dtype=float), order)
+        if np.isscalar(z) or getattr(z, "ndim", 1) == 0:
+            return float(out)
+        return out
 
     def terms(self):
         return [self]
+
+    def limit(self):
+        return None
+
+    def bump_window(self):
+        return None
+
+
+@dataclass(frozen=True)
+class Constant(_Family):
+    value: float
+
+    def _eval(self, z, order):
+        return np.full_like(z, self.value) if order == 0 else np.zeros_like(z)
 
     def limit(self):
         return self.value
@@ -85,12 +96,9 @@ class Constant:
     def derivative_sup(self):
         return 0.0
 
-    def bump_window(self):
-        return None
-
 
 @dataclass(frozen=True)
-class _Bump:
+class _Bump(_Family):
     """base + amplitude * shape((z - center) / width); the subclass gives
     the shape, the sup of its derivative and the reach of its window in
     widths."""
@@ -103,9 +111,6 @@ class _Bump:
     def __post_init__(self):
         if not self.width > 0:
             raise ValidationError("bump width must be positive")
-
-    def terms(self):
-        return [self]
 
     def limit(self):
         return self.base
@@ -125,18 +130,14 @@ class GaussianBump(_Bump):
     _DSUP = math.sqrt(2.0) * math.exp(-0.5)  # sup_u |d/du exp(-u^2)|
     _REACH = 12.0
 
-    def eval(self, z, order: int = 0):
-        u = (np.asarray(z, dtype=float) - self.center) / self.width
+    def _eval(self, z, order):
+        u = (z - self.center) / self.width
         g = np.exp(-u * u)
         if order == 0:
-            out = self.base + self.amplitude * g
-        elif order == 1:
-            out = self.amplitude * (-2.0 * u) * g / self.width
-        elif order == 2:
-            out = self.amplitude * (4.0 * u * u - 2.0) * g / self.width**2
-        else:
-            raise ValidationError(f"derivative order {order} not available")
-        return _ret(z, out)
+            return self.base + self.amplitude * g
+        if order == 1:
+            return self.amplitude * (-2.0 * u) * g / self.width
+        return self.amplitude * (4.0 * u * u - 2.0) * g / self.width**2
 
 
 @dataclass(frozen=True)
@@ -144,24 +145,20 @@ class Sech2Bump(_Bump):
     _DSUP = 4.0 / (3.0 * math.sqrt(3.0))  # sup_u |d/du sech^2 u|
     _REACH = 16.0
 
-    def eval(self, z, order: int = 0):
-        u = (np.asarray(z, dtype=float) - self.center) / self.width
+    def _eval(self, z, order):
+        u = (z - self.center) / self.width
         s = 1.0 / np.cosh(u)
         s2 = s * s
         t = np.tanh(u)
         if order == 0:
-            out = self.base + self.amplitude * s2
-        elif order == 1:
-            out = self.amplitude * (-2.0 * s2 * t) / self.width
-        elif order == 2:
-            out = self.amplitude * (4.0 * s2 * t * t - 2.0 * s2 * s2) / self.width**2
-        else:
-            raise ValidationError(f"derivative order {order} not available")
-        return _ret(z, out)
+            return self.base + self.amplitude * s2
+        if order == 1:
+            return self.amplitude * (-2.0 * s2 * t) / self.width
+        return self.amplitude * (4.0 * s2 * t * t - 2.0 * s2 * s2) / self.width**2
 
 
 @dataclass(frozen=True)
-class CosinePeriodic:
+class CosinePeriodic(_Family):
     mean: float
     amplitude: float
     period: float
@@ -170,24 +167,14 @@ class CosinePeriodic:
         if not self.period > 0:
             raise ValidationError("period must be positive")
 
-    def eval(self, z, order: int = 0):
+    def _eval(self, z, order):
         k = 2.0 * np.pi / self.period
-        ph = k * np.asarray(z, dtype=float)
+        ph = k * z
         if order == 0:
-            out = self.mean + self.amplitude * np.cos(ph)
-        elif order == 1:
-            out = -self.amplitude * k * np.sin(ph)
-        elif order == 2:
-            out = -self.amplitude * k * k * np.cos(ph)
-        else:
-            raise ValidationError(f"derivative order {order} not available")
-        return _ret(z, out)
-
-    def terms(self):
-        return [self]
-
-    def limit(self):
-        return None
+            return self.mean + self.amplitude * np.cos(ph)
+        if order == 1:
+            return -self.amplitude * k * np.sin(ph)
+        return -self.amplitude * k * k * np.cos(ph)
 
     def bounds_exact(self):
         return (self.mean - abs(self.amplitude), self.mean + abs(self.amplitude))
@@ -195,12 +182,9 @@ class CosinePeriodic:
     def derivative_sup(self):
         return abs(self.amplitude) * 2.0 * np.pi / self.period
 
-    def bump_window(self):
-        return None
-
 
 @dataclass(frozen=True)
-class ProfileSum:
+class ProfileSum(_Family):
     terms_: tuple
 
     def __init__(self, terms):
@@ -211,12 +195,11 @@ class ProfileSum:
             raise ValidationError("empty profile sum")
         object.__setattr__(self, "terms_", tuple(flat))
 
-    def eval(self, z, order: int = 0):
-        u = np.asarray(z, dtype=float)
-        out = np.zeros_like(u)
+    def _eval(self, z, order):
+        out = np.zeros_like(z)
         for t in self.terms_:
-            out = out + np.asarray(t.eval(u, order))
-        return _ret(z, out)
+            out = out + t._eval(z, order)
+        return out
 
     def terms(self):
         return list(self.terms_)
@@ -254,47 +237,44 @@ class Periodic:
     period: float
 
 
-def _sampling_window(fam: ProfileFamily, classification) -> tuple[float, float]:
+def _sampling_window(fams, classification) -> tuple[float, float]:
+    """One period, or the union of the families' bump windows, (-1, 1)
+    standing in for a family without one."""
     if isinstance(classification, Periodic):
         return (0.0, classification.period)
-    win = fam.bump_window()
-    return win if win is not None else (-1.0, 1.0)
+    wins = [fam.bump_window() or (-1.0, 1.0) for fam in fams]
+    return (min(w[0] for w in wins), max(w[1] for w in wins))
 
 
-def _candidate_points(fam: ProfileFamily, lo: float, hi: float) -> list[float]:
-    pts = [lo, hi]
-    for t in fam.terms():
-        c = getattr(t, "center", None)
-        if c is not None and lo <= c <= hi:
-            pts.append(float(c))
-    return pts
+def _padded_range(f, lip: float, fams, classification, limit) -> tuple[float, float]:
+    """A certified bracket of the range of f: one family of fams, or
+    their product.
+
+    f is sampled at _BOUND_SAMPLES points over the sampling window of
+    fams, and the sampled range is padded by half a step times lip, a
+    Lipschitz bound of f, so it always contains the true range over the
+    window.  f at the window ends and at the bump centres inside it is
+    folded in, and for stabilizing coefficients so is limit(), so tails
+    beyond the window cannot escape the bracket.
+    """
+    lo, hi = _sampling_window(fams, classification)
+    zs = np.linspace(lo, hi, _BOUND_SAMPLES)
+    vals = f(zs)
+    pad = 0.5 * (zs[1] - zs[0]) * lip
+    vmin, vmax = float(np.min(vals)) - pad, float(np.max(vals)) + pad
+    centres = [t.center for fam in fams for t in fam.terms() if isinstance(t, _Bump)]
+    extra = [f(p) for p in [lo, hi] + [c for c in centres if lo <= c <= hi]]
+    if isinstance(classification, Stabilizing):
+        extra.append(limit())
+    return (min(vmin, *extra), max(vmax, *extra))
 
 
 def _certified_bounds(fam: ProfileFamily, classification) -> tuple[float, float]:
-    """Closed form for leaves; dense sampling with Lipschitz padding for sums.
-
-    The padded interval always contains the true range over the window,
-    and the limit value is folded in for stabilizing families so tails
-    beyond the window cannot escape the bracket.
-    """
+    """Closed form for leaves, a padded range for sums."""
     exact = fam.bounds_exact()
     if exact is not None:
         return exact
-    lo, hi = _sampling_window(fam, classification)
-    zs = np.linspace(lo, hi, _BOUND_SAMPLES)
-    vals = fam.eval(zs, 0)
-    pad = 0.5 * (zs[1] - zs[0]) * fam.derivative_sup()
-    vmin = float(np.min(vals)) - pad
-    vmax = float(np.max(vals)) + pad
-    for p in _candidate_points(fam, lo, hi):
-        v = fam.eval(p, 0)
-        vmin = min(vmin, v)
-        vmax = max(vmax, v)
-    lim = fam.limit()
-    if lim is not None and isinstance(classification, Stabilizing):
-        vmin = min(vmin, lim)
-        vmax = max(vmax, lim)
-    return (vmin, vmax)
+    return _padded_range(fam.eval, fam.derivative_sup(), (fam,), classification, fam.limit)
 
 
 @dataclass(frozen=True)
@@ -333,6 +313,10 @@ class CoefficientProfile:
     @property
     def limit_product(self) -> float:
         return self.eps_limit * self.mu_limit
+
+    def product(self, z):
+        """eps(z) mu(z), a float for a scalar z."""
+        return self.epsilon.eval(z, 0) * self.mu.eval(z, 0)
 
     def swapped(self) -> "CoefficientProfile":
         """Same material with the roles of eps and mu exchanged."""
@@ -436,36 +420,17 @@ def essential_bounds(profile: CoefficientProfile) -> EssentialBounds:
     is sampled densely with Lipschitz padding, which can only widen the
     bracket, never miss a value.
     """
-    e_lo, e_hi = _certified_bounds(profile.epsilon, profile.classification)
-    m_lo, m_hi = _certified_bounds(profile.mu, profile.classification)
-
-    if isinstance(profile.epsilon, Constant):
-        prod_sup = profile.epsilon.value * m_hi
-    elif isinstance(profile.mu, Constant):
-        prod_sup = profile.mu.value * e_hi
+    eps, mu, cls = profile.epsilon, profile.mu, profile.classification
+    e_lo, e_hi = _certified_bounds(eps, cls)
+    m_lo, m_hi = _certified_bounds(mu, cls)
+    if isinstance(eps, Constant):
+        prod_sup = eps.value * m_hi
+    elif isinstance(mu, Constant):
+        prod_sup = mu.value * e_hi
     else:
-        zs, prod = _sampled_product(profile, _BOUND_SAMPLES)
-        lo, hi = zs[0], zs[-1]
-        lip = profile.epsilon.derivative_sup() * m_hi + profile.mu.derivative_sup() * e_hi
-        prod_sup = float(np.max(prod)) + 0.5 * (zs[1] - zs[0]) * lip
-        for fam in (profile.epsilon, profile.mu):
-            for p in _candidate_points(fam, lo, hi):
-                prod_sup = max(prod_sup, fam_product(profile, p))
-        if isinstance(profile.classification, Stabilizing):
-            prod_sup = max(prod_sup, profile.limit_product)
+        lip = eps.derivative_sup() * m_hi + mu.derivative_sup() * e_hi
+        _, prod_sup = _padded_range(profile.product, lip, (eps, mu), cls, lambda: profile.limit_product)
     return EssentialBounds(e_lo, e_hi, m_lo, m_hi, float(prod_sup))
-
-
-def _sampled_product(profile: CoefficientProfile, n: int):
-    """eps*mu on n points spanning both families' sampling windows."""
-    lo1, hi1 = _sampling_window(profile.epsilon, profile.classification)
-    lo2, hi2 = _sampling_window(profile.mu, profile.classification)
-    zs = np.linspace(min(lo1, lo2), max(hi1, hi2), n)
-    return zs, np.asarray(profile.epsilon.eval(zs, 0)) * np.asarray(profile.mu.eval(zs, 0))
-
-
-def fam_product(profile: CoefficientProfile, z: float) -> float:
-    return float(profile.epsilon.eval(z, 0)) * float(profile.mu.eval(z, 0))
 
 
 @dataclass(frozen=True)
@@ -488,7 +453,9 @@ def locate_product_excess(profile: CoefficientProfile) -> ProductComparison:
     if not isinstance(profile.classification, Stabilizing):
         raise ValidationError("product comparison applies to stabilizing profiles only")
     limit = profile.limit_product
-    zs, prod = _sampled_product(profile, _EXCESS_SAMPLES)
+    window = _sampling_window((profile.epsilon, profile.mu), profile.classification)
+    zs = np.linspace(*window, _EXCESS_SAMPLES)
+    prod = profile.product(zs)
     i = int(np.argmax(prod))
     best = float(prod[i])
     if best <= limit * (1.0 + 1e-13):
@@ -498,18 +465,18 @@ def locate_product_excess(profile: CoefficientProfile) -> ProductComparison:
     a, b = zs[max(i - 1, 0)], zs[min(i + 1, zs.size - 1)]
     gr = (math.sqrt(5.0) - 1.0) / 2.0
     c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = fam_product(profile, c), fam_product(profile, d)
+    fc, fd = profile.product(c), profile.product(d)
     for _ in range(80):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = fam_product(profile, c)
+            fc = profile.product(c)
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = fam_product(profile, d)
+            fd = profile.product(d)
     z0 = 0.5 * (a + b)
-    return ProductComparison(True, float(z0), fam_product(profile, z0), limit)
+    return ProductComparison(True, float(z0), profile.product(z0), limit)
 
 
 _FAMILY_TAGS = {

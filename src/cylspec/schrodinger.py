@@ -420,14 +420,22 @@ def _dirichlet_angle(prop, energies):
 
 
 def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
-    """2x2 transfer matrix over one period; det checked against 1."""
+    """2x2 transfer matrix over one period; det checked against 1.
+
+    Each call reruns the whole step-count rule (514 probe energies); for
+    Delta at many energies, pass them all to one `discriminant` call.
+    """
     sf = _range_propagator(potential)([energy])
     _checked_trace(sf)
     return np.array([[sf[0, 0], sf[2, 0]], [sf[1, 0], sf[3, 0]]])
 
 
 def discriminant(potential: ModePotential, energy):
-    """Delta(E) = trace of the one-period transfer matrix."""
+    """Delta(E) = trace of the one-period transfer matrix.
+
+    Each call reruns the whole step-count rule (514 probe energies), so
+    pass all the energies wanted as one array.
+    """
     trace = _checked_trace(_range_propagator(potential)(energy))
     return trace if np.ndim(energy) else float(trace[0])
 

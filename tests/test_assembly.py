@@ -409,6 +409,15 @@ def test_certificate_names_last_covered_energy():
     assert cert.reason == "coverage of [K, e_max] ends at energy 11.000000"
 
 
+def test_certificate_does_not_depend_on_argument_order():
+    # the certificate orders the two structures by mean potential itself
+    low = _hand_built(0.0, _free_pairs(0.0, 6), 30.0)
+    high = _hand_built(2.0, _free_pairs(2.0, 6), 30.0)
+    cert = finite_gap_certificate(low, high)
+    assert cert.verified, cert.reason
+    assert finite_gap_certificate(high, low) == cert
+
+
 def test_certificate_takes_first_index_after_which_deviations_stay_below():
     # deviations per band n: 0 at n = 2, 0.7 at n = 3, then 0.1, 0.2, 0.05
     lows, highs = _free_pairs(0.0, 6), _free_pairs(2.0, 6)

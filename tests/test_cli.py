@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import cylspec
-from cylspec import assembly, cli, liouville, profiles
+from cylspec import assembly, cli, liouville, profiles, schrodinger
 from cylspec.cli import dumps_canonical, main
 
 
@@ -204,6 +204,18 @@ def test_synthetic_csv_inputs_match_inline(tmp_path):
     assert (inline_dir / "report.json").read_bytes() == (csv_dir / "report.json").read_bytes()
 
 
+def test_explicit_classification_matches_the_derived_one(tmp_path):
+    blobs = []
+    for sub, cls in (("derived", None), ("explicit", {"kind": "periodic", "period": 1.0})):
+        d = tmp_path / sub
+        d.mkdir()
+        cfg = _periodic_cfg()
+        cfg["profile"]["classification"] = cls
+        assert main(["run", str(_write_cfg(d, cfg))]) == 0
+        blobs.append((d / "report.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 def test_custom_output_paths(tmp_path):
     cfg = _write_cfg(
         tmp_path,
@@ -235,7 +247,7 @@ def test_wrong_schema_version(tmp_path):
 
 
 def test_unknown_task(tmp_path):
-    for task in ("resolvent_analysis", "oracle_check"):
+    for task in ("resolvent_analysis", "oracle_check", ["periodic_analysis"]):
         cfg = _write_cfg(tmp_path, _stabilizing_cfg(task=task))
         assert main(["run", str(cfg)]) == 2
 
@@ -259,6 +271,16 @@ def test_unknown_profile_family(tmp_path):
     c["profile"]["epsilon"] = {"family": "lorentzian", "base": 1.0}
     cfg = _write_cfg(tmp_path, c)
     assert main(["run", str(cfg)]) == 2
+
+
+def test_uncertified_result_exits_3(tmp_path, capsys, monkeypatch):
+    # no step count meets a floor below rounding, so the discriminant
+    # cannot be certified: exit 3, and no report
+    monkeypatch.setattr(schrodinger, "NOISE_FLOOR", 1e-30)
+    assert main(["run", str(_write_cfg(tmp_path, _periodic_cfg()))]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "e_max = 40.0" in err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_missing_csv_input(tmp_path):
@@ -302,6 +324,12 @@ _NEUMANN = [0.0, 2.0, 85.0]
         (("numerics",), "e_max", "numerics must be a JSON object"),
         (("cross_section",), "kind", "cross_section must be a JSON object"),
         (("profile", "classification"), "kind", "classification must be a JSON object"),
+        (
+            ("profile", "classification"),
+            {"kind": "stabilizing", "eps_limit": 1.25, "mu_limit": 1.0},
+            "declared limit 1.25 does not match the family tail 1.0",
+        ),
+        (("profile", "classification"), {"kind": "spiral"}, "unknown classification kind 'spiral'"),
         (("outputs",), [], "outputs must be a JSON object"),
         (("outputs",), {"report": None}, "'report'"),
         (("outputs",), {"report": ""}, "'report'"),
@@ -311,7 +339,8 @@ _NEUMANN = [0.0, 2.0, 85.0]
         "count-fraction", "e_max-bool", "e_max-numeric-text", "halfwidth-inf", "value-bool",
         "certificate-text", "certificate-number", "certificate-null",
         "dirichlet-nan", "dirichlet-csv-nan",
-        "numerics-text", "cross_section-text", "classification-text", "outputs-list",
+        "numerics-text", "cross_section-text", "classification-text",
+        "classification-limit", "classification-kind", "outputs-list",
         "output-null", "output-empty",
     ],
 )

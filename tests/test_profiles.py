@@ -360,7 +360,7 @@ def test_pinned_classification_bounds_and_dicts(name):
     eps, mu = _PIN_CASES[name]
     want = _PINNED[name]
     for fam, doc in zip((eps, mu), want["dicts"]):
-        # json text also pins the key order the report writer emits
+        # json text also pins the key order of family_to_dict: the tag, then the fields
         assert json.dumps(family_to_dict(fam)) == json.dumps(doc)
     if "error" in want:
         with pytest.raises(ValidationError) as info:
