@@ -15,148 +15,20 @@ change of variable and mode potentials), schrodinger / weighted_operator
 finite-gap certificate), cli (JSON-configured batch runs).
 """
 
-from .assembly import (
-    FiniteGapCertificate,
-    GapReport,
-    ModeBudget,
-    ModeGroup,
-    PeriodicModeResult,
-    SpectralPoint,
-    SpectrumReport,
-    StabilizingModeResult,
-    finite_gap_certificate,
-    mode_budget,
-    run_periodic_analysis,
-    run_stabilizing_analysis,
-)
-from .cross_section import (
-    CrossSectionSpectrum,
-    Disk,
-    Rectangle,
-    Synthetic,
-    build_spectrum,
-    dirichlet_eigenvalues,
-    neumann_eigenvalues,
-    validate_friedlander,
-)
-from .errors import (
-    CylspecError,
-    InsufficientDataError,
-    InvalidWitnessError,
-    NumericalError,
-    ResolutionError,
-    TopologyError,
-    ValidationError,
-    WindowError,
-)
-from .liouville import (
-    LiouvilleData,
-    ModePotential,
-    build_potential,
-    build_transform,
-)
-from .profiles import (
-    CoefficientProfile,
-    Constant,
-    CosinePeriodic,
-    EssentialBounds,
-    GaussianBump,
-    Periodic,
-    ProductComparison,
-    ProfileSum,
-    Sech2Bump,
-    Stabilizing,
-    essential_bounds,
-    family_from_dict,
-    family_to_dict,
-    locate_product_excess,
-    make_profile,
-)
-from .schrodinger import (
-    BandStructure,
-    BoundStateResult,
-    VariationalBound,
-    Witness,
-    band_structure,
-    bound_states,
-    count_below,
-    discriminant,
-    monodromy,
-    search_witness,
-    variational_upper_bound,
-)
-from .weighted_operator import (
-    FormValue,
-    WeightedEigenResult,
-    WeightedOperatorSpec,
-    quadratic_form_value,
-    weighted_eigenvalues,
-)
+from . import assembly, cross_section, errors, liouville, profiles, schrodinger, weighted_operator
+from .assembly import *  # noqa: F403
+from .cross_section import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .liouville import *  # noqa: F403
+from .profiles import *  # noqa: F403
+from .schrodinger import *  # noqa: F403
+from .weighted_operator import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# each public name is written once, in its module's __all__
 __all__ = [
-    "BandStructure",
-    "BoundStateResult",
-    "CoefficientProfile",
-    "Constant",
-    "CosinePeriodic",
-    "CrossSectionSpectrum",
-    "CylspecError",
-    "Disk",
-    "EssentialBounds",
-    "FiniteGapCertificate",
-    "FormValue",
-    "GapReport",
-    "GaussianBump",
-    "InsufficientDataError",
-    "InvalidWitnessError",
-    "LiouvilleData",
-    "ModeBudget",
-    "ModeGroup",
-    "ModePotential",
-    "NumericalError",
-    "Periodic",
-    "PeriodicModeResult",
-    "ProductComparison",
-    "ProfileSum",
-    "Rectangle",
-    "ResolutionError",
-    "Sech2Bump",
-    "SpectralPoint",
-    "SpectrumReport",
-    "Stabilizing",
-    "StabilizingModeResult",
-    "Synthetic",
-    "TopologyError",
-    "ValidationError",
-    "VariationalBound",
-    "WeightedEigenResult",
-    "WeightedOperatorSpec",
-    "WindowError",
-    "Witness",
-    "band_structure",
-    "bound_states",
-    "build_potential",
-    "build_spectrum",
-    "build_transform",
-    "count_below",
-    "dirichlet_eigenvalues",
-    "discriminant",
-    "essential_bounds",
-    "family_from_dict",
-    "family_to_dict",
-    "finite_gap_certificate",
-    "locate_product_excess",
-    "make_profile",
-    "mode_budget",
-    "monodromy",
-    "neumann_eigenvalues",
-    "quadratic_form_value",
-    "run_periodic_analysis",
-    "run_stabilizing_analysis",
-    "search_witness",
-    "validate_friedlander",
-    "variational_upper_bound",
-    "weighted_eigenvalues",
+    name
+    for module in (assembly, cross_section, errors, liouville, profiles, schrodinger, weighted_operator)
+    for name in module.__all__
 ]

@@ -1,8 +1,7 @@
 """Exception hierarchy shared across the package.
 
-Two top-level branches matter to the CLI: ValidationError maps to exit
-code 2 (bad input, caught before any heavy numerics), NumericalError
-maps to exit code 3 (a solver failed to meet its tolerance).
+The CLI maps ValidationError to exit code 2 (bad input, caught before any heavy numerics)
+and NumericalError to exit code 3 (a solver failed to meet its tolerance).
 """
 
 
@@ -19,13 +18,11 @@ class InsufficientDataError(ValidationError):
 
 
 class TopologyError(ValidationError):
-    """Operation inconsistent with the boundary topology (e.g. the
-    zero-mode branch requested for a simply connected cross-section)."""
+    """Operation inconsistent with the boundary topology (zero modes need N >= 2)."""
 
 
 class WindowError(ValidationError):
-    """Truncation window too small: the potential has not settled to its
-    asymptotic value at the ends."""
+    """Truncation window too small: the potential has not settled at its ends."""
 
 
 class InvalidWitnessError(ValidationError):
@@ -39,3 +36,6 @@ class NumericalError(CylspecError):
 class ResolutionError(NumericalError):
     """Band-edge location failed or cross-validation disagreed; lowering
     e_max leaves out the modes and bands that could not be resolved."""
+
+
+__all__ = [name for name in globals() if name.endswith("Error")]

@@ -22,7 +22,8 @@ and mu exchanged (eta flips sign under the swap), so a single code path
 serves all three flavors: a magnetic potential reads the eps and mu
 data of the one transform in exchanged roles.
 
-Transported derivatives never touch finite differences: with
+One function computes the curvature term eta^2 - eta' of every flavor
+from eps, mu and their z-derivatives, with no finite differences: with
 w = eps*mu and ' denoting d/dz,
 
     g~'(y)  = g'/sqrt(w)
@@ -103,9 +104,6 @@ class PanelAntiderivative:
         if not b > a:
             raise ValidationError(f"empty integration window [{a}, {b}]")
         self.fun = fun
-        self.a = float(a)
-        self.b = float(b)
-        self.tol = float(tol)
         breaks = [a]
         values = []
         width_total = b - a
@@ -262,67 +260,27 @@ class LiouvilleData:
         m2 = np.asarray(self.profile.mu.eval(zs, 2))
         return e, e1, e2, m, m1, m2
 
-    def eps_tilde(self, y, order: int = 0):
-        e, e1, e2, m, m1, m2 = self._raw(y)
-        out = _transported(e, e1, e2, m, m1, order)
-        return out if np.ndim(y) else float(out[0])
-
-    def mu_tilde(self, y, order: int = 0):
-        e, e1, e2, m, m1, m2 = self._raw(y)
-        out = _transported(m, m1, m2, e, e1, order)
-        return out if np.ndim(y) else float(out[0])
-
     def product_tilde(self, y):
         """eps~(y) mu~(y); equals eps(z) mu(z) at z = z(y) exactly."""
         e, _, _, m, _, _ = self._raw(y)
         out = e * m
         return out if np.ndim(y) else float(out[0])
 
-    def nu(self, y):
-        e, _, _, m, _, _ = self._raw(y)
-        out = (e / m) ** 0.25
-        return out if np.ndim(y) else float(out[0])
-
-    def eta(self, y):
-        out = _eta_from_raw(*self._raw(y))[0]
-        return out if np.ndim(y) else float(out[0])
-
-    def eta_prime(self, y):
-        out = _eta_from_raw(*self._raw(y))[1]
-        return out if np.ndim(y) else float(out[0])
-
-    def curvature_term(self, y):
-        """eta^2 - eta', the mode-independent part of the electric potential."""
-        out = _curvature(self._raw(y))
-        return out if np.ndim(y) else float(out[0])
-
-
-def _transported(g, g1, g2, other, other1, order: int):
-    # g~(y) and derivatives of a transported coefficient; `other` is the
-    # partner so that w = g * other is the wave slowness squared
-    if order == 0:
-        return g
-    w = g * other
-    if order == 1:
-        return g1 / np.sqrt(w)
-    if order == 2:
-        return g2 / w - g1 * (g1 * other + g * other1) / (2.0 * w * w)
-    raise ValidationError(f"derivative order {order} not available")
-
-
-def _eta_from_raw(e, e1, e2, m, m1, m2):
-    le = _transported(e, e1, e2, m, m1, 1) / e
-    lm = _transported(m, m1, m2, e, e1, 1) / m
-    et2 = _transported(e, e1, e2, m, m1, 2)
-    mt2 = _transported(m, m1, m2, e, e1, 2)
-    eta_val = 0.25 * (le - lm)
-    eta_der = 0.25 * (et2 / e - le * le - mt2 / m + lm * lm)
-    return eta_val, eta_der
-
 
 def _curvature(raw):
-    et, etp = _eta_from_raw(*raw)
-    return et * et - etp
+    """eta^2 - eta' from the eps and mu triples (value, d/dz, d^2/dz^2)."""
+    # the order of these operations sets V's last bits, which the goldens pin
+    e, e1, e2, m, m1, m2 = raw
+    w = e * m
+    root = np.sqrt(w)
+    dw = e1 * m + e * m1
+    le = e1 / root / e
+    lm = m1 / root / m
+    et2 = e2 / w - e1 * dw / (2.0 * w * w)
+    mt2 = m2 / w - m1 * dw / (2.0 * w * w)
+    eta = 0.25 * (le - lm)
+    eta_der = 0.25 * (et2 / e - le * le - mt2 / m + lm * lm)
+    return eta * eta - eta_der
 
 
 def build_transform(

@@ -68,7 +68,6 @@ __all__ = [
     "settle_residual",
     "bound_states",
     "count_below",
-    "monodromy",
     "discriminant",
     "BandStructure",
     "band_structure",
@@ -126,13 +125,12 @@ def _dirichlet_grid(potential: ModePotential, halfwidth: float, n: int):
     vals = potential.values(ys)
     diag = 2.0 / (h * h) + vals
     off = np.full(n - 2, -1.0 / (h * h))
-    return diag, off, h
+    return diag, off
 
 
-def _eigs_below(potential: ModePotential, halfwidth: float, n: int, cutoff: float):
-    diag, off, _ = _dirichlet_grid(potential, halfwidth, n)
+def _eigs_below(diag, off, lower_bound: float, cutoff: float):
     gersh = float(np.min(diag)) - (2.0 * abs(off[0]) if len(off) else 0.0)
-    vl = min(gersh, potential.lower_bound) - 1.0
+    vl = min(gersh, lower_bound) - 1.0
     if vl >= cutoff:
         return np.array([])
     w = eigh_tridiagonal(diag, off, eigvals_only=True, select="v", select_range=(vl, cutoff))
@@ -161,11 +159,14 @@ def bound_states(
             f"(|V - threshold| = {settle:.3e} >= {SETTLE_TOL:.1e}); enlarge the window"
         )
 
-    e_coarse = _eigs_below(potential, halfwidth, grid, thr)
-    e_fine = _eigs_below(potential, halfwidth, 2 * grid, thr)
+    floor = potential.lower_bound
+    coarse = _dirichlet_grid(potential, halfwidth, grid)
+    fine = _dirichlet_grid(potential, halfwidth, 2 * grid)
+    e_coarse = _eigs_below(*coarse, floor, thr)
+    e_fine = _eigs_below(*fine, floor, thr)
 
-    # certification: the LDL^T pivot count on the fine grid must agree
-    certified = count_below(potential, thr, halfwidth, 2 * grid)
+    # certification: the LDL^T pivot count of the same fine matrix must agree
+    certified = count_below(*fine, thr)
     if certified != len(e_fine):
         raise NumericalError(
             f"eigensolver found {len(e_fine)} states below threshold, "
@@ -194,15 +195,14 @@ def bound_states(
     )
 
 
-def count_below(potential: ModePotential, energy: float, halfwidth: float, grid: int) -> int:
-    """Sturm count: eigenvalues of the discretized operator below `energy`.
+def count_below(diag: np.ndarray, off: np.ndarray, energy: float) -> int:
+    """Sturm count: eigenvalues of the symmetric tridiagonal T = (diag,
+    off) below `energy`.
 
     Counts negative pivots of the LDL^T factorization of T - energy,
     independent of the LAPACK eigensolver, so the two certify each
     other.
     """
-    _require_window(potential, halfwidth)
-    diag, off, _ = _dirichlet_grid(potential, halfwidth, grid)
     cnt = 0
     q = diag[0] - energy
     if q == 0.0:
@@ -219,7 +219,7 @@ def count_below(potential: ModePotential, energy: float, halfwidth: float, grid:
 
 
 # ---------------------------------------------------------------------------
-# monodromy and band structure (periodic case)
+# discriminant and band structure (periodic case)
 # ---------------------------------------------------------------------------
 
 
@@ -293,12 +293,6 @@ def _magnus_steps(potential: ModePotential, vs: np.ndarray, e_max: float):
                 f"floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; lower e_max"
             )
         n, prop, coarse, last = 2 * n, fine_prop, fine, drift[worst]
-
-
-def _range_propagator(potential: ModePotential):
-    """The propagator whose steps resolve Delta on [min V - 1, max V]."""
-    vs = potential.values(_period_grid(potential))
-    return _magnus_steps(potential, vs, float(np.max(vs)))[1]
 
 
 def _propagator(potential: ModePotential, n: int):
@@ -419,24 +413,16 @@ def _dirichlet_angle(prop, energies):
     return sf[4], np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int), _checked_trace(sf)
 
 
-def monodromy(potential: ModePotential, energy: float) -> np.ndarray:
-    """2x2 transfer matrix over one period; det checked against 1.
-
-    Each call reruns the whole step-count rule (514 probe energies); for
-    Delta at many energies, pass them all to one `discriminant` call.
-    """
-    sf = _range_propagator(potential)([energy])
-    _checked_trace(sf)
-    return np.array([[sf[0, 0], sf[2, 0]], [sf[1, 0], sf[3, 0]]])
-
-
 def discriminant(potential: ModePotential, energy):
-    """Delta(E) = trace of the one-period transfer matrix.
+    """Delta(E) = trace of the one-period transfer matrix, on the steps
+    that resolve Delta on [min V - 1, max V].
 
     Each call reruns the whole step-count rule (514 probe energies), so
     pass all the energies wanted as one array.
     """
-    trace = _checked_trace(_range_propagator(potential)(energy))
+    vs = potential.values(_period_grid(potential))
+    prop = _magnus_steps(potential, vs, float(np.max(vs)))[1]
+    trace = _checked_trace(prop(energy))
     return trace if np.ndim(energy) else float(trace[0])
 
 

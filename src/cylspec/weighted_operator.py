@@ -61,9 +61,6 @@ class WeightedOperatorSpec:
     def nodes(self) -> np.ndarray:
         return np.linspace(-self.halfwidth, self.halfwidth, self.grid + 1)
 
-    def interior(self) -> np.ndarray:
-        return self.nodes()[1:-1]
-
 
 @dataclass(frozen=True)
 class WeightedEigenResult:

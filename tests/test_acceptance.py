@@ -255,12 +255,19 @@ def test_08_transform_fidelity():
     rt = float(np.max(np.abs(back - zs)))
     assert rt <= 1e-10
 
-    # eta is the logarithmic derivative of the gauge factor
+    # the curvature term is phi''/phi for the gauge factor phi = (mu/eps)^{1/4},
+    # here by a five-point second difference with eps and mu read at z(y)
+    def phi(y):
+        zs = np.asarray(data.inverse(y))
+        return (np.asarray(prof.mu.eval(zs)) / np.asarray(prof.epsilon.eval(zs))) ** 0.25
+
     ys = np.linspace(-8.0, 8.0, 501)
-    h = 1e-6
-    fd = (np.log(np.asarray(data.nu(ys + h))) - np.log(np.asarray(data.nu(ys - h)))) / (2 * h)
-    eta_dev = float(np.max(np.abs(np.asarray(data.eta(ys)) - fd)))
-    assert eta_dev <= 1e-6
+    h = 1e-3
+    d2 = 16.0 * (phi(ys - h) + phi(ys + h)) - (phi(ys - 2 * h) + phi(ys + 2 * h)) - 30.0 * phi(ys)
+    fd = d2 / (12.0 * h * h) / phi(ys)
+    curvature = np.asarray(build_potential(data, "el", 1.0).curvature_term(ys))
+    curv_dev = float(np.max(np.abs(curvature - fd)))
+    assert curv_dev <= 1e-8
 
     # constant coefficients: no gauge term at all, flat potential
     const = make_profile(Constant(2.0), Constant(1.0))
@@ -268,7 +275,7 @@ def test_08_transform_fidelity():
     lam = 7.0
     cpot = build_potential(cdata, "el", lam)
     ys2 = np.linspace(cdata.y_lo + 0.1, cdata.y_hi - 0.1, 200)
-    assert float(np.max(np.abs(np.asarray(cdata.eta(ys2))))) <= 1e-13
+    assert float(np.max(np.abs(np.asarray(cpot.curvature_term(ys2))))) <= 1e-13
     assert float(np.max(np.abs(np.asarray(cpot.values(ys2)) - lam / 2.0))) <= 1e-13
     print(f"PASS transform fidelity: round trip {rt:.2e} (<= 1e-10), "
-          f"eta vs log-nu differences {eta_dev:.2e} (<= 1e-6), constant case exact")
+          f"curvature vs gauge differences {curv_dev:.2e} (<= 1e-8), constant case exact")

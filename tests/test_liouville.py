@@ -2,8 +2,11 @@
 
 The forward map is checked against a fixed-order Gauss-Legendre value
 computed here with no adaptive machinery, plus a frozen constant for
-one specific profile.  Transported derivatives are compared with
-central finite differences in the transformed variable.
+one specific profile.  The curvature term of each flavor is compared
+with phi''/phi, for the gauge factor phi = (mu/eps)^{1/4} (electric)
+or (eps/mu)^{1/4} (magnetic), by finite differences in the transformed
+variable, with eps and mu evaluated at z(y) directly rather than
+through the transform's memo.
 """
 
 from __future__ import annotations
@@ -47,6 +50,43 @@ def _bump_profile():
     return make_profile(GaussianBump(1.0, 1.0, 0.0, 1.0), Constant(1.0))
 
 
+def _two_sided_profile():
+    return make_profile(
+        Sech2Bump(1.0, 0.8, 0.3, 0.6),
+        GaussianBump(1.0, 0.5, -0.4, 1.1),
+    )
+
+
+def _periodic_two_sided_profile():
+    return make_profile(CosinePeriodic(1.0, 0.3, 1.0), CosinePeriodic(1.5, 0.4, 1.0))
+
+
+def _gauge(data, flavor):
+    """phi(y) = (mu/eps)^{1/4} (electric) or (eps/mu)^{1/4} (magnetic) at z(y)."""
+    prof = data.profile
+
+    def phi(y):
+        zs = np.asarray(data.inverse(y))
+        ratio = np.asarray(prof.mu.eval(zs)) / np.asarray(prof.epsilon.eval(zs))
+        return ratio ** (0.25 if flavor == "el" else -0.25)
+
+    return phi
+
+
+def _second_difference(f, ys, h):
+    # five-point stencil: truncation O(h^4), so h can stay large enough
+    # that the inverse map's 1e-13 value noise is not amplified by 1/h^2
+    return (16.0 * (f(ys - h) + f(ys + h)) - (f(ys - 2 * h) + f(ys + 2 * h)) - 30.0 * f(ys)) / (
+        12.0 * h * h
+    )
+
+
+def _gauge_curvature(data, flavor, ys, h=1e-3):
+    """phi''/phi, which is eta^2 -/+ eta' for the electric/magnetic flavor."""
+    phi = _gauge(data, flavor)
+    return _second_difference(phi, ys, h) / phi(ys)
+
+
 def test_identity_profile_gives_identity_map():
     data = _transform(_identity_profile(), (-3.0, 5.0))
     zs = np.linspace(-3.0, 5.0, 41)
@@ -54,8 +94,8 @@ def test_identity_profile_gives_identity_map():
     assert np.allclose(data.inverse(zs), zs, atol=1e-13)
     assert data.y_lo == pytest.approx(-3.0, abs=1e-13)
     assert data.y_hi == pytest.approx(5.0, abs=1e-13)
-    assert float(data.eta(1.0)) == 0.0
-    assert float(data.curvature_term(1.0)) == 0.0
+    for flavor in ("el", "m"):
+        assert float(build_potential(data, flavor, 1.0).curvature_term(1.0)) == 0.0
 
 
 def test_forward_matches_fixed_quadrature():
@@ -73,11 +113,7 @@ def test_forward_matches_fixed_quadrature():
 
 
 def test_round_trip_inverse():
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
-    data = _transform(prof, (-6.0, 6.0))
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
     rng = np.random.default_rng(7)
     ys = rng.uniform(data.y_lo, data.y_hi, size=200)
     back = data.forward(data.inverse(ys))
@@ -85,97 +121,104 @@ def test_round_trip_inverse():
 
 
 def test_transported_derivatives_match_finite_differences():
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
-    data = _transform(prof, (-6.0, 6.0))
-    rng = np.random.default_rng(11)
-    ys = rng.uniform(data.y_lo + 0.5, data.y_hi - 0.5, size=25)
-    h = 1e-5
-    for fun in (data.eps_tilde, data.mu_tilde):
-        d1 = np.asarray(fun(ys, 1))
-        fd1 = (np.asarray(fun(ys + h)) - np.asarray(fun(ys - h))) / (2 * h)
-        assert np.allclose(d1, fd1, rtol=1e-6, atol=1e-6)
-        # second order against first differences of the analytic first
-        # derivative; a raw second difference would amplify the inverse
-        # map's 1e-12 value noise by 1/h^2
-        d2 = np.asarray(fun(ys, 2))
-        fd2 = (np.asarray(fun(ys + h, 1)) - np.asarray(fun(ys - h, 1))) / (2 * h)
-        assert np.allclose(d2, fd2, rtol=1e-5, atol=1e-6)
+    # the curvature term holds every transported first and second
+    # derivative of eps and mu
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
+    ys = np.linspace(-3.0, 3.0, 61)
+    for flavor in ("el", "m"):
+        cv = np.asarray(build_potential(data, flavor, 1.0).curvature_term(ys))
+        assert np.allclose(cv, _gauge_curvature(data, flavor, ys), rtol=0.0, atol=1e-8), flavor
 
 
 def test_eta_prime_matches_finite_differences():
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
-    data = _transform(prof, (-6.0, 6.0))
+    # the two flavors differ by the sign of eta' only, so half their
+    # difference is eta' = (log phi_m)''
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
     ys = np.linspace(-2.0, 2.0, 21)
-    h = 1e-5
-    etp = np.asarray(data.eta_prime(ys))
-    fd = (np.asarray(data.eta(ys + h)) - np.asarray(data.eta(ys - h))) / (2 * h)
-    assert np.allclose(etp, fd, rtol=1e-5, atol=1e-7)
+    cv = {f: np.asarray(build_potential(data, f, 1.0).curvature_term(ys)) for f in ("el", "m")}
+    phi = _gauge(data, "m")
+    fd = _second_difference(lambda y: np.log(phi(y)), ys, 1e-3)
+    assert np.allclose(0.5 * (cv["m"] - cv["el"]), fd, rtol=1e-5, atol=1e-7)
 
 
 def test_swap_flips_eta_exactly():
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
-    data = _transform(prof, (-6.0, 6.0))
-    sw = _transform(prof.swapped(), (-6.0, 6.0))
-    ys = np.linspace(-3.0, 3.0, 31)
-    assert np.array_equal(np.asarray(sw.eta(ys)), -np.asarray(data.eta(ys)))
-    # curvature picks up the sign of eta' only
-    cv = np.asarray(data.curvature_term(ys))
-    cv_sw = np.asarray(sw.curvature_term(ys))
-    etp = np.asarray(data.eta_prime(ys))
-    assert np.allclose(cv_sw - cv, 2 * etp, rtol=1e-12, atol=1e-12)
+    # eta -> -eta under the swap, so the two flavors' curvature terms
+    # trade places bitwise
+    for prof, window in ((_two_sided_profile(), (-6.0, 6.0)), (_periodic_two_sided_profile(), None)):
+        data, sw = _transform(prof, window), _transform(prof.swapped(), window)
+        ys = np.linspace(-3.0, 3.0, 31)
+        for flavor, other in (("el", "m"), ("m", "el")):
+            cv = np.asarray(build_potential(data, flavor, 1.0).curvature_term(ys))
+            cv_sw = np.asarray(build_potential(sw, other, 1.0).curvature_term(ys))
+            assert np.array_equal(cv_sw, cv), flavor
+
+
+def _curvature_in_z(prof, zs, flavor):
+    """phi_yy/phi written in z: with L = (log phi)_z and w = eps mu,
+    dz/dy = 1/sqrt(w) gives (L_z + L^2 - L w_z / (2 w)) / w."""
+    e, e1, e2 = (np.asarray(prof.epsilon.eval(zs, k)) for k in range(3))
+    m, m1, m2 = (np.asarray(prof.mu.eval(zs, k)) for k in range(3))
+    if flavor == "m":
+        (e, e1, e2), (m, m1, m2) = (m, m1, m2), (e, e1, e2)
+    slope = 0.25 * (m1 / m - e1 / e)
+    slope_z = 0.25 * (m2 / m - (m1 / m) ** 2 - e2 / e + (e1 / e) ** 2)
+    w, w_z = e * m, e1 * m + e * m1
+    return (slope_z + slope * slope - slope * w_z / (2.0 * w)) / w
 
 
 def test_transported_coefficients_compose_with_forward_map():
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
+    prof = _two_sided_profile()
     data = _transform(prof, (-6.0, 6.0))
     zs = np.linspace(-5.5, 5.5, 101)
     ys = np.asarray(data.forward(zs))
-    # eps~(y(z)) = eps(z); only the inverse map's tolerance separates them
-    assert np.allclose(np.asarray(data.eps_tilde(ys)), np.asarray(prof.epsilon.eval(zs)), atol=1e-10)
-    assert np.allclose(np.asarray(data.mu_tilde(ys)), np.asarray(prof.mu.eval(zs)), atol=1e-10)
+    # V(y(z)) is a function of z alone; only the inverse map's tolerance
+    # separates the two
+    for flavor in ("el", "m"):
+        cv = np.asarray(build_potential(data, flavor, 1.0).curvature_term(ys))
+        assert np.allclose(cv, _curvature_in_z(prof, zs, flavor), rtol=0.0, atol=1e-10), flavor
     prod = np.asarray(prof.epsilon.eval(zs)) * np.asarray(prof.mu.eval(zs))
     assert np.allclose(np.asarray(data.product_tilde(ys)), prod, atol=1e-10)
 
 
 def test_periodic_transported_coefficients_inherit_travel_period():
-    prof = make_profile(CosinePeriodic(1.0, 0.3, 1.0), Constant(1.0))
-    data = _transform(prof)
+    data = _transform(_periodic_two_sided_profile())
     b = data.period_b
     ys = np.linspace(-2.0, 2.0, 41)
-    assert np.allclose(
-        np.asarray(data.eps_tilde(ys + b)), np.asarray(data.eps_tilde(ys)), atol=1e-10
-    )
+    for flavor in ("el", "m"):
+        cv = build_potential(data, flavor, 1.0).curvature_term
+        assert np.allclose(np.asarray(cv(ys + b)), np.asarray(cv(ys)), rtol=0.0, atol=1e-10)
+    assert np.allclose(data.product_tilde(ys + b), data.product_tilde(ys), rtol=0.0, atol=1e-10)
 
 
 def test_electric_potential_matches_gauge_reconstruction():
-    # rebuild V from finite differences of log nu and the transported
-    # product, fully independent of the closed-form eta path
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
+    # rebuild V from finite differences of the gauge factor and eps, mu
+    # read at z(y), fully independent of the closed-form eta path
+    prof = _two_sided_profile()
     data = _transform(prof, (-6.0, 6.0))
     c = 3.0
     pot = build_potential(data, "el", c)
     ys = np.linspace(-3.0, 3.0, 61)
-    h = 1e-4
-    lognu = lambda y: np.log(np.asarray(data.nu(y)))
-    eta_fd = (lognu(ys + h) - lognu(ys - h)) / (2 * h)
-    eta_p_fd = (lognu(ys + h) - 2 * lognu(ys) + lognu(ys - h)) / (h * h)
-    v_fd = eta_fd**2 - eta_p_fd + c / np.asarray(data.product_tilde(ys))
-    assert np.allclose(np.asarray(pot.values(ys)), v_fd, atol=5e-5)
+    zs = np.asarray(data.inverse(ys))
+    prod = np.asarray(prof.epsilon.eval(zs)) * np.asarray(prof.mu.eval(zs))
+    v_fd = _gauge_curvature(data, "el", ys) + c / prod
+    assert np.allclose(np.asarray(pot.values(ys)), v_fd, rtol=0.0, atol=1e-8)
+
+
+# V at mode constant 3 on _two_sided_profile, where eps and mu both vary,
+# so every eps and mu derivative term of the curvature is exercised; the
+# golden configs all have constant mu
+_PINNED_YS = (-1.7, -0.6, 0.0, 0.45, 1.9)
+_PINNED_V = {
+    "el": (2.3236748271515464, 1.441336154583014, 1.3903095106386545, 1.4829506438254647, 2.6357585037284568),
+    "m": (2.393510736794225, 1.7821380004857252, 1.2045124027111176, 1.0147143169037451, 2.7968208009041855),
+}
+
+
+@pytest.mark.parametrize("flavor", sorted(_PINNED_V))
+def test_potential_pinned_with_eps_and_mu_varying(flavor):
+    pot = build_potential(_transform(_two_sided_profile(), (-6.0, 6.0)), flavor, 3.0)
+    assert tuple(np.asarray(pot.values(np.array(_PINNED_YS))).tolist()) == _PINNED_V[flavor]
+    assert tuple(pot.values(y) for y in _PINNED_YS) == _PINNED_V[flavor]
 
 
 def test_forward_slope_within_coefficient_bounds():
@@ -237,21 +280,16 @@ def test_mode_potential_landmarks():
 
 
 def test_magnetic_potential_is_electric_on_swapped_profile():
-    prof = make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
+    prof = _two_sided_profile()
     data = _transform(prof, (-6.0, 6.0))
     pot_m = build_potential(data, "m", 4.0)
+    pot_el = build_potential(_transform(prof.swapped(), (-6.0, 6.0)), "el", 4.0)
     ys = np.linspace(-2.5, 2.5, 41)
-    # electric formula with eta -> -eta on the same transform
-    et = np.asarray(data.eta(ys))
-    etp = np.asarray(data.eta_prime(ys))
-    prod = np.asarray(data.product_tilde(ys))
-    expect = et * et + etp + 4.0 / prod
-    assert np.allclose(np.asarray(pot_m.values(ys)), expect, rtol=1e-12, atol=1e-12)
+    vals = np.asarray(pot_m.values(ys))
+    assert np.array_equal(vals, np.asarray(pot_el.values(ys)))
     curv = np.asarray(pot_m.curvature_term(ys))
-    assert np.allclose(curv, et * et + etp, rtol=1e-12, atol=1e-12)
+    prod = np.asarray(data.product_tilde(ys))
+    assert np.allclose(vals, curv + 4.0 / prod, rtol=1e-12, atol=1e-12)
 
 
 def test_zero_flavor_rules():
@@ -265,9 +303,9 @@ def test_zero_flavor_rules():
     assert pot.threshold == 0.0
     assert pot.lower_bound == 0.0
     ys = np.linspace(-2.0, 2.0, 21)
-    assert np.allclose(
-        np.asarray(pot.values(ys)), np.asarray(data.curvature_term(ys)), atol=1e-14
-    )
+    # the electric potential at mode constant 0
+    curv = build_potential(data, "el", 1.0).curvature_term(ys)
+    assert np.array_equal(np.asarray(pot.values(ys)), np.asarray(curv))
 
 
 def test_unknown_flavor_rejected():
@@ -281,17 +319,6 @@ def test_unknown_flavor_rejected():
 # ---------------------------------------------------------------------------
 # the shared per-grid sample and the exact laws behind it
 # ---------------------------------------------------------------------------
-
-
-def _two_sided_profile():
-    return make_profile(
-        Sech2Bump(1.0, 0.8, 0.3, 0.6),
-        GaussianBump(1.0, 0.5, -0.4, 1.1),
-    )
-
-
-def _periodic_two_sided_profile():
-    return make_profile(CosinePeriodic(1.0, 0.3, 1.0), CosinePeriodic(1.5, 0.4, 1.0))
 
 
 def test_inverse_stops_iterating_converged_points(monkeypatch):

@@ -34,7 +34,6 @@ from cylspec.schrodinger import (
     bound_states,
     count_below,
     discriminant,
-    monodromy,
     search_witness,
     variational_upper_bound,
 )
@@ -177,10 +176,10 @@ def test_refinement_estimate_bounds_true_error():
 def test_count_below_agrees_with_eigensolver():
     pot = _Well(floor=0.0, strength=6.0)
     res = bound_states(pot, 15.0, 2000)
-    n = res.grid
-    assert count_below(pot, 0.0, 15.0, n) == len(res.eigenvalues)
-    assert count_below(pot, -2.5, 15.0, n) == 1
-    assert count_below(pot, -5.0, 15.0, n) == 0
+    diag, off = schrodinger._dirichlet_grid(pot, 15.0, res.grid)
+    assert count_below(diag, off, 0.0) == len(res.eigenvalues)
+    assert count_below(diag, off, -2.5) == 1
+    assert count_below(diag, off, -5.0) == 0
 
 
 def test_unsettled_window_rejected():
@@ -208,16 +207,24 @@ def test_periodic_potential_rejected_by_bound_state_solver():
 
 
 # ---------------------------------------------------------------------------
-# monodromy and discriminant
+# transfer matrix and discriminant
 # ---------------------------------------------------------------------------
 
 
-def test_monodromy_constant_potential_closed_form():
+def _transfer_matrices(pot, energies, e_max):
+    """M(E) = [[u, v], [u', v']](b), read from the rows (u, u', v, v')(b)
+    of the propagator that band_structure takes for pot up to e_max."""
+    u, du, v, dv = _accepted(pot, e_max)[1](energies)
+    return np.stack([[u, v], [du, dv]]).transpose(2, 0, 1)
+
+
+def test_transfer_matrix_constant_potential_closed_form():
     c, b = 0.7, 1.3
     pot = _PeriodicV(offset=c, amp=0.0, period=b)
-    m0 = monodromy(pot, c)
+    ds = (0.5, 2.0, 9.0)
+    m0, *ms, below = _transfer_matrices(pot, [c, *(c + d for d in ds), c - 1.5], c + 9.0)
     assert np.allclose(m0, [[1.0, b], [0.0, 1.0]], atol=1e-9)
-    for d in (0.5, 2.0, 9.0):
+    for d, m in zip(ds, ms):
         s = math.sqrt(d)
         expect = np.array(
             [
@@ -225,12 +232,10 @@ def test_monodromy_constant_potential_closed_form():
                 [-s * math.sin(b * s), math.cos(b * s)],
             ]
         )
-        assert np.allclose(monodromy(pot, c + d), expect, atol=1e-9)
+        assert np.allclose(m, expect, atol=1e-9)
     # below the potential floor the solutions grow hyperbolically
-    d = 1.5
-    s = math.sqrt(d)
-    m = monodromy(pot, c - d)
-    assert m[0][0] + m[1][1] == pytest.approx(2.0 * math.cosh(b * s), abs=1e-8)
+    s = math.sqrt(1.5)
+    assert below[0][0] + below[1][1] == pytest.approx(2.0 * math.cosh(b * s), abs=1e-8)
 
 
 def test_discriminant_constant_potential():
@@ -245,8 +250,7 @@ def test_discriminant_constant_potential():
 def test_wronskian_preserved_at_random_energies():
     pot = _PeriodicV(offset=0.0, amp=0.3, period=math.pi)
     rng = np.random.default_rng(17)
-    for e in rng.uniform(-1.0, 60.0, size=50):
-        m = np.asarray(monodromy(pot, float(e)))
+    for m in _transfer_matrices(pot, rng.uniform(-1.0, 60.0, size=50), 60.0):
         det = m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
         assert abs(det - 1.0) <= 1e-9
 
