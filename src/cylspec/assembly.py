@@ -191,7 +191,8 @@ class SpectrumReport:
     maxwell_support: tuple[tuple[float, float], ...]
     maxwell_points: tuple[float, ...]
     bounds: EssentialBounds = field(metadata={"report": "omit"})  # of the profile
-    transform: LiouvilleData = field(repr=False, compare=False, metadata={"report": "omit"})
+    # the ModePotentials the modes were solved on, in the order of modes
+    potentials: tuple = field(repr=False, compare=False, metadata={"report": "omit"})
 
 
 _MERGE_TOL = 1e-9
@@ -253,15 +254,15 @@ def _settled_halfwidth(pots, initial: float) -> float:
 def _prologue(profile: CoefficientProfile, spectrum: CrossSectionSpectrum, e_max: float, kind):
     """Check the classification, then bound, budget and group the modes."""
     if not isinstance(profile.classification, kind):
-        raise ValidationError(f"profile is not {kind.__name__.lower()}")
+        want, got = kind.__name__.lower(), type(profile.classification).__name__.lower()
+        raise ValidationError(f"{want} analysis needs {want} coefficients; the profile is {got}")
     bounds = essential_bounds(profile)
     budget = mode_budget(spectrum, bounds, e_max)
     return bounds, budget, _grouped_modes(budget)
 
 
-def _potentials(data: LiouvilleData, spectrum: CrossSectionSpectrum, groups):
-    n = spectrum.boundary_components
-    return [build_potential(data, g.flavor, g.mode_constant, n_boundary=n) for g in groups]
+def _potentials(data: LiouvilleData, groups):
+    return [build_potential(data, g.flavor, g.mode_constant) for g in groups]
 
 
 def _solve_groups(groups, pots, solve, jobs):
@@ -271,7 +272,7 @@ def _solve_groups(groups, pots, solve, jobs):
         return list(pool.map(solve, groups, pots))
 
 
-def _report(kind, spectrum, bounds, budget, transform, results, intervals, points, inf_sq):
+def _report(kind, spectrum, bounds, budget, pots, results, intervals, points, inf_sq):
     """Union the per-mode intervals and mirror them to the first-order
     operator; inf_sq is the bottom of the squared spectrum, which sets
     the central gap of a simply connected cross-section."""
@@ -294,7 +295,7 @@ def _report(kind, spectrum, bounds, budget, transform, results, intervals, point
         maxwell_support=msupport,
         maxwell_points=mpoints,
         bounds=bounds,
-        transform=transform,
+        potentials=tuple(pots),
     )
 
 
@@ -312,7 +313,7 @@ def run_stabilizing_analysis(
     lo_speed = math.sqrt(bounds.eps_lower * bounds.mu_lower)
     z_half = halfwidth * _LADDER_GROWTH**_LADDER_STEPS / lo_speed * 1.05 + 1.0
     data = build_transform(profile, bounds, window=(-z_half, z_half))
-    pots = _potentials(data, spectrum, groups)
+    pots = _potentials(data, groups)
     settled = _settled_halfwidth(pots, halfwidth)
 
     def solve(group: ModeGroup, pot) -> StabilizingModeResult:
@@ -329,23 +330,21 @@ def run_stabilizing_analysis(
 
     results = _solve_groups(groups, pots, solve, jobs)
     thresholds = [r.threshold for r in results]
+    # a state lies below its own mode's threshold, so it is embedded in
+    # another mode's ac spectrum exactly when it reaches the lowest one
+    bottom = min(thresholds, default=math.inf)
 
     points: list[SpectralPoint] = []
     for r in results:
-        min_other = min(
-            (t for j, t in enumerate(thresholds) if results[j] is not r), default=math.inf
-        )
         for e, est in zip(r.bound.eigenvalues, r.bound.refinement_estimates):
             if e > e_max:
                 continue
-            embedded = e >= min_other
-            outside = all(e < t for t in thresholds)
             points.append(
                 SpectralPoint(
                     energy=float(e),
                     group=r.group,
-                    embedded=embedded,
-                    outside_support=outside,
+                    embedded=e >= bottom,
+                    outside_support=e < bottom,
                     refinement_estimate=float(est),
                 )
             )
@@ -357,7 +356,7 @@ def run_stabilizing_analysis(
     )
     intervals = [r.ac_interval for r in results if r.ac_interval is not None]
     return _report(
-        "stabilizing", spectrum, bounds, budget, data, results, intervals, points, inf_sq
+        "stabilizing", spectrum, bounds, budget, pots, results, intervals, points, inf_sq
     )
 
 
@@ -376,11 +375,11 @@ def run_periodic_analysis(
         bs = band_structure(pot, e_max)
         return PeriodicModeResult(group=group, lower_bound=pot.lower_bound, structure=bs)
 
-    pots = _potentials(data, spectrum, groups)
+    pots = _potentials(data, groups)
     results = _solve_groups(groups, pots, solve, jobs)
     intervals = [band for r in results for band in r.structure.bands]
     inf_sq = min((r.structure.bands[0][0] for r in results if r.structure.bands), default=math.inf)
-    return _report("periodic", spectrum, bounds, budget, data, results, intervals, (), inf_sq)
+    return _report("periodic", spectrum, bounds, budget, pots, results, intervals, (), inf_sq)
 
 
 # ---------------------------------------------------------------------------

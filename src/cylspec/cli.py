@@ -50,7 +50,7 @@ from .cross_section import (
 from .errors import CylspecError, NumericalError, ValidationError
 # build_transform and essential_bounds are not called here, but the traced
 # benchmark (bench/spans.py) wraps them by name on this module
-from .liouville import build_potential, build_transform  # noqa: F401
+from .liouville import build_transform  # noqa: F401
 from .profiles import (
     CoefficientProfile,
     Periodic,
@@ -163,18 +163,11 @@ def _atomic_write(path: Path, text: str):
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]):
-    buf = [",".join(header)]
+    """A string cell is written as it is, any other as the report writes it."""
+    lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for v in row:
-            if isinstance(v, float):
-                cells.append(_fmt_float(v))
-            elif isinstance(v, bool):
-                cells.append("true" if v else "false")
-            else:
-                cells.append(str(v))
-        buf.append(",".join(cells))
-    _atomic_write(path, "\n".join(buf) + "\n")
+        lines.append(",".join(v if isinstance(v, str) else dumps_canonical(v) for v in row))
+    _atomic_write(path, "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -407,22 +400,15 @@ def _write_band_edges_csv(path: Path, rep: SpectrumReport):
 
 
 def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
-    data = rep.transform
-    if rep.classification == "periodic":
-        ys = np.linspace(0.0, data.period_b, 801)
-    else:
-        ys = np.linspace(-halfwidth, halfwidth, 801)
+    """Each solved potential on one period, or on the config halfwidth."""
     rows = []
-    for m in rep.modes:  # one per (flavor, mode constant)
-        pot = build_potential(
-            data,
-            m.group.flavor,
-            m.group.mode_constant,
-            n_boundary=rep.boundary_components,
-        )
-        vals = pot.values(ys)
-        for y, v in zip(ys, vals):
-            rows.append([m.group.flavor, m.group.mode_constant, float(y), float(v)])
+    for pot in rep.potentials:  # one per (flavor, mode constant)
+        if pot.period_b is not None:
+            ys = np.linspace(0.0, pot.period_b, 801)
+        else:
+            ys = np.linspace(-halfwidth, halfwidth, 801)
+        for y, v in zip(ys, pot.values(ys)):
+            rows.append([pot.flavor, pot.mode_constant, float(y), float(v)])
     _write_csv(path, ["flavor", "mode_constant", "y", "value"], rows)
 
 
@@ -465,8 +451,6 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
     profile = _parse_profile(_need(cfg, "profile", "root"))
     friedlander_ok = validate_friedlander(spectrum)
-    if not isinstance(profile.classification, kind):
-        raise ValidationError(f"task {task} requires {kind.__name__.lower()} coefficients")
 
     if kind is Periodic:
         rep = run_periodic_analysis(profile, spectrum, e_max, jobs=jobs)

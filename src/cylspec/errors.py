@@ -1,7 +1,9 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps ValidationError to exit code 2 (bad input, caught before any heavy numerics)
-and NumericalError to exit code 3 (a solver failed to meet its tolerance).
+The CLI maps ValidationError to exit code 2 (an input the analysis cannot use: most are
+caught before any compute, some, such as a window in which a potential has not settled,
+only once the numerics reach them) and NumericalError to exit code 3 (a solver failed to
+meet its tolerance).
 """
 
 
@@ -15,10 +17,6 @@ class ValidationError(CylspecError):
 
 class InsufficientDataError(ValidationError):
     """A synthetic eigenvalue list is too short for the requested budget."""
-
-
-class TopologyError(ValidationError):
-    """Operation inconsistent with the boundary topology (zero modes need N >= 2)."""
 
 
 class WindowError(ValidationError):

@@ -15,7 +15,7 @@ the potentials are
 
     electric branch   V = eta^2 - eta' + lambda_k / (eps~ mu~)
     magnetic branch   V = eta^2 + eta' + kappa_l / (eps~ mu~)
-    zero branch       V = eta^2 - eta'          (multi-component boundary)
+    zero branch       V = eta^2 - eta'
 
 The magnetic branch is exactly the electric one with the roles of eps
 and mu exchanged (eta flips sign under the swap), so a single code path
@@ -43,7 +43,8 @@ mu) and the integrand are symmetric in eps and mu, so a transform of
 the swapped profile has bitwise the same z(y).)  In `cylspec run` the
 memo holds the solver grids and a two-point grid per step of the settle
 search; library calls that read at points of their own (the variational
-witness search and bound) add those grids.
+witness search and bound) add those grids.  Past _MEMO_GRIDS grids the
+memo drops the oldest, so reading point by point cannot grow it.
 
 The forward map is materialized as an adaptive panel decomposition of
 the integrand with a certified budget (1e-11 over the window).
@@ -64,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
-from .errors import NumericalError, TopologyError, ValidationError
+from .errors import NumericalError, ValidationError
 from .profiles import (
     CoefficientProfile,
     EssentialBounds,
@@ -88,6 +89,9 @@ _MAX_DEPTH = 48
 _FORWARD_TOL = 1e-11
 # residual of the inverse map, relative to max(1, travel time of the window)
 _INVERSE_TOL = 1e-13
+# grids the per-transform memo keeps; a run reads a few (3 on the
+# stab-bump benchmark, 8 on gap-cert)
+_MEMO_GRIDS = 64
 
 
 class PanelAntiderivative:
@@ -161,7 +165,7 @@ class LiouvilleData:
     period_b: float | None  # travel time of one period, periodic case only
     bounds: EssentialBounds
     # grid shape and bytes -> the eps/mu triples at z(ys), shared by
-    # every mode potential on this transform
+    # every mode potential on this transform; oldest first
     samples: dict = field(default_factory=dict, repr=False, compare=False)
     samples_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
@@ -239,7 +243,7 @@ class LiouvilleData:
 
     def _raw(self, y):
         """eps and mu with their first two z-derivatives at z(y); each
-        distinct grid is inverted once."""
+        distinct grid among the latest _MEMO_GRIDS is inverted once."""
         ys = np.ascontiguousarray(np.atleast_1d(y), dtype=float)
         key = (ys.shape, ys.tobytes())
         with self.samples_lock:
@@ -248,6 +252,8 @@ class LiouvilleData:
                 raw = self._coefficients(self.inverse(ys))
                 for a in raw:
                     a.setflags(write=False)
+                if len(self.samples) >= _MEMO_GRIDS:
+                    del self.samples[next(iter(self.samples))]
                 self.samples[key] = raw
         return raw
 
@@ -368,15 +374,13 @@ def build_potential(
     data: LiouvilleData,
     flavor: str,
     mode_constant: float,
-    *,
-    n_boundary: int = 1,
 ) -> ModePotential:
     """Assemble the reduced potential for one mode.
 
     Every flavor reads the same transform; the magnetic potential reads
     its eps and mu in exchanged roles.  The zero flavor is the electric
-    one at constant 0 and exists only when the boundary has at least two
-    components.
+    one at constant 0; whether a cross-section has that branch at all
+    is the mode budget's call (ModeBudget.include_zero_branch).
     """
     cls = data.profile.classification
     if flavor in ("el", "m"):
@@ -386,10 +390,6 @@ def build_potential(
     elif flavor == "zero":
         if mode_constant != 0.0:
             raise ValidationError("zero flavor carries mode constant 0")
-        if n_boundary < 2:
-            raise TopologyError(
-                "zero-mode branch needs a multiply connected cross-section (N >= 2)"
-            )
     else:
         raise ValidationError(f"unknown flavor {flavor!r}")
 

@@ -23,7 +23,7 @@ construction, not inferred later.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ __all__ = [
     "locate_product_excess",
     "config_number",
     "family_from_dict",
-    "family_to_dict",
 ]
 
 DEFAULT_POSITIVITY_FLOOR = 1e-9
@@ -485,7 +484,6 @@ _FAMILY_TAGS = {
     "sech2_bump": Sech2Bump,
     "cosine_periodic": CosinePeriodic,
 }
-_TAG_OF = {cls: tag for tag, cls in _FAMILY_TAGS.items()}
 
 
 def config_number(value, kind, where: str):
@@ -519,12 +517,3 @@ def family_from_dict(doc: dict) -> ProfileFamily:
         return cls(**kwargs)
     except TypeError as exc:
         raise ValidationError(f"bad parameters for family '{tag}': {exc}") from None
-
-
-def family_to_dict(fam: ProfileFamily) -> dict:
-    if isinstance(fam, ProfileSum):
-        return {"family": "sum", "terms": [family_to_dict(t) for t in fam.terms_]}
-    tag = _TAG_OF.get(type(fam))
-    if tag is None:
-        raise ValidationError(f"unknown family {fam!r}")
-    return {"family": tag, **{f.name: getattr(fam, f.name) for f in fields(fam)}}

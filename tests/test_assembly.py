@@ -21,7 +21,7 @@ from cylspec.assembly import (
 )
 from cylspec.cross_section import Rectangle, Synthetic, build_spectrum
 from cylspec.errors import InsufficientDataError, ValidationError
-from cylspec.liouville import LiouvilleData, build_potential
+from cylspec.liouville import LiouvilleData
 from cylspec.profiles import (
     Constant,
     CosinePeriodic,
@@ -39,6 +39,15 @@ def _unit_square(count=40):
 
 def _flat_profile():
     return make_profile(Constant(1.0), Constant(1.0))
+
+
+def _solved_potentials(report):
+    """The report's potentials, checked to be those of its modes, in order."""
+    pots = report.potentials
+    assert [(p.flavor, p.mode_constant) for p in pots] == [
+        (m.group.flavor, m.group.mode_constant) for m in report.modes
+    ]
+    return pots
 
 
 # ---------------------------------------------------------------------------
@@ -170,10 +179,16 @@ def test_group_multiplicities_collapse_equal_constants():
 
 def test_stabilizing_rejects_periodic_profile():
     prof = make_profile(CosinePeriodic(1.0, 0.3, 1.0), Constant(1.0))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as info:
         run_stabilizing_analysis(prof, _unit_square(), 10.0)
-    with pytest.raises(ValidationError):
+    assert str(info.value) == (
+        "stabilizing analysis needs stabilizing coefficients; the profile is periodic"
+    )
+    with pytest.raises(ValidationError) as info:
         run_periodic_analysis(_flat_profile(), _unit_square(), 10.0)
+    assert str(info.value) == (
+        "periodic analysis needs periodic coefficients; the profile is stabilizing"
+    )
 
 
 def test_parallel_equals_serial():
@@ -273,10 +288,7 @@ def test_ladder_settles_every_potential_at_the_first_step_it_can():
     settled = report.modes[0].bound.window_halfwidth
     step = round(math.log(settled / 10.0) / math.log(_LADDER_GROWTH))
     assert step >= 1 and settled == 10.0 * _LADDER_GROWTH**step
-    pots = [
-        build_potential(report.transform, m.group.flavor, m.group.mode_constant, n_boundary=2)
-        for m in report.modes
-    ]
+    pots = _solved_potentials(report)
     assert [p.flavor for p in pots] == ["zero", "m", "el", "el"]
     assert all(settle_residual(p, settled) < SETTLE_TOL for p in pots)
     earlier = 10.0 * _LADDER_GROWTH ** (step - 1)
@@ -294,6 +306,7 @@ def test_periodic_analysis_flat_cosine():
     report = run_periodic_analysis(prof, build_spectrum(spec, 2, 2), 60.0)
     assert report.classification == "periodic"
     assert len(report.modes) == 1
+    assert _solved_potentials(report)[0].period_b == report.modes[0].structure.period
     bs = report.modes[0].structure
     assert bs.validation_max_dev <= 1e-6
     # support is the union of that single mode's bands

@@ -147,6 +147,16 @@ def test_dump_potentials(tmp_path):
     assert len(lines) > 801  # at least one mode sampled on the standard grid
 
 
+@pytest.mark.parametrize("make_cfg", [_stabilizing_cfg, _periodic_cfg])
+def test_empty_budget_dumps_header_only_potentials(tmp_path, make_cfg):
+    # every transverse constant lies past the budget cut, so no mode is solved
+    section = {"kind": "synthetic", "dirichlet": [500.0, 600.0], "neumann": [0.0, 500.0]}
+    cfg = _write_cfg(tmp_path, make_cfg(cross_section=section))
+    assert main(["run", str(cfg), "--oracle", "--dump-potentials"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["modes"] == []
+    assert (tmp_path / "potentials.csv").read_text() == "flavor,mode_constant,y,value\n"
+
+
 def test_periodic_run_with_certificate(tmp_path):
     cfg = _write_cfg(
         tmp_path,

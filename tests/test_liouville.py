@@ -11,11 +11,14 @@ through the transform's memo.
 
 from __future__ import annotations
 
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
 from cylspec import liouville
-from cylspec.errors import TopologyError, ValidationError
+from cylspec.errors import ValidationError
 from cylspec.liouville import build_potential, build_transform
 from cylspec.profiles import (
     Constant,
@@ -295,11 +298,9 @@ def test_magnetic_potential_is_electric_on_swapped_profile():
 def test_zero_flavor_rules():
     prof = _bump_profile()
     data = _transform(prof, (-4.0, 4.0))
-    with pytest.raises(TopologyError):
-        build_potential(data, "zero", 0.0, n_boundary=1)
     with pytest.raises(ValidationError):
-        build_potential(data, "zero", 1.0, n_boundary=2)
-    pot = build_potential(data, "zero", 0.0, n_boundary=2)
+        build_potential(data, "zero", 1.0)
+    pot = build_potential(data, "zero", 0.0)
     assert pot.threshold == 0.0
     assert pot.lower_bound == 0.0
     ys = np.linspace(-2.0, 2.0, 21)
@@ -376,7 +377,7 @@ def test_shared_sample_matches_pointwise_values(periodic):
         return {
             "m": build_potential(data, "m", 2.5),
             "el": build_potential(data, "el", 2.5),
-            "zero": build_potential(data, "zero", 0.0, n_boundary=2),
+            "zero": build_potential(data, "zero", 0.0),
         }
 
     cold = {}
@@ -422,3 +423,33 @@ def test_shared_sample_inverts_each_grid_once(monkeypatch):
     assert calls == [101]
     build_potential(data, "el", 1.0).values(ys[1:])  # another grid
     assert calls == [101, 100]
+
+
+def test_memo_keeps_the_latest_grids():
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
+    pot = build_potential(data, "el", 1.0)
+    bound = liouville._MEMO_GRIDS
+    ys = [0.01 * k for k in range(bound + 20)]
+    values = []
+    for n, y in enumerate(ys, start=1):  # one scalar grid each
+        values.append(pot.values(y))
+        assert len(data.samples) == min(n, bound)
+    # the oldest grids were dropped first
+    assert [np.frombuffer(buf)[0] for _, buf in data.samples] == ys[-bound:]
+    # a dropped grid is inverted again, to the same value, as the newest
+    assert pot.values(ys[0]) == values[0]
+    assert len(data.samples) == bound
+    assert np.frombuffer(list(data.samples)[-1][1])[0] == ys[0]
+    # pool threads that fill and drop entries at once keep the bound and
+    # read what the serial loop read
+    data = _transform(_two_sided_profile(), (-6.0, 6.0))
+    pot = build_potential(data, "el", 1.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(pot.values, ys + ys[::-1], timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == values + values[::-1]
+    assert len(data.samples) == bound
