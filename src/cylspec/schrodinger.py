@@ -17,12 +17,15 @@ are characterized by the discriminant Delta(E), the trace of the one-
 period transfer matrix M(E).  M is the product of closed-form steps of a
 sixth-order Magnus propagator (Blanes, Casas & Ros 2000) on exact
 samples of V, on the fewest steps (256 or more, doubling) that agree
-with twice as many to the noise floor; that count depends on V and e_max
-alone, so Delta does not depend on the batch it is evaluated in; |Delta|
-<= 2 exactly on the bands, and det M = 1 identically (it is a Wronskian, and
-checked as such).  Band edges are found by counting (Eastham 1973; Pryce
-1993): gap k of the band union holds exactly one Dirichlet eigenvalue
-mu_k of one period, and the Pruefer angle of the solution with u(0) = 0,
+with twice as many to the noise floor.  `discriminant` evaluates Delta
+on such a propagator, for that step rule and for the edge search, edge
+fit and gap test below.  The step count depends on V and e_max alone,
+and each energy is propagated on its own, so Delta does not depend on
+the batch it is evaluated in; |Delta| <= 2 exactly on the bands, and
+det M = 1 identically (it is a Wronskian, and checked as such).  Band
+edges are found by counting (Eastham 1973; Pryce 1993): gap k of the
+band union holds exactly one Dirichlet eigenvalue mu_k of one period,
+and the Pruefer angle of the solution with u(0) = 0,
 u'(0) = 1, carried through the same propagator, counts the mu_k below
 any energy.  A bracket search on the angle brackets every mu_k below
 e_max; between mu_{k-1} and mu_k band k is the only set where |Delta|
@@ -68,7 +71,6 @@ __all__ = [
     "settle_residual",
     "bound_states",
     "count_below",
-    "discriminant",
     "BandStructure",
     "band_structure",
     "VariationalBound",
@@ -253,7 +255,7 @@ _FIT_SPAN = 1e-7
 
 def _period_grid(potential: ModePotential) -> np.ndarray:
     if potential.period_b is None:
-        raise ValidationError("the discriminant applies to periodic potentials only")
+        raise ValidationError("band structure applies to periodic potentials only")
     return np.linspace(0.0, potential.period_b, 4096, endpoint=False)
 
 
@@ -278,10 +280,10 @@ def _magnus_steps(potential: ModePotential, vs: np.ndarray, e_max: float):
         n *= 2
     probe = np.linspace(v_min - 1.0, e_max, 257)
     prop = _propagator(potential, n)
-    coarse, last = _checked_trace(prop(probe)), math.inf
+    coarse, last = discriminant(prop, probe), math.inf
     while True:
         fine_prop = _propagator(potential, 2 * n)
-        fine = _checked_trace(fine_prop(probe))
+        fine = discriminant(fine_prop, probe)
         drift = np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))
         worst = int(np.argmax(drift))
         if drift[worst] <= NOISE_FLOOR:
@@ -413,17 +415,10 @@ def _dirichlet_angle(prop, energies):
     return sf[4], np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int), _checked_trace(sf)
 
 
-def discriminant(potential: ModePotential, energy):
-    """Delta(E) = trace of the one-period transfer matrix, on the steps
-    that resolve Delta on [min V - 1, max V].
-
-    Each call reruns the whole step-count rule (514 probe energies), so
-    pass all the energies wanted as one array.
-    """
-    vs = potential.values(_period_grid(potential))
-    prop = _magnus_steps(potential, vs, float(np.max(vs)))[1]
-    trace = _checked_trace(prop(energy))
-    return trace if np.ndim(energy) else float(trace[0])
+def discriminant(prop, energies) -> np.ndarray:
+    """Delta(E), the trace of the one-period transfer matrix, at each of
+    a batch of energies, on a propagator that _magnus_steps built."""
+    return _checked_trace(prop(energies))
 
 
 def _plane_wave_eigs(v_hat: np.ndarray, b: float, antiperiodic: bool, k_modes: int):
@@ -466,12 +461,13 @@ class BandStructure:
     validation_max_dev: float = 0.0
 
 
-def _itp(fun, lo, hi):
+def _itp(fun, lo, hi, f_lo, f_hi):
     """Lockstep ITP search (Oliveira & Takahashi, ACM TOMS 47, 2020) of
     a batch of brackets, each narrowed until it is below EDGE_TOL wide.
 
     fun(es, i) returns, for energies es in brackets i, whether each
-    passes the test and the test function f, negative where it passes.
+    passes the test and the test function f, negative where it passes;
+    f_lo and f_hi are f at the ends, which the callers already hold.
     Each new point replaces `lo` where it passes and `hi` where it does
     not, so `lo` passes and `hi` fails on return; a bracket may run
     either way round.  The point is the regula falsi estimate from f at
@@ -501,9 +497,7 @@ def _itp(fun, lo, hi):
     lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
     if not lo.size:
         return lo, hi
-    every = np.arange(lo.size)
-    _, f = fun(np.concatenate((lo, hi)), np.concatenate((every, every)))
-    f_lo, f_hi = np.minimum(f[: lo.size], 0.0), np.maximum(f[lo.size :], 0.0)
+    f_lo, f_hi = np.minimum(f_lo, 0.0), np.maximum(f_hi, 0.0)
     w0 = np.abs(hi - lo)
     lo0, hi0 = lo.copy(), hi.copy()
     moved = np.zeros(lo.size, dtype=int)  # +1: lo moved last, -1: hi did
@@ -606,14 +600,14 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
 
     _, prop = _magnus_steps(potential, vs, e_max)
 
-    def delta(es):
-        return _checked_trace(prop(es))
-
     # below V every propagator step is hyperbolic with positive entries, so
     # their product (det 1) has Delta > 2; the check catches a V that dips
-    # more than 1 below v_min between its samples.  The same call counts K.
+    # more than 1 below v_min between its samples.  The same call counts K,
+    # and its angles and traces are the values at the ends of both searches.
     e_start = v_min - 1.0
-    _, (_, k_gaps), (delta_start, delta_top) = _dirichlet_angle(prop, [e_start, e_max])
+    (phi_start, phi_top), (_, k_gaps), (delta_start, delta_top) = _dirichlet_angle(
+        prop, [e_start, e_max]
+    )
     if not delta_start > 2.0:
         raise ResolutionError("could not find the region below the first band")
 
@@ -624,31 +618,40 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
         phi, below, _ = _dirichlet_angle(prop, es)
         return below < ks[i], phi - math.pi * ks[i]
 
-    mu_lo, mu_hi = _itp(below_mu, np.full(k_gaps, e_start), np.full(k_gaps, e_max))
+    mu_lo, mu_hi = _itp(
+        below_mu,
+        np.full(k_gaps, e_start),
+        np.full(k_gaps, e_max),
+        phi_start - math.pi * ks,
+        phi_top - math.pi * ks,
+    )
 
     # --- band edges: test sg Delta < 2 holds on the band side of an edge
     top = (-1.0) ** k_gaps * float(delta_top)  # s Delta(e_max) of band K+1
     n_bands = k_gaps + int(top < 2.0)
     n_upper = n_bands - int(n_bands > k_gaps and top > -2.0)  # upper edges below e_max
-    lo_ends = np.concatenate(([e_start], mu_lo, [e_max]))
-    hi_ends = np.concatenate(([e_start], mu_hi, [e_max]))
+    # energies (row 0) and Delta (row 1) at the ends of the count brackets
+    delta_mu = discriminant(prop, np.concatenate((mu_lo, mu_hi)))
+    lo_ends = np.array([[e_start, *mu_lo, e_max], [delta_start, *delta_mu[:k_gaps], delta_top]])
+    hi_ends = np.array([[e_start, *mu_hi, e_max], [delta_start, *delta_mu[k_gaps:], delta_top]])
     s = (-1.0) ** np.arange(n_bands)
     sg = np.concatenate((s, -s[:n_upper]))
 
     def on_band(es, i):  # sg Delta - 2, negative on the band side
-        f = sg[i] * delta(es) - 2.0
+        f = sg[i] * discriminant(prop, es) - 2.0
         return f < 0.0, f
 
+    band_ends = np.concatenate((lo_ends[:, 1 : n_bands + 1], hi_ends[:, :n_upper]), axis=1)
+    gap_ends = np.concatenate((lo_ends[:, :n_bands], hi_ends[:, 1 : n_upper + 1]), axis=1)
     band_side, gap_side = _itp(
-        on_band,
-        np.concatenate((lo_ends[1 : n_bands + 1], hi_ends[:n_upper])),
-        np.concatenate((lo_ends[:n_bands], hi_ends[1 : n_upper + 1])),
+        on_band, band_ends[0], gap_ends[0], sg * band_ends[1] - 2.0, sg * gap_ends[1] - 2.0
     )
     edges = 0.5 * (band_side + gap_side)
     # the root of a line through 17 samples averages the rounding noise of
     # Delta; a root outside the samples is not trusted
     offs = np.linspace(-_FIT_SPAN, _FIT_SPAN, 17)
-    g = sg[:, None] * delta((edges[:, None] + offs).ravel()).reshape(-1, offs.size) - 2.0
+    fit = discriminant(prop, (edges[:, None] + offs).ravel()).reshape(-1, offs.size)
+    g = sg[:, None] * fit - 2.0
     slope, icept = np.polyfit(offs, g.T, 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         shift = -icept / slope
@@ -659,7 +662,7 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     # a gap is certified when |Delta| exceeds 2 by more than the noise
     # floor at its midpoint; one that only touches 2 is a closed point
     mids = 0.5 * (upper[:-1] + lower[1:])
-    excess = -s[:-1] * delta(mids) - 2.0
+    excess = -s[:-1] * discriminant(prop, mids) - 2.0
     certified = excess > NOISE_FLOOR
     closed_points = mids[~certified & (excess <= _TOUCH_TOL) & (excess >= -CLOSURE_TOL)]
     bands = _join_uncertified(zip(lower, upper), certified)

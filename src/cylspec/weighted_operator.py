@@ -18,8 +18,8 @@ M^(-1/2) on both sides, which keeps it tridiagonal.
 
 The discrete Rayleigh quotient obeys quotient >= c / sup(eps mu)
 exactly, not just in the limit: every form term is nonnegative and
-1/eps_i >= mu_i / sup(eps mu) pointwise.  Tests lean on that inequality
-with random vectors.
+1/eps_i >= mu_i / sup(eps mu) pointwise.  Tests check that inequality
+with random vectors on the pencil that weighted_eigenvalues solves.
 """
 
 from __future__ import annotations
@@ -35,9 +35,7 @@ from .profiles import CoefficientProfile
 __all__ = [
     "WeightedOperatorSpec",
     "WeightedEigenResult",
-    "FormValue",
     "weighted_eigenvalues",
-    "quadratic_form_value",
 ]
 
 
@@ -100,36 +98,3 @@ def weighted_eigenvalues(spec: WeightedOperatorSpec, count: int) -> WeightedEige
         halfwidth=float(spec.halfwidth),
         grid=spec.grid,
     )
-
-
-@dataclass(frozen=True)
-class FormValue:
-    form: float  # discrete quadratic form a[p]
-    mass: float  # discrete weighted norm squared
-    quotient: float
-
-
-def quadratic_form_value(spec: WeightedOperatorSpec, values: np.ndarray) -> FormValue:
-    """Discrete form and weighted norm of a vector on the interior nodes.
-
-    `values` holds p at the grid - 1 interior nodes; the Dirichlet ends
-    are implicit zeros.
-    """
-    p = np.asarray(values, dtype=float)
-    if p.shape != (spec.grid - 1,):
-        raise ValidationError(
-            f"expected {spec.grid - 1} interior values, got shape {p.shape}"
-        )
-    zs = spec.nodes()
-    h = 2.0 * spec.halfwidth / spec.grid
-    eps = np.asarray(spec.profile.epsilon.eval(zs))
-    mu = np.asarray(spec.profile.mu.eval(zs))
-    c_face = 2.0 / (eps[:-1] + eps[1:])
-    full = np.concatenate(([0.0], p, [0.0]))
-    jumps = np.diff(full)
-    form = float(np.sum(c_face * jumps * jumps) / h)
-    form += float(spec.mode_constant * np.sum(p * p / eps[1:-1]) * h)
-    mass = float(np.sum(mu[1:-1] * p * p) * h)
-    if mass <= 0:
-        raise ValidationError("vector has zero weighted norm")
-    return FormValue(form=form, mass=mass, quotient=form / mass)

@@ -61,6 +61,7 @@ _LAYERS = {
         "liouville.values",
         "liouville.inverse",
         "schrodinger.band_structure",
+        "schrodinger.discriminant",
     ),
 }
 

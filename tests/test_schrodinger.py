@@ -33,7 +33,6 @@ from cylspec.schrodinger import (
     band_structure,
     bound_states,
     count_below,
-    discriminant,
     search_witness,
     variational_upper_bound,
 )
@@ -242,7 +241,7 @@ def test_discriminant_constant_potential():
     c, b = 0.7, 1.3
     pot = _PeriodicV(offset=c, amp=0.0, period=b)
     es = c + np.linspace(0.1, 40.0, 37)
-    got = np.asarray(discriminant(pot, es))
+    got = schrodinger.discriminant(_accepted(pot, c + 40.0)[1], es)
     expect = 2.0 * np.cos(b * np.sqrt(es - c))
     assert np.allclose(got, expect, atol=1e-8)
 
@@ -270,8 +269,9 @@ def test_discriminant_does_not_depend_on_the_batch():
     # than one propagator chunk holds
     pot = _cosine_mode()
     es = np.linspace(10.0, 300.0, 97)
-    batch = np.asarray(discriminant(pot, es))
-    alone = np.array([discriminant(pot, float(e)) for e in es])
+    prop = _accepted(pot, 300.0)[1]
+    batch = schrodinger.discriminant(prop, es)
+    alone = np.array([schrodinger.discriminant(prop, [e])[0] for e in es])
     assert np.array_equal(batch, alone)
 
 
@@ -399,9 +399,17 @@ def test_cosine_first_gap_width():
     assert bs.validation_max_dev <= 1e-6
 
 
+def _fine_discriminant(pot, e_max):
+    """Delta on twice the steps band_structure takes, so that a check
+    reading it does not share the solver's step count."""
+    prop = schrodinger._propagator(pot, 2 * _accepted(pot, e_max)[0])
+    return lambda es: schrodinger.discriminant(prop, es)
+
+
 def test_eigenvalue_routes_interlace():
     pot = _PeriodicV(offset=0.0, amp=0.4, period=math.pi)
     bs = band_structure(pot, 9.0)
+    delta = _fine_discriminant(pot, 9.0)
     edges = bs.eigenvalue_band_edges
     assert len(edges) >= 3
     # classical edge ordering: p0 < a0 <= a1 < p1 <= p2 < a2 ..., band k
@@ -412,21 +420,19 @@ def test_eigenvalue_routes_interlace():
     # a periodic eigenvalue has Delta = 2, an antiperiodic one Delta = -2
     for k, (lo, hi) in enumerate(edges, start=1):
         s = 1.0 if k % 2 else -1.0
-        assert discriminant(pot, lo) == pytest.approx(2.0 * s, abs=1e-6)
-        assert discriminant(pot, hi) == pytest.approx(-2.0 * s, abs=1e-6)
+        assert delta([lo, hi]) == pytest.approx([2.0 * s, -2.0 * s], abs=1e-6)
 
 
 def test_bands_are_exactly_where_discriminant_is_small():
     pot = _PeriodicV(offset=0.0, amp=0.4, period=math.pi)
     bs = band_structure(pot, 9.0)
+    delta = _fine_discriminant(pot, 9.0)
     assert len(bs.bands) >= 2 and len(bs.gaps) >= 1
     for lo, hi in bs.bands:
         inner = np.linspace(lo, hi, 9)[1:-1]  # strictly interior
-        vals = np.abs(np.asarray(discriminant(pot, inner)))
-        assert np.all(vals <= 2.0 + 1e-9)
+        assert np.all(np.abs(delta(inner)) <= 2.0 + 1e-9)
     for lo, hi in bs.gaps:
-        mid = 0.5 * (lo + hi)
-        assert abs(float(discriminant(pot, mid))) > 2.0
+        assert abs(delta([0.5 * (lo + hi)])[0]) > 2.0
 
 
 def test_gap_lengths_shrink_with_energy():
@@ -598,14 +604,14 @@ def test_edge_search_finds_the_interior_root_past_a_zero_at_an_end(rounding):
         calls.append(es.size)
         return f < 0.0, f
 
-    lo, hi = schrodinger._itp(fun, [0.0], [1.0])
+    lo, hi = schrodinger._itp(fun, [0.0], [1.0], [rounding - r], [rounding])
     assert hi[0] - lo[0] < schrodinger.EDGE_TOL
     assert abs(lo[0] - r) < 2e-9
-    assert len(calls) - 1 <= _itp_steps(0.0, 1.0)
+    assert len(calls) <= _itp_steps(0.0, 1.0)
     # f is a shallow hump between r and the end; halving the value of an
     # end kept twice stops the estimate creeping along it (bisection
     # takes 34 steps here)
-    assert len(calls) - 1 <= 20
+    assert len(calls) <= 20
 
 
 def test_bracket_search_raises_when_a_bracket_cannot_narrow():
@@ -614,7 +620,7 @@ def test_bracket_search_raises_when_a_bracket_cannot_narrow():
         return es < 1e7 + 0.5, es - (1e7 + 0.5)
 
     with pytest.raises(NumericalError, match="EDGE_TOL"):
-        schrodinger._itp(fun, [1e7], [1e7 + 1.0])
+        schrodinger._itp(fun, [1e7], [1e7 + 1.0], [-0.5], [0.5])
 
 
 def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatch):
