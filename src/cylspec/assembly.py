@@ -39,6 +39,7 @@ from .schrodinger import (
     band_structure,
     bound_states,
     merge_intervals,
+    plane_wave_eigs,
     settle_residual,
 )
 
@@ -265,11 +266,11 @@ def _potentials(data: LiouvilleData, groups):
     return [build_potential(data, g.flavor, g.mode_constant) for g in groups]
 
 
-def _solve_groups(groups, pots, solve, jobs):
-    """solve(group, potential) for every group, in group order, on a pool
-    of `jobs` threads (one by default)."""
+def _solve_groups(solve, jobs, groups, *per_group):
+    """solve(group, *its entries of per_group) for every group, in group
+    order, on a pool of `jobs` threads (one by default)."""
     with ThreadPoolExecutor(max_workers=jobs or 1) as pool:
-        return list(pool.map(solve, groups, pots))
+        return list(pool.map(solve, groups, *per_group))
 
 
 def _report(kind, spectrum, bounds, budget, pots, results, intervals, points, inf_sq):
@@ -328,7 +329,7 @@ def run_stabilizing_analysis(
             ac_interval=ac,
         )
 
-    results = _solve_groups(groups, pots, solve, jobs)
+    results = _solve_groups(solve, jobs, groups, pots)
     thresholds = [r.threshold for r in results]
     # a state lies below its own mode's threshold, so it is embedded in
     # another mode's ac spectrum exactly when it reaches the lowest one
@@ -371,12 +372,16 @@ def run_periodic_analysis(
     bounds, budget, groups = _prologue(profile, spectrum, e_max, Periodic)
     data = build_transform(profile, bounds)
 
-    def solve(group: ModeGroup, pot) -> PeriodicModeResult:
-        bs = band_structure(pot, e_max)
+    def solve(group: ModeGroup, pot, reference) -> PeriodicModeResult:
+        bs = band_structure(pot, e_max, reference=reference)
         return PeriodicModeResult(group=group, lower_bound=pot.lower_bound, structure=bs)
 
     pots = _potentials(data, groups)
-    results = _solve_groups(groups, pots, solve, jobs)
+    # every mode's plane-wave eigenvalues in one eigensolve on this thread,
+    # not one per mode in the pool: each call wakes a threaded BLAS, whose
+    # workers then spin on the cores the pool needs
+    refs = plane_wave_eigs(pots, e_max)
+    results = _solve_groups(solve, jobs, groups, pots, refs)
     intervals = [band for r in results for band in r.structure.bands]
     inf_sq = min((r.structure.bands[0][0] for r in results if r.structure.bands), default=math.inf)
     return _report("periodic", spectrum, bounds, budget, pots, results, intervals, (), inf_sq)

@@ -73,6 +73,7 @@ __all__ = [
     "count_below",
     "BandStructure",
     "band_structure",
+    "plane_wave_eigs",
     "VariationalBound",
     "variational_upper_bound",
     "Witness",
@@ -203,16 +204,18 @@ def count_below(diag: np.ndarray, off: np.ndarray, energy: float) -> int:
 
     Counts negative pivots of the LDL^T factorization of T - energy,
     independent of the LAPACK eigensolver, so the two certify each
-    other.
+    other.  The recurrence runs on Python floats, which round exactly as
+    numpy's float64 scalars do and cost a fraction of their time.
     """
+    d, o, energy = diag.tolist(), off.tolist(), float(energy)
     cnt = 0
-    q = diag[0] - energy
+    q = d[0] - energy
     if q == 0.0:
         q = -1e-300
     if q < 0.0:
         cnt += 1
-    for i in range(1, len(diag)):
-        q = diag[i] - energy - off[i - 1] * off[i - 1] / q
+    for i in range(1, len(d)):
+        q = d[i] - energy - o[i - 1] * o[i - 1] / q
         if q == 0.0:
             q = -1e-300
         if q < 0.0:
@@ -421,15 +424,47 @@ def discriminant(prop, energies) -> np.ndarray:
     return _checked_trace(prop(energies))
 
 
-def _plane_wave_eigs(v_hat: np.ndarray, b: float, antiperiodic: bool, k_modes: int):
-    """Galerkin eigenvalues in the basis exp(i (2 pi k + theta) y / b)."""
+def _galerkin_pair(v_hat: np.ndarray, b: float, e_max: float) -> np.ndarray:
+    """Periodic and antiperiodic Galerkin matrices of V, from its Fourier
+    coefficients v_hat on the period grid, in the basis exp(i (2 pi k +
+    theta) y / b), |k| <= k_modes, with theta = 0 and pi."""
+    k_modes = max(32, int(math.ceil(b * math.sqrt(max(e_max, 1.0)) / math.pi)) + 16)
     ks = np.arange(-k_modes, k_modes + 1)
-    theta = np.pi if antiperiodic else 0.0
-    q = (2.0 * np.pi * ks + theta) / b
-    n = v_hat.size
-    idx = (ks[:, None] - ks[None, :]) % n
-    h = v_hat[idx] + np.diag(q * q).astype(complex)
-    return np.linalg.eigvalsh(h)
+    conv = v_hat[(ks[:, None] - ks[None, :]) % v_hat.size]
+    qs = [(2.0 * np.pi * ks + theta) / b for theta in (0.0, np.pi)]
+    return np.stack([conv + np.diag(q * q).astype(complex) for q in qs])
+
+
+def _stacked_eigs(pairs) -> list:
+    """(periodic, antiperiodic) eigenvalues of each matrix pair, from one
+    eigvalsh call per matrix size, and from none for no pairs."""
+    out = [None] * len(pairs)
+    by_size: dict[int, list[int]] = {}
+    for i, m in enumerate(pairs):
+        by_size.setdefault(m.shape[-1], []).append(i)
+    for ix in by_size.values():
+        eigs = np.linalg.eigvalsh(np.concatenate([pairs[i] for i in ix]))
+        for j, i in enumerate(ix):
+            out[i] = (eigs[2 * j], eigs[2 * j + 1])
+    return out
+
+
+def plane_wave_eigs(potentials, e_max: float) -> list:
+    """The plane-wave route of band_structure for a list of periodic
+    potentials: each one's (periodic, antiperiodic) Galerkin eigenvalues.
+
+    The matrices of equal size (every mode of a run shares the period,
+    so all of them) go to LAPACK in one stacked eigvalsh call.  Each
+    matrix is solved on its own, so a pair does not depend on the batch
+    it came in.  One call instead of one per mode matters under a
+    threaded BLAS: each call wakes its worker threads, which then
+    busy-wait for a while after it returns.
+    """
+    pairs = []
+    for pot in potentials:
+        vs = pot.values(_period_grid(pot))
+        pairs.append(_galerkin_pair(np.fft.fft(vs) / vs.size, pot.period_b, e_max))
+    return _stacked_eigs(pairs)
 
 
 @dataclass(frozen=True)
@@ -572,7 +607,7 @@ def _join_uncertified(pairs, certified):
     return out
 
 
-def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
+def band_structure(potential: ModePotential, e_max: float, reference=None) -> BandStructure:
     """Band decomposition of a periodic mode up to e_max, found by counting.
 
     Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
@@ -586,8 +621,9 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     sg Delta - 2.  Each count bracket reaches the gap side of its edges,
     also where mu_k sits on an edge, as it does for every even
     potential.  Band K+1 exists when e_max is not in gap K.  The
-    plane-wave eigensolve is the independent check and must agree edge
-    by edge to CROSS_TOL.
+    plane-wave eigenvalues are the independent check and must agree edge
+    by edge to CROSS_TOL: `reference`, this potential's pair from
+    plane_wave_eigs, or else the same eigensolve on a batch of one.
     """
     vs = potential.values(_period_grid(potential))
     b = potential.period_b
@@ -669,9 +705,9 @@ def band_structure(potential: ModePotential, e_max: float) -> BandStructure:
     gaps = [(upper[k], lower[k + 1]) for k in np.flatnonzero(certified)]
 
     # --- independent eigenvalue route -----------------------------------
-    k_modes = max(32, int(math.ceil(b * math.sqrt(max(e_max, 1.0)) / math.pi)) + 16)
-    per = _plane_wave_eigs(v_hat, b, antiperiodic=False, k_modes=k_modes)
-    anti = _plane_wave_eigs(v_hat, b, antiperiodic=True, k_modes=k_modes)
+    if reference is None:
+        reference = _stacked_eigs([_galerkin_pair(v_hat, b, e_max)])[0]
+    per, anti = reference
     # band k runs from a periodic to an antiperiodic eigenvalue for k odd,
     # the other way round for k even
     odd = np.arange(per.size) % 2 == 0

@@ -9,10 +9,13 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cylspec
@@ -380,6 +383,25 @@ def test_profile_bounds_computed_once_per_run(tmp_path, monkeypatch, make_cfg):
         monkeypatch.setattr(mod, "essential_bounds", counted)
     assert main(["run", str(_write_cfg(tmp_path, make_cfg()))]) == 0
     assert len(calls) == 1
+
+
+def test_plane_wave_eigensolve_runs_once_on_the_main_thread(tmp_path, monkeypatch):
+    # every mode's plane-wave matrices go to LAPACK in one stacked call
+    # before the mode pool starts, not one call per mode on pool threads
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a, *args, **kwargs):
+        calls.append(threading.current_thread() is threading.main_thread())
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recorded)
+    cfg = tmp_path / "config.json"
+    golden = Path(__file__).resolve().parent / "golden" / "periodic_certificate"
+    shutil.copy(golden / "config.json", cfg)
+    assert main(["run", str(cfg), "--jobs", "2"]) == 0
+    assert len(json.loads((tmp_path / "report.json").read_text())["modes"]) > 1
+    assert calls == [True]
 
 
 def test_bad_jobs_values(tmp_path):

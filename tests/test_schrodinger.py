@@ -181,6 +181,28 @@ def test_count_below_agrees_with_eigensolver():
     assert count_below(diag, off, -5.0) == 0
 
 
+def test_count_below_matches_the_float64_recurrence():
+    # the pivot recurrence on numpy float64 scalars is the reference;
+    # small integer matrices hit exact zero pivots, which count as negative
+    def reference(diag, off, energy):
+        cnt, q = 0, diag[0] - energy
+        for i in range(len(diag)):
+            if i:
+                q = diag[i] - energy - off[i - 1] * off[i - 1] / q
+            if q == 0.0:
+                q = -1e-300
+            cnt += bool(q < 0.0)
+        return cnt
+
+    rng = np.random.default_rng(3)
+    for _ in range(500):
+        n = int(rng.integers(1, 10))
+        diag = rng.integers(-3, 4, n).astype(float)
+        off = rng.integers(-2, 3, n - 1).astype(float)
+        energy = np.float64(rng.integers(-3, 4))
+        assert count_below(diag, off, energy) == reference(diag, off, energy)
+
+
 def test_unsettled_window_rejected():
     pot = _Well(floor=1.0, strength=2.0)
     with pytest.raises(WindowError):
@@ -638,6 +660,31 @@ def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatc
     reads.clear()
     band_structure(pot, 110.0)  # more bands, more energies
     assert len(reads) == few <= 3
+
+
+def test_plane_wave_eigs_do_not_depend_on_the_batch(monkeypatch):
+    # three means on one period share a matrix size and so one stacked
+    # eigensolve, and an empty list makes no call
+    pots = [
+        _PeriodicV(offset=0.0, amp=0.6, period=math.pi),
+        _ShiftedV(offset=2.5, amp=0.6, period=math.pi),
+        _PeriodicV(offset=7.0, amp=1.5, period=math.pi),
+    ]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    stacked = schrodinger.plane_wave_eigs(pots, 30.0)
+    assert len(calls) == 1 and calls[0][0] == 6
+    assert schrodinger.plane_wave_eigs([], 30.0) == [] and len(calls) == 1
+    for pot, pair in zip(pots, stacked):
+        alone = schrodinger.plane_wave_eigs([pot], 30.0)[0]
+        assert all(np.array_equal(a, b) for a, b in zip(pair, alone))
+        assert band_structure(pot, 30.0, reference=pair) == band_structure(pot, 30.0)
 
 
 def test_band_structure_needs_periodicity():
