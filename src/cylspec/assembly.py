@@ -19,7 +19,6 @@ bitwise equal and a tolerance would only risk merging distinct modes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cross_section import CrossSectionSpectrum
@@ -266,13 +265,6 @@ def _potentials(data: LiouvilleData, groups):
     return [build_potential(data, g.flavor, g.mode_constant) for g in groups]
 
 
-def _solve_groups(solve, jobs, groups, *per_group):
-    """solve(group, *its entries of per_group) for every group, in group
-    order, on a pool of `jobs` threads (one by default)."""
-    with ThreadPoolExecutor(max_workers=jobs or 1) as pool:
-        return list(pool.map(solve, groups, *per_group))
-
-
 def _report(kind, spectrum, bounds, budget, pots, results, intervals, points, inf_sq):
     """Union the per-mode intervals and mirror them to the first-order
     operator; inf_sq is the bottom of the squared spectrum, which sets
@@ -307,7 +299,6 @@ def run_stabilizing_analysis(
     *,
     halfwidth: float = DEFAULT_HALFWIDTH,
     grid: int = DEFAULT_GRID,
-    jobs: int | None = None,
 ) -> SpectrumReport:
     """Full squared-spectrum analysis for stabilizing coefficients."""
     bounds, budget, groups = _prologue(profile, spectrum, e_max, Stabilizing)
@@ -316,20 +307,16 @@ def run_stabilizing_analysis(
     data = build_transform(profile, bounds, window=(-z_half, z_half))
     pots = _potentials(data, groups)
     settled = _settled_halfwidth(pots, halfwidth)
-
-    def solve(group: ModeGroup, pot) -> StabilizingModeResult:
-        res = bound_states(pot, settled, grid)
-        thr = pot.threshold
-        ac = (thr, e_max) if thr < e_max else None
-        return StabilizingModeResult(
-            group=group,
-            threshold=thr,
+    results = [
+        StabilizingModeResult(
+            group=g,
+            threshold=pot.threshold,
             lower_bound=pot.lower_bound,
-            bound=res,
-            ac_interval=ac,
+            bound=bound_states(pot, settled, grid),
+            ac_interval=(pot.threshold, e_max) if pot.threshold < e_max else None,
         )
-
-    results = _solve_groups(solve, jobs, groups, pots)
+        for g, pot in zip(groups, pots)
+    ]
     thresholds = [r.threshold for r in results]
     # a state lies below its own mode's threshold, so it is embedded in
     # another mode's ac spectrum exactly when it reaches the lowest one
@@ -365,23 +352,22 @@ def run_periodic_analysis(
     profile: CoefficientProfile,
     spectrum: CrossSectionSpectrum,
     e_max: float,
-    *,
-    jobs: int | None = None,
 ) -> SpectrumReport:
     """Full squared-spectrum analysis for periodic coefficients."""
     bounds, budget, groups = _prologue(profile, spectrum, e_max, Periodic)
-    data = build_transform(profile, bounds)
-
-    def solve(group: ModeGroup, pot, reference) -> PeriodicModeResult:
-        bs = band_structure(pot, e_max, reference=reference)
-        return PeriodicModeResult(group=group, lower_bound=pot.lower_bound, structure=bs)
-
-    pots = _potentials(data, groups)
-    # every mode's plane-wave eigenvalues in one eigensolve on this thread,
-    # not one per mode in the pool: each call wakes a threaded BLAS, whose
-    # workers then spin on the cores the pool needs
+    pots = _potentials(build_transform(profile, bounds), groups)
+    # every mode's plane-wave eigenvalues in one eigensolve, not one per
+    # mode: each call wakes a threaded BLAS, whose workers then spin and
+    # burn CPU, so one call per mode costs more wall and CPU time
     refs = plane_wave_eigs(pots, e_max)
-    results = _solve_groups(solve, jobs, groups, pots, refs)
+    results = [
+        PeriodicModeResult(
+            group=g,
+            lower_bound=pot.lower_bound,
+            structure=band_structure(pot, e_max, reference=ref),
+        )
+        for g, pot, ref in zip(groups, pots, refs)
+    ]
     intervals = [band for r in results for band in r.structure.bands]
     inf_sq = min((r.structure.bands[0][0] for r in results if r.structure.bands), default=math.inf)
     return _report("periodic", spectrum, bounds, budget, pots, results, intervals, (), inf_sq)

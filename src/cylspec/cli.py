@@ -11,6 +11,9 @@ config unless it gives other paths.  Exit status: 0 on success, 2 for
 anything wrong with the inputs or an output that cannot be written, 3
 when a numeric routine could not certify its result.
 
+Modes are solved in turn on the calling thread; `--jobs N` (N >= 1) is
+still accepted so that existing command lines run, and changes nothing.
+
 Reports must be byte-identical across reruns of the same config, so
 everything goes through a canonical writer: floats at 17 significant
 digits (round-trip exact), no timestamps, atomic writes, and the keys
@@ -426,7 +429,7 @@ _ANALYSES = {
 # ---------------------------------------------------------------------------
 
 
-def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials: bool) -> int:
+def _run(config_path: Path, with_oracle: bool, dump_potentials: bool) -> int:
     cfg, e_max, halfwidth, grid, certificate = _parse_config(config_path)
     base = config_path.parent
     task = cfg["task"]
@@ -453,11 +456,9 @@ def _run(config_path: Path, jobs: int | None, with_oracle: bool, dump_potentials
     friedlander_ok = validate_friedlander(spectrum)
 
     if kind is Periodic:
-        rep = run_periodic_analysis(profile, spectrum, e_max, jobs=jobs)
+        rep = run_periodic_analysis(profile, spectrum, e_max)
     else:
-        rep = run_stabilizing_analysis(
-            profile, spectrum, e_max, halfwidth=halfwidth, grid=grid, jobs=jobs
-        )
+        rep = run_stabilizing_analysis(profile, spectrum, e_max, halfwidth=halfwidth, grid=grid)
 
     doc = {"schema_version": _SCHEMA_VERSION, "task": task, **_report_fields(rep)}
     doc["friedlander_validated"] = friedlander_ok
@@ -497,7 +498,7 @@ def main(argv: list[str] | None = None) -> int:
         "--jobs",
         type=int,
         default=None,
-        help="parallel mode solves (default: 1)",
+        help="accepted so that existing command lines run; has no effect",
     )
     runp.add_argument(
         "--oracle",
@@ -516,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     try:
-        return _run(args.config, args.jobs, args.oracle, args.dump_potentials)
+        return _run(args.config, args.oracle, args.dump_potentials)
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

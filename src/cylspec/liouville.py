@@ -165,7 +165,8 @@ class LiouvilleData:
     period_b: float | None  # travel time of one period, periodic case only
     bounds: EssentialBounds
     # grid shape and bytes -> the eps/mu triples at z(ys), shared by
-    # every mode potential on this transform; oldest first
+    # every mode potential on this transform; oldest first.  The lock is
+    # for library callers that share a transform across their own threads
     samples: dict = field(default_factory=dict, repr=False, compare=False)
     samples_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 

@@ -397,12 +397,19 @@ def _magnus_product(omega, es, count=False):
     return np.stack(rows)
 
 
-def _checked_trace(sf) -> np.ndarray:
-    """Delta = u(b) + v'(b) of propagated states, after the Wronskian check."""
-    det = sf[0] * sf[3] - sf[2] * sf[1]
-    bad = float(np.max(np.abs(det - 1.0), initial=0.0))
-    if bad > _WRONSKIAN_TOL:
-        raise NumericalError(f"Wronskian drifted: |det - 1| = {bad:.3e}")
+def _checked_trace(sf, energies) -> np.ndarray:
+    """Delta = u(b) + v'(b) of the states propagated at each energy, after
+    the Wronskian check; a failure names the worst energy and the largest
+    transfer-matrix entry there."""
+    drift = np.abs(sf[0] * sf[3] - sf[2] * sf[1] - 1.0)
+    if np.any(drift > _WRONSKIAN_TOL):
+        worst = int(np.argmax(drift))
+        e = float(np.atleast_1d(energies)[worst])
+        entry = float(np.max(np.abs(sf[:4, worst])))
+        raise NumericalError(
+            f"Wronskian drifted at E = {e:.6g}: |det - 1| = {drift[worst]:.3e}, "
+            f"with transfer-matrix entries up to {entry:.3e}"
+        )
     return sf[0] + sf[3]
 
 
@@ -415,13 +422,14 @@ def _dirichlet_angle(prop, energies):
     pi upwards, so the count is ceil(phi(b) / pi) - 1.
     """
     sf = prop(energies, count=True)
-    return sf[4], np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int), _checked_trace(sf)
+    count = np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
+    return sf[4], count, _checked_trace(sf, energies)
 
 
 def discriminant(prop, energies) -> np.ndarray:
     """Delta(E), the trace of the one-period transfer matrix, at each of
     a batch of energies, on a propagator that _magnus_steps built."""
-    return _checked_trace(prop(energies))
+    return _checked_trace(prop(energies), energies)
 
 
 def _galerkin_pair(v_hat: np.ndarray, b: float, e_max: float) -> np.ndarray:
@@ -435,36 +443,34 @@ def _galerkin_pair(v_hat: np.ndarray, b: float, e_max: float) -> np.ndarray:
     return np.stack([conv + np.diag(q * q).astype(complex) for q in qs])
 
 
-def _stacked_eigs(pairs) -> list:
-    """(periodic, antiperiodic) eigenvalues of each matrix pair, from one
-    eigvalsh call per matrix size, and from none for no pairs."""
-    out = [None] * len(pairs)
-    by_size: dict[int, list[int]] = {}
-    for i, m in enumerate(pairs):
-        by_size.setdefault(m.shape[-1], []).append(i)
-    for ix in by_size.values():
-        eigs = np.linalg.eigvalsh(np.concatenate([pairs[i] for i in ix]))
-        for j, i in enumerate(ix):
-            out[i] = (eigs[2 * j], eigs[2 * j + 1])
-    return out
+def _galerkin_eigs(samples, e_max: float) -> list:
+    """(periodic, antiperiodic) Galerkin eigenvalues for each (period b,
+    Fourier coefficients of V on the period grid), from one stacked
+    eigvalsh call, and from none for no samples.  Each matrix is solved
+    on its own, so a pair does not depend on the batch it came in."""
+    if not samples:
+        return []
+    pairs = [_galerkin_pair(v_hat, b, e_max) for b, v_hat in samples]
+    if len({m.shape for m in pairs}) > 1:
+        raise ValidationError("plane-wave matrices differ in size; stack one period only")
+    eigs = np.linalg.eigvalsh(np.concatenate(pairs))
+    return [(eigs[2 * j], eigs[2 * j + 1]) for j in range(len(pairs))]
 
 
 def plane_wave_eigs(potentials, e_max: float) -> list:
     """The plane-wave route of band_structure for a list of periodic
     potentials: each one's (periodic, antiperiodic) Galerkin eigenvalues.
 
-    The matrices of equal size (every mode of a run shares the period,
-    so all of them) go to LAPACK in one stacked eigvalsh call.  Each
-    matrix is solved on its own, so a pair does not depend on the batch
-    it came in.  One call instead of one per mode matters under a
-    threaded BLAS: each call wakes its worker threads, which then
-    busy-wait for a while after it returns.
+    The potentials of one run share the period and e_max, so their
+    matrices share one size and go to LAPACK in one stacked eigvalsh
+    call; one call instead of one per mode saves CPU and wall time under
+    a threaded BLAS, whose workers busy-wait after each call returns.
     """
-    pairs = []
+    samples = []
     for pot in potentials:
         vs = pot.values(_period_grid(pot))
-        pairs.append(_galerkin_pair(np.fft.fft(vs) / vs.size, pot.period_b, e_max))
-    return _stacked_eigs(pairs)
+        samples.append((pot.period_b, np.fft.fft(vs) / vs.size))
+    return _galerkin_eigs(samples, e_max)
 
 
 @dataclass(frozen=True)
@@ -706,7 +712,7 @@ def band_structure(potential: ModePotential, e_max: float, reference=None) -> Ba
 
     # --- independent eigenvalue route -----------------------------------
     if reference is None:
-        reference = _stacked_eigs([_galerkin_pair(v_hat, b, e_max)])[0]
+        reference = _galerkin_eigs([(b, v_hat)], e_max)[0]
     per, anti = reference
     # band k runs from a periodic to an antiperiodic eigenvalue for k odd,
     # the other way round for k even

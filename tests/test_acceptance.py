@@ -67,7 +67,7 @@ def excess_report(square_large):
     """Full stabilizing analysis of the rising-bump profile, shared by
     the embedded-eigenvalue and symmetry criteria."""
     return run_stabilizing_analysis(
-        _bump_profile(), square_large, 60.0 * LAMBDA_1, halfwidth=15.0, grid=3000, jobs=4
+        _bump_profile(), square_large, 60.0 * LAMBDA_1, halfwidth=15.0, grid=3000
     )
 
 
@@ -118,9 +118,7 @@ def test_02_central_gap(square_small, excess_report):
 
 def test_03_no_binding_when_product_stays_below_limit(square_small):
     """eps mu <= limit everywhere: every budgeted mode binds nothing."""
-    report = run_stabilizing_analysis(
-        _dip_profile(), square_small, 10.0 * LAMBDA_1, jobs=4
-    )
+    report = run_stabilizing_analysis(_dip_profile(), square_small, 10.0 * LAMBDA_1)
     assert len(report.modes) >= 15
     for m in report.modes:
         assert not m.bound.eigenvalues, (
@@ -205,7 +203,7 @@ def test_05_band_edges_match_and_approach_free_pattern():
 def test_06_finite_gap_certificate(square_small):
     """Two lowest electric modes cover everything above K; gaps finite."""
     t0 = time.perf_counter()
-    report = run_periodic_analysis(_cosine_profile(), square_small, 110.0, jobs=4)
+    report = run_periodic_analysis(_cosine_profile(), square_small, 110.0)
     el = {}
     for m in report.modes:
         if m.group.flavor == "el":

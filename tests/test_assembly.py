@@ -191,21 +191,10 @@ def test_stabilizing_rejects_periodic_profile():
     )
 
 
-def test_parallel_equals_serial():
-    prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
-    spec = Synthetic(dirichlet=(5.0, 80.0), neumann=(0.0, 2.0, 85.0))
-    spectrum = build_spectrum(spec, 2, 3)
-    serial = run_stabilizing_analysis(prof, spectrum, 40.0)
-    parallel = run_stabilizing_analysis(prof, spectrum, 40.0, jobs=3)
-    assert serial.squared_points == parallel.squared_points
-    assert serial.squared_support == parallel.squared_support
-    assert serial.maxwell_points == parallel.maxwell_points
-
-
 def test_inverse_work_does_not_grow_with_mode_groups(monkeypatch):
     # every mode potential reads the transform's shared per-grid sample,
     # so the number of inverse-map calls is fixed by the grids, not by the
-    # number of mode groups or the thread count
+    # number of mode groups
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
     spec = Synthetic(dirichlet=(5.0, 9.0, 14.0, 80.0), neumann=(0.0, 2.0, 7.0, 11.0, 85.0))
     spectrum = build_spectrum(spec, 4, 5)
@@ -218,16 +207,15 @@ def test_inverse_work_does_not_grow_with_mode_groups(monkeypatch):
 
     monkeypatch.setattr(LiouvilleData, "inverse", counted)
 
-    def inverse_calls(e_max, jobs):
+    def inverse_calls(e_max):
         calls.clear()
-        report = run_stabilizing_analysis(prof, spectrum, e_max, grid=800, jobs=jobs)
+        report = run_stabilizing_analysis(prof, spectrum, e_max, grid=800)
         return len(calls), len(report.modes)
 
-    few, n_few = inverse_calls(4.0, 1)
-    many, n_many = inverse_calls(40.0, 1)
-    threaded, _ = inverse_calls(40.0, 3)
+    few, n_few = inverse_calls(4.0)
+    many, n_many = inverse_calls(40.0)
     assert (n_few, n_many) == (2, 6)
-    assert few == many == threaded
+    assert few == many
 
 
 def test_energies_scale_with_epsilon():

@@ -1,7 +1,8 @@
 """End-to-end CLI tests on temporary config files.
 
-Reports must be byte-identical across reruns and across job counts, so
-several tests compare raw file bytes rather than parsed content.
+Reports must be byte-identical across reruns and whatever `--jobs`
+says, so several tests compare raw file bytes rather than parsed
+content.
 """
 
 from __future__ import annotations
@@ -386,8 +387,8 @@ def test_profile_bounds_computed_once_per_run(tmp_path, monkeypatch, make_cfg):
 
 
 def test_plane_wave_eigensolve_runs_once_on_the_main_thread(tmp_path, monkeypatch):
-    # every mode's plane-wave matrices go to LAPACK in one stacked call
-    # before the mode pool starts, not one call per mode on pool threads
+    # every mode's plane-wave matrices go to LAPACK in one stacked call,
+    # not one call per mode
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -402,6 +403,21 @@ def test_plane_wave_eigensolve_runs_once_on_the_main_thread(tmp_path, monkeypatc
     assert main(["run", str(cfg), "--jobs", "2"]) == 0
     assert len(json.loads((tmp_path / "report.json").read_text())["modes"]) > 1
     assert calls == [True]
+
+
+@pytest.mark.parametrize("case", ["disk_bump", "periodic_certificate"])
+def test_jobs_starts_no_thread(case, tmp_path, monkeypatch):
+    # the modes are solved in turn on the calling thread: `--jobs 2` is
+    # accepted, starts no thread and writes the golden report
+    def refuse(self):
+        raise AssertionError(f"thread started: {self.name}")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    golden = Path(__file__).resolve().parent / "golden" / case
+    shutil.copy(golden / "config.json", tmp_path / "config.json")
+    argv = ["run", str(tmp_path / "config.json"), "--oracle", "--dump-potentials", "--jobs", "2"]
+    assert main(argv) == 0
+    assert (tmp_path / "report.json").read_bytes() == (golden / "report.json").read_bytes()
 
 
 def test_bad_jobs_values(tmp_path):

@@ -3,7 +3,8 @@
 Each directory under tests/golden holds a `config.json` and the files
 that `cylspec run config.json --oracle --dump-potentials` wrote for it.
 A refactor that claims to leave the output unchanged must reproduce
-them exactly, serially and on the `--jobs 2` thread pool.  The bytes
+them exactly, also under `--jobs 2`: the flag is kept only so that
+existing command lines still run, and must not change a byte.  The bytes
 are pinned to numpy 2.4.6 and scipy 1.17.1; other versions may move
 the last digits of LAPACK and elementary-function results.  Regenerate
 them only with a CHANGES.md entry that gives the largest deviation

@@ -281,6 +281,19 @@ def _cosine_mode(mean=1.0, amplitude=0.3, mode_constant=2.0 * math.pi**2):
     return build_potential(build_transform(prof, essential_bounds(prof)), "el", mode_constant)
 
 
+def test_wronskian_failure_names_the_energy_and_the_entry_size():
+    # below the band of a high mode the transfer matrix grows to about
+    # 1e4, and the drift of det from 1 then exceeds _WRONSKIAN_TOL; the
+    # message says where and how large the matrix was
+    pot = _cosine_mode(mode_constant=37.0 * math.pi**2)
+    with pytest.raises(NumericalError) as info:
+        band_structure(pot, 400.0)
+    msg = str(info.value)
+    assert msg.startswith("Wronskian drifted at E = 284.43: |det - 1| = ")
+    entry = float(msg.rsplit(" ", 1)[1])
+    assert 1e3 < entry < 1e5
+
+
 def _accepted(pot, e_max):
     """(steps, propagator) that band_structure takes for pot up to e_max."""
     return schrodinger._magnus_steps(pot, pot.values(schrodinger._period_grid(pot)), e_max)
@@ -305,7 +318,7 @@ def test_propagator_is_sixth_order():
     es = np.linspace(-2.1, 60.0, 257)
 
     def trace(n):
-        return schrodinger._checked_trace(schrodinger._propagator(pot, n)(es))
+        return schrodinger.discriminant(schrodinger._propagator(pot, n), es)
 
     ref = trace(4096)
     errs = [np.max(np.abs(trace(n) - ref) / np.maximum(1.0, np.abs(ref))) for n in (32, 64, 128)]
@@ -531,8 +544,8 @@ def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
     probe = np.linspace(float(np.min(vs)) - 1.0, 40.0, 257)
 
     def drift(k):
-        coarse = schrodinger._checked_trace(schrodinger._propagator(pot, k)(probe))
-        fine = schrodinger._checked_trace(schrodinger._propagator(pot, 2 * k)(probe))
+        coarse = schrodinger.discriminant(schrodinger._propagator(pot, k), probe)
+        fine = schrodinger.discriminant(schrodinger._propagator(pot, 2 * k), probe)
         return np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine)))
 
     assert n > 256
@@ -685,6 +698,18 @@ def test_plane_wave_eigs_do_not_depend_on_the_batch(monkeypatch):
         alone = schrodinger.plane_wave_eigs([pot], 30.0)[0]
         assert all(np.array_equal(a, b) for a, b in zip(pair, alone))
         assert band_structure(pot, 30.0, reference=pair) == band_structure(pot, 30.0)
+
+
+def test_plane_wave_eigs_reject_mixed_matrix_sizes(monkeypatch):
+    # a period 20 times longer needs more plane waves below the same e_max,
+    # so its matrices cannot share the stacked call; no eigensolve runs
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(a.shape))
+    short = _PeriodicV(offset=0.0, amp=0.6, period=math.pi)
+    long = _PeriodicV(offset=0.0, amp=0.6, period=20.0 * math.pi)
+    with pytest.raises(ValidationError, match="differ in size"):
+        schrodinger.plane_wave_eigs([short, long], 30.0)
+    assert calls == []
 
 
 def test_band_structure_needs_periodicity():
