@@ -38,7 +38,6 @@ from .schrodinger import (
     band_structure,
     bound_states,
     merge_intervals,
-    plane_wave_eigs,
     settle_residual,
 )
 
@@ -356,17 +355,9 @@ def run_periodic_analysis(
     """Full squared-spectrum analysis for periodic coefficients."""
     bounds, budget, groups = _prologue(profile, spectrum, e_max, Periodic)
     pots = _potentials(build_transform(profile, bounds), groups)
-    # every mode's plane-wave eigenvalues in one eigensolve, not one per
-    # mode: each call wakes a threaded BLAS, whose workers then spin and
-    # burn CPU, so one call per mode costs more wall and CPU time
-    refs = plane_wave_eigs(pots, e_max)
     results = [
-        PeriodicModeResult(
-            group=g,
-            lower_bound=pot.lower_bound,
-            structure=band_structure(pot, e_max, reference=ref),
-        )
-        for g, pot, ref in zip(groups, pots, refs)
+        PeriodicModeResult(group=g, lower_bound=pot.lower_bound, structure=structure)
+        for g, pot, structure in zip(groups, pots, band_structure(pots, e_max))
     ]
     intervals = [band for r in results for band in r.structure.bands]
     inf_sq = min((r.structure.bands[0][0] for r in results if r.structure.bands), default=math.inf)

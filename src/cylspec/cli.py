@@ -147,13 +147,18 @@ def dumps_canonical(obj) -> str:
 
 
 def _atomic_write(path: Path, text: str):
-    """Write through a temporary file beside path; an OSError from any
-    step is raised again naming path, not the temporary file."""
+    """Write through a temporary file beside path, with the mode a plain
+    open gives a new file under the umask; an OSError from any step is
+    raised again naming path, not the temporary file."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+        # mkstemp made the file 0600; read the umask by setting a strict one
+        umask = os.umask(0o077)
+        os.umask(umask)
         with os.fdopen(fd, "w") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -440,16 +445,23 @@ def _run(config_path: Path, with_oracle: bool, dump_potentials: bool) -> int:
     for key, name in outputs.items():
         if not (isinstance(name, str) and name):
             raise ValidationError(f"config outputs: '{key}' must be a file name, got {name!r}")
-    # every path this run writes, checked before any compute
-    written = ["report", table_key]
-    if with_oracle:
-        written.append("oracle_csv")
-    if dump_potentials:
-        written.append("potentials_csv")
+    # every path this run writes, checked before any compute: none may be a
+    # directory, the file of another output, or a file the run reads
+    optional = {"oracle_csv": with_oracle, "potentials_csv": dump_potentials}
+    written = ["report", table_key, *(key for key, wanted in optional.items() if wanted)]
     paths = {key: base / outputs.get(key, _OUTPUTS[key]) for key in written}
+    taken = {config_path.resolve(): "config"}
+    cross = cfg.get("cross_section")
+    if isinstance(cross, dict) and cross.get("kind") == "synthetic":
+        for key in ("dirichlet_csv", "neumann_csv"):
+            if key in cross:
+                taken[(base / str(cross[key])).resolve()] = f"cross_section.{key}"
     for key, path in paths.items():
         if path.is_dir():
             raise ValidationError(f"config outputs: '{key}' names a directory: {path}")
+        other = taken.setdefault(path.resolve(), key)
+        if other != key:
+            raise ValidationError(f"config outputs: '{key}' and '{other}' name one file: {path}")
 
     spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
     profile = _parse_profile(_need(cfg, "profile", "root"))

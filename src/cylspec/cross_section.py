@@ -187,8 +187,8 @@ def build_spectrum(
 def validate_friedlander(spectrum: CrossSectionSpectrum) -> bool:
     """True when kappa_2 < lambda_1.
 
-    Holds for every bounded Lipschitz cross-section; synthetic input
-    violating it is inconsistent and gets rejected by the pipeline.
+    Holds for every bounded Lipschitz cross-section; for synthetic input
+    violating it, cli only records False as `friedlander_validated`.
     """
     if len(spectrum.neumann) < 2 or len(spectrum.dirichlet) < 1:
         raise InsufficientDataError("need kappa_2 and lambda_1 to compare")

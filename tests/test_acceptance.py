@@ -182,7 +182,7 @@ def test_05_band_edges_match_and_approach_free_pattern():
     prof = _cosine_profile()
     data = build_transform(prof, essential_bounds(prof))
     pot = build_potential(data, "el", LAMBDA_1)
-    bs = band_structure(pot, 3700.0)
+    bs = band_structure([pot], 3700.0)[0]
     assert bs.validation_max_dev <= 1e-6
 
     b = bs.period

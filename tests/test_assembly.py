@@ -322,8 +322,8 @@ class _FlatV:
 
 
 def test_certificate_flat_pair_verifies():
-    low = band_structure(_FlatV(0.0, 1.0), 20.0)
-    high = band_structure(_FlatV(2.0, 1.0), 20.0)
+    low = band_structure([_FlatV(0.0, 1.0)], 20.0)[0]
+    high = band_structure([_FlatV(2.0, 1.0)], 20.0)[0]
     cert = finite_gap_certificate(low, high)
     assert cert.verified
     assert cert.w_low == pytest.approx(0.0, abs=1e-12)
@@ -336,23 +336,23 @@ def test_certificate_flat_pair_verifies():
 
 
 def test_certificate_unverified_when_window_too_small():
-    low = band_structure(_FlatV(0.0, 1.0), 20.0)
-    high = band_structure(_FlatV(18.0, 1.0), 20.0)
+    low = band_structure([_FlatV(0.0, 1.0)], 20.0)[0]
+    high = band_structure([_FlatV(18.0, 1.0)], 20.0)[0]
     cert = finite_gap_certificate(low, high)
     assert not cert.verified
     assert cert.reason
 
 
 def test_certificate_rejects_degenerate_separation():
-    a = band_structure(_FlatV(1.0, 1.0), 15.0)
-    b = band_structure(_FlatV(1.0, 1.0), 15.0)
+    a = band_structure([_FlatV(1.0, 1.0)], 15.0)[0]
+    b = band_structure([_FlatV(1.0, 1.0)], 15.0)[0]
     with pytest.raises(ValidationError):
         finite_gap_certificate(a, b)
 
 
 def test_certificate_rejects_period_mismatch():
-    a = band_structure(_FlatV(0.0, 1.0), 15.0)
-    b = band_structure(_FlatV(2.0, 0.5), 15.0)
+    a = band_structure([_FlatV(0.0, 1.0)], 15.0)[0]
+    b = band_structure([_FlatV(2.0, 0.5)], 15.0)[0]
     with pytest.raises(ValidationError):
         finite_gap_certificate(a, b)
 

@@ -14,6 +14,7 @@ import shutil
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,21 @@ def test_custom_output_paths(tmp_path):
     assert (tmp_path / "out" / "pts.csv").exists()
 
 
+def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):
+    # not the owner-only mode of a temporary file
+    old = os.umask(0o022)
+    try:
+        cfg = _write_cfg(tmp_path, _periodic_cfg())
+        assert main(["run", str(cfg)]) == 0
+        with open(tmp_path / "plain.txt", "w"):
+            pass
+    finally:
+        os.umask(old)
+    plain = (tmp_path / "plain.txt").stat().st_mode
+    assert (tmp_path / "report.json").stat().st_mode == plain
+    assert (tmp_path / "band_edges.csv").stat().st_mode == plain
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
@@ -285,6 +301,20 @@ def test_unknown_profile_family(tmp_path):
     c["profile"]["epsilon"] = {"family": "lorentzian", "base": 1.0}
     cfg = _write_cfg(tmp_path, c)
     assert main(["run", str(cfg)]) == 2
+
+
+def test_certificate_needs_two_electric_modes(tmp_path, capsys):
+    # only one Dirichlet constant lies in the budget below e_max = 110
+    golden = Path(__file__).resolve().parent / "golden" / "periodic_certificate"
+    cfg = json.loads((golden / "config.json").read_text())
+    cfg["cross_section"]["dirichlet"] = [19.739208802178716, 400.0]
+    t0 = time.perf_counter()
+    assert main(["run", str(_write_cfg(tmp_path, cfg))]) == 2
+    assert time.perf_counter() - t0 < 5.0  # about 0.06 s
+    assert "finite_gap_certificate needs two distinct electric mode constants in budget" in (
+        capsys.readouterr().err
+    )
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_uncertified_result_exits_3(tmp_path, capsys, monkeypatch):
@@ -405,6 +435,24 @@ def test_plane_wave_eigensolve_runs_once_on_the_main_thread(tmp_path, monkeypatc
     assert calls == [True]
 
 
+def test_periodic_run_reads_each_potential_once_on_the_period_grid(tmp_path, monkeypatch):
+    # the discriminant and plane-wave routes share one read of each
+    # potential on the 4096-point period grid
+    reads = []
+    values = liouville.ModePotential.values
+
+    def counted(self, ys):
+        reads.append(np.size(ys))
+        return values(self, ys)
+
+    monkeypatch.setattr(liouville.ModePotential, "values", counted)
+    golden = Path(__file__).resolve().parent / "golden" / "periodic_certificate"
+    shutil.copy(golden / "config.json", tmp_path / "config.json")
+    assert main(["run", str(tmp_path / "config.json")]) == 0
+    modes = json.loads((tmp_path / "report.json").read_text())["modes"]
+    assert len(modes) > 1 and reads.count(4096) == len(modes)
+
+
 @pytest.mark.parametrize("case", ["disk_bump", "periodic_certificate"])
 def test_jobs_starts_no_thread(case, tmp_path, monkeypatch):
     # the modes are solved in turn on the calling thread: `--jobs 2` is
@@ -425,6 +473,10 @@ def test_bad_jobs_values(tmp_path):
     assert main(["run", str(cfg), "--jobs", "0"]) == 2
 
 
+def _never(*args, **kwargs):
+    raise AssertionError("analysis ran before the outputs were checked")
+
+
 def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch):
     # the report path names an existing directory: exit 2 with a message
     # naming that path, and no temporary file left behind
@@ -437,14 +489,48 @@ def test_unwritable_output_is_bad_input(tmp_path, capsys, monkeypatch):
 
     # the paths are checked before any compute: with --oracle nothing is
     # written, and the analysis driver is never called
-    def never(*args, **kwargs):
-        raise AssertionError("analysis ran before the outputs were checked")
-
-    monkeypatch.setattr(cli, "run_periodic_analysis", never)
+    monkeypatch.setattr(cli, "run_periodic_analysis", _never)
     assert main(["run", str(cfg), "--oracle"]) == 2
     assert str(tmp_path / "sub") in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [cfg.name, "sub"]
     assert not list((tmp_path / "sub").iterdir())
+
+
+def test_outputs_naming_one_file_are_bad_input(tmp_path, capsys, monkeypatch):
+    # the CSV would overwrite the report: exit 2 naming both keys, before
+    # the analysis driver runs and before anything is written
+    golden = Path(__file__).resolve().parent / "golden" / "zero_branch"
+    cfg = json.loads((golden / "config.json").read_text())
+    cfg["outputs"] = {"report": "out.txt", "bound_states_csv": "./out.txt"}
+    path = _write_cfg(tmp_path, cfg)
+    monkeypatch.setattr(cli, "run_stabilizing_analysis", _never)
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'bound_states_csv' and 'report' name one file" in err
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize(
+    "outputs, named",
+    [
+        ({"report": "config.json"}, "'report' and 'config'"),
+        ({"bound_states_csv": "d.csv"}, "'bound_states_csv' and 'cross_section.dirichlet_csv'"),
+        ({"potentials_csv": "sub/../n.csv"}, "'potentials_csv' and 'cross_section.neumann_csv'"),
+    ],
+    ids=["config", "dirichlet_csv", "neumann_csv"],
+)
+def test_output_naming_an_input_is_bad_input(tmp_path, capsys, monkeypatch, outputs, named):
+    # an output may not overwrite the config or an eigenvalue file it reads
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "d.csv").write_text("5.0\n80.0\n")
+    (tmp_path / "n.csv").write_text("0.0\n2.0\n85.0\n")
+    cross = {"kind": "synthetic", "dirichlet_csv": "d.csv", "neumann_csv": "n.csv"}
+    path = _write_cfg(tmp_path, _stabilizing_cfg(cross_section=cross, outputs=outputs))
+    inputs = {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()}
+    monkeypatch.setattr(cli, "run_stabilizing_analysis", _never)
+    assert main(["run", str(path), "--dump-potentials"]) == 2
+    assert f"{named} name one file" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == inputs
 
 
 def test_cli_import_leaves_out_scipy_integrate():

@@ -287,7 +287,7 @@ def test_wronskian_failure_names_the_energy_and_the_entry_size():
     # message says where and how large the matrix was
     pot = _cosine_mode(mode_constant=37.0 * math.pi**2)
     with pytest.raises(NumericalError) as info:
-        band_structure(pot, 400.0)
+        band_structure([pot], 400.0)[0]
     msg = str(info.value)
     assert msg.startswith("Wronskian drifted at E = 284.43: |det - 1| = ")
     entry = float(msg.rsplit(" ", 1)[1])
@@ -296,7 +296,8 @@ def test_wronskian_failure_names_the_energy_and_the_entry_size():
 
 def _accepted(pot, e_max):
     """(steps, propagator) that band_structure takes for pot up to e_max."""
-    return schrodinger._magnus_steps(pot, pot.values(schrodinger._period_grid(pot)), e_max)
+    v_min = float(np.min(pot.values(schrodinger._period_grid(pot))))
+    return schrodinger._magnus_steps(pot, v_min, e_max)
 
 
 def test_discriminant_does_not_depend_on_the_batch():
@@ -402,7 +403,7 @@ def test_dirichlet_count_matches_sine_galerkin(name, fractions):
 def test_constant_potential_band_structure():
     c, b = 0.7, 1.3
     pot = _PeriodicV(offset=c, amp=0.0, period=b)
-    bs = band_structure(pot, 30.0)
+    bs = band_structure([pot], 30.0)[0]
     assert len(bs.bands) == 1
     lo, hi = bs.bands[0]
     assert lo == pytest.approx(c, abs=1e-7)
@@ -421,7 +422,7 @@ def test_constant_potential_band_structure():
 def test_cosine_first_gap_width():
     q = 0.05
     pot = _PeriodicV(offset=0.0, amp=2.0 * q, period=math.pi)
-    bs = band_structure(pot, 3.0)
+    bs = band_structure([pot], 3.0)[0]
     assert len(bs.bands) == 2
     assert len(bs.gaps) == 1
     g_lo, g_hi = bs.gaps[0]
@@ -443,7 +444,7 @@ def _fine_discriminant(pot, e_max):
 
 def test_eigenvalue_routes_interlace():
     pot = _PeriodicV(offset=0.0, amp=0.4, period=math.pi)
-    bs = band_structure(pot, 9.0)
+    bs = band_structure([pot], 9.0)[0]
     delta = _fine_discriminant(pot, 9.0)
     edges = bs.eigenvalue_band_edges
     assert len(edges) >= 3
@@ -460,7 +461,7 @@ def test_eigenvalue_routes_interlace():
 
 def test_bands_are_exactly_where_discriminant_is_small():
     pot = _PeriodicV(offset=0.0, amp=0.4, period=math.pi)
-    bs = band_structure(pot, 9.0)
+    bs = band_structure([pot], 9.0)[0]
     delta = _fine_discriminant(pot, 9.0)
     assert len(bs.bands) >= 2 and len(bs.gaps) >= 1
     for lo, hi in bs.bands:
@@ -472,7 +473,7 @@ def test_bands_are_exactly_where_discriminant_is_small():
 
 def test_gap_lengths_shrink_with_energy():
     pot = _PeriodicV(offset=0.0, amp=0.8, period=math.pi)
-    bs = band_structure(pot, 40.0)
+    bs = band_structure([pot], 40.0)[0]
     widths = [hi - lo for lo, hi in bs.gaps]
     assert len(widths) >= 3
     assert widths[0] > widths[-1]
@@ -481,7 +482,7 @@ def test_gap_lengths_shrink_with_energy():
 
 def test_potential_above_e_max_has_no_bands():
     pot = _PeriodicV(offset=10.0, amp=0.1, period=math.pi)
-    bs = band_structure(pot, 5.0)
+    bs = band_structure([pot], 5.0)[0]
     assert bs.bands == () and bs.gaps == () and bs.eigenvalue_band_edges == ()
     assert bs.mean_potential == pytest.approx(10.0, abs=1e-12)
 
@@ -496,7 +497,7 @@ def test_band_edges_scale_with_epsilon():
     # edges, so the tolerance is EDGE_TOL.
     pot, pot4 = _cosine_mode(), _cosine_mode(mean=4.0, amplitude=1.2)
     assert _accepted(pot, 60.0)[0] == _accepted(pot4, 15.0)[0]
-    bs, bs4 = band_structure(pot, 60.0), band_structure(pot4, 15.0)
+    bs, bs4 = band_structure([pot], 60.0)[0], band_structure([pot4], 15.0)[0]
     for name in ("bands", "gaps", "eigenvalue_band_edges"):
         got = np.asarray(getattr(bs4, name))
         ref = np.asarray(getattr(bs, name)) / 4.0
@@ -509,8 +510,8 @@ def test_band_edges_scale_with_epsilon():
 def test_translation_leaves_band_edges_unchanged(s, amp, amp2, phase):
     # V(y + s b) has the same Delta as V, so the same bands on both routes
     pot = _ShiftedV(offset=0.0, amp=amp, period=math.pi, amp2=amp2, phase=phase)
-    bs = band_structure(pot, 20.0)
-    moved = band_structure(_Translated(pot, s * math.pi), 20.0)
+    bs = band_structure([pot], 20.0)[0]
+    moved = band_structure([_Translated(pot, s * math.pi)], 20.0)[0]
     tol = bs.validation_max_dev + moved.validation_max_dev + schrodinger.EDGE_TOL
     for name, bound in (("bands", tol), ("gaps", tol), ("eigenvalue_band_edges", 1e-9)):
         got, ref = np.asarray(getattr(moved, name)), np.asarray(getattr(bs, name))
@@ -526,7 +527,7 @@ def test_unresolved_discriminant_is_rejected(monkeypatch):
     monkeypatch.setattr(schrodinger, "NOISE_FLOOR", 1e-30)
     t0 = time.perf_counter()
     with pytest.raises(NumericalError, match="e_max = 60.0.*no longer halves"):
-        band_structure(_cosine_mode(), 60.0)
+        band_structure([_cosine_mode()], 60.0)[0]
     assert time.perf_counter() - t0 < 1.0
 
 
@@ -540,7 +541,7 @@ def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
     # 24 ripples per period: 256 steps leave a drift of about 1e-9
     pot = _ShiftedV(offset=0.0, amp=0.5, period=math.pi, amp2=2.0, harmonic=24)
     vs = pot.values(schrodinger._period_grid(pot))
-    n, prop = schrodinger._magnus_steps(pot, vs, 40.0)
+    n, prop = schrodinger._magnus_steps(pot, float(np.min(vs)), 40.0)
     probe = np.linspace(float(np.min(vs)) - 1.0, 40.0, 257)
 
     def drift(k):
@@ -554,7 +555,7 @@ def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
 
 
 def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
-    bs = band_structure(_SHIFTED, 30.0)
+    bs = band_structure([_SHIFTED], 30.0)[0]
     assert len(bs.bands) == 6 and len(bs.gaps) == 5
     assert bs.unresolved_gaps == () and bs.closed_gap_points == ()
     got = np.ravel(bs.bands)[:-1]  # the last band runs to e_max
@@ -569,17 +570,18 @@ def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
 def test_count_rejects_steps_that_turn_too_far(monkeypatch):
     # 256 steps over b = 1.3 turn by about h sqrt(E - 0.7) > pi / 2 near
     # E = 1e5, past the range where one step's angle is read from atan2
-    monkeypatch.setattr(
-        schrodinger, "_magnus_steps", lambda pot, vs, e_max: (256, schrodinger._propagator(pot, 256))
-    )
+    def steps(pot, v_min, e_max):
+        return 256, schrodinger._propagator(pot, 256)
+
+    monkeypatch.setattr(schrodinger, "_magnus_steps", steps)
     with pytest.raises(NumericalError, match="too long to count"):
-        band_structure(_PeriodicV(offset=0.7, amp=0.0, period=1.3), 1e5)
+        band_structure([_PeriodicV(offset=0.7, amp=0.0, period=1.3)], 1e5)[0]
 
 
 def test_step_count_keeps_every_step_countable_up_to_e_max():
     # the floor n >= 2 b sqrt(e_max - min V) / pi keeps each step's turn
     # below pi / 2, so the same constant potential is counted to 1e5
-    bs = band_structure(_PeriodicV(offset=0.7, amp=0.0, period=1.3), 1e5)
+    bs = band_structure([_PeriodicV(offset=0.7, amp=0.0, period=1.3)], 1e5)[0]
     assert len(bs.bands) == 1 and bs.gaps == () and bs.unresolved_gaps == ()
     assert bs.bands[0] == pytest.approx((0.7, 1e5), abs=1e-7)
 
@@ -597,7 +599,7 @@ def test_plane_wave_route_catches_a_dropped_band(monkeypatch):
 
     monkeypatch.setattr(schrodinger, "_dirichlet_angle", capped)
     with pytest.raises(ResolutionError, match="edge count mismatch"):
-        band_structure(_SHIFTED, 30.0)
+        band_structure([_SHIFTED], 30.0)[0]
 
 
 def test_band_structure_work_is_bounded(monkeypatch):
@@ -612,7 +614,7 @@ def test_band_structure_work_is_bounded(monkeypatch):
 
     pot = _cosine_mode()
     monkeypatch.setattr(schrodinger, "_magnus_product", counted)
-    band_structure(pot, 110.0)
+    band_structure([pot], 110.0)[0]
     assert sum(pairs) <= 10_736_640 // 8
     # the bracket searches stop a bracket once it is narrow enough, and
     # bisecting them all took 92 propagator calls
@@ -668,14 +670,14 @@ def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatc
 
     pot = _cosine_mode()
     monkeypatch.setattr(ModePotential, "values", counted)
-    band_structure(pot, 30.0)
+    band_structure([pot], 30.0)[0]
     few = len(reads)
     reads.clear()
-    band_structure(pot, 110.0)  # more bands, more energies
+    band_structure([pot], 110.0)[0]  # more bands, more energies
     assert len(reads) == few <= 3
 
 
-def test_plane_wave_eigs_do_not_depend_on_the_batch(monkeypatch):
+def test_band_structure_does_not_depend_on_the_batch(monkeypatch):
     # three means on one period share a matrix size and so one stacked
     # eigensolve, and an empty list makes no call
     pots = [
@@ -691,16 +693,14 @@ def test_plane_wave_eigs_do_not_depend_on_the_batch(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    stacked = schrodinger.plane_wave_eigs(pots, 30.0)
+    stacked = band_structure(pots, 30.0)
     assert len(calls) == 1 and calls[0][0] == 6
-    assert schrodinger.plane_wave_eigs([], 30.0) == [] and len(calls) == 1
-    for pot, pair in zip(pots, stacked):
-        alone = schrodinger.plane_wave_eigs([pot], 30.0)[0]
-        assert all(np.array_equal(a, b) for a, b in zip(pair, alone))
-        assert band_structure(pot, 30.0, reference=pair) == band_structure(pot, 30.0)
+    assert band_structure([], 30.0) == [] and len(calls) == 1
+    for pot, bs in zip(pots, stacked):
+        assert band_structure([pot], 30.0)[0] == bs
 
 
-def test_plane_wave_eigs_reject_mixed_matrix_sizes(monkeypatch):
+def test_band_structure_rejects_mixed_periods(monkeypatch):
     # a period 20 times longer needs more plane waves below the same e_max,
     # so its matrices cannot share the stacked call; no eigensolve runs
     calls = []
@@ -708,14 +708,14 @@ def test_plane_wave_eigs_reject_mixed_matrix_sizes(monkeypatch):
     short = _PeriodicV(offset=0.0, amp=0.6, period=math.pi)
     long = _PeriodicV(offset=0.0, amp=0.6, period=20.0 * math.pi)
     with pytest.raises(ValidationError, match="differ in size"):
-        schrodinger.plane_wave_eigs([short, long], 30.0)
+        band_structure([short, long], 30.0)
     assert calls == []
 
 
 def test_band_structure_needs_periodicity():
     pot = _Well(floor=0.0, strength=2.0)
     with pytest.raises(ValidationError):
-        band_structure(pot, 5.0)
+        band_structure([pot], 5.0)[0]
 
 
 # ---------------------------------------------------------------------------
