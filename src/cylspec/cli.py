@@ -27,6 +27,7 @@ import contextlib
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 from dataclasses import fields, is_dataclass
@@ -46,7 +47,6 @@ from .cross_section import (
     CrossSectionSpectrum,
     Disk,
     Rectangle,
-    Synthetic,
     build_spectrum,
     validate_friedlander,
 )
@@ -148,17 +148,22 @@ def dumps_canonical(obj) -> str:
 
 def _atomic_write(path: Path, text: str):
     """Write through a temporary file beside path, with the mode a plain
-    open gives a new file under the umask; an OSError from any step is
-    raised again naming path, not the temporary file."""
+    open gives: an existing file keeps its mode, a new one gets the umask's;
+    an OSError from any step is raised again naming path, not the temporary
+    file."""
     tmp = None
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-        # mkstemp made the file 0600; read the umask by setting a strict one
-        umask = os.umask(0o077)
-        os.umask(umask)
+        # mkstemp made the file 0600
+        try:
+            mode = stat.S_IMODE(path.stat().st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0o077)  # read the umask by setting a strict one
+            os.umask(umask)
+            mode = 0o666 & ~umask
         with os.fdopen(fd, "w") as fh:
-            os.fchmod(fh.fileno(), 0o666 & ~umask)
+            os.fchmod(fh.fileno(), mode)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException as exc:
@@ -229,6 +234,12 @@ def _parse_cross_section(cfg: dict, base: Path) -> CrossSectionSpectrum:
     elif kind == "disk":
         spec = Disk(_read(cfg, "radius", "disk"))
     elif kind == "synthetic":
+        for key in ("dirichlet_count", "neumann_count"):
+            if key in cfg:
+                raise ValidationError(
+                    f"config cross_section: '{key}' is not read by a synthetic section, "
+                    "whose lists give every value"
+                )
         dirichlet, neumann = (
             _load_eigenvalue_csv(base / str(cfg[f"{key}_csv"]))
             if f"{key}_csv" in cfg
@@ -236,10 +247,7 @@ def _parse_cross_section(cfg: dict, base: Path) -> CrossSectionSpectrum:
             for key in ("dirichlet", "neumann")
         )
         n_comp = _read(cfg, "boundary_components", "synthetic", int, 1)
-        spec = Synthetic(
-            dirichlet=tuple(dirichlet), neumann=tuple(neumann), boundary_components=n_comp
-        )
-        d_count, n_count = len(dirichlet), len(neumann)
+        return CrossSectionSpectrum(dirichlet, neumann, n_comp)
     else:
         raise ValidationError(f"unknown cross_section kind {kind!r}")
     return build_spectrum(spec, d_count, n_count)
@@ -296,6 +304,11 @@ def _parse_config(path: Path) -> tuple[dict, float, float, int, bool]:
         raise ValidationError(
             f"config numerics: 'finite_gap_certificate' must be true or false, got {certificate!r}"
         )
+    # a key the task checks above but would then drop is bad input
+    periodic = task == "periodic_analysis"
+    for key in ("window_halfwidth", "grid") if periodic else ("finite_gap_certificate",):
+        if key in num:
+            raise ValidationError(f"config numerics: '{key}' is not read by {task}")
     return cfg, e_max, halfwidth, grid, certificate
 
 

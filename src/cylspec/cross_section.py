@@ -9,7 +9,10 @@ and the Neumann eigenvalues
 
     0 = kappa_1 < kappa_2 <= kappa_3 <= ...
 
-repeated according to multiplicity.  Two shapes have closed forms:
+repeated according to multiplicity.  `CrossSectionSpectrum` is the one
+type that holds them, and it checks both orderings on construction, so
+explicit lists (for testing, or computed elsewhere) go straight into it.
+Two shapes have closed forms, which `build_spectrum` evaluates:
 
   rectangle (w, h):  pi^2 (m^2/w^2 + n^2/h^2), m, n >= 1 (Dirichlet),
                      m, n >= 0 (Neumann);
@@ -17,11 +20,10 @@ repeated according to multiplicity.  Two shapes have closed forms:
                      (Dirichlet) and of its derivative J_m' (Neumann),
                      each order m >= 1 contributing twice (cos/sin pairs).
 
-A synthetic spec carries explicit lists, used for testing and for
-cross-sections computed elsewhere.  For any bounded connected section
-the second Neumann eigenvalue lies strictly below the first Dirichlet
-one (kappa_2 < lambda_1); that ordering is what places the boundary of
-the low-frequency spectral gap, so it is validated rather than assumed.
+For any bounded connected section the second Neumann eigenvalue lies
+strictly below the first Dirichlet one (kappa_2 < lambda_1); that
+ordering is what places the boundary of the low-frequency spectral gap,
+so it is validated rather than assumed.
 """
 
 from __future__ import annotations
@@ -35,10 +37,7 @@ from .errors import InsufficientDataError, ValidationError
 __all__ = [
     "Rectangle",
     "Disk",
-    "Synthetic",
     "CrossSectionSpectrum",
-    "dirichlet_eigenvalues",
-    "neumann_eigenvalues",
     "build_spectrum",
     "validate_friedlander",
 ]
@@ -64,9 +63,9 @@ class Disk:
 
 
 @dataclass(frozen=True)
-class Synthetic:
-    """Explicit eigenvalue lists, one value per entry, multiplicity by
-    repetition."""
+class CrossSectionSpectrum:
+    """Transverse data consumed by the axial reduction: ascending lists,
+    one value per entry, multiplicity by repetition."""
 
     dirichlet: tuple[float, ...]
     neumann: tuple[float, ...]
@@ -78,18 +77,15 @@ class Synthetic:
         if self.boundary_components < 1:
             raise ValidationError("boundary_components must be >= 1")
         d, n = self.dirichlet, self.neumann
-        if d and (d[0] <= 0 or any(b < a for a, b in zip(d, d[1:]))):
+        if d and not (d[0] > 0 and all(a <= b for a, b in zip(d, d[1:]))):
             raise ValidationError("dirichlet list must be ascending and positive")
         if n:
             if n[0] != 0.0:
                 raise ValidationError("neumann list must start at 0")
-            if any(b < a for a, b in zip(n, n[1:])):
+            if not all(a <= b for a, b in zip(n, n[1:])):
                 raise ValidationError("neumann list must be ascending")
-            if len(n) > 1 and n[1] <= 0:
+            if len(n) > 1 and not n[1] > 0:
                 raise ValidationError("neumann 0 must be simple (kappa_2 > 0)")
-
-
-CrossSectionSpec = Rectangle | Disk | Synthetic
 
 
 def _rectangle_levels(width: float, height: float, count: int, lowest: int) -> list[float]:
@@ -106,6 +102,8 @@ def _rectangle_levels(width: float, height: float, count: int, lowest: int) -> l
 
 
 def _disk_levels(radius: float, count: int, neumann: bool) -> list[float]:
+    if count == 0:
+        return []
     # imported here: only disk sections need Bessel zeros, and scipy.special
     # would add to every run's start-up
     from scipy.special import jn_zeros, jnp_zeros
@@ -128,66 +126,28 @@ def _disk_levels(radius: float, count: int, neumann: bool) -> list[float]:
         m += 1
 
 
-def _levels(spec: CrossSectionSpec, count: int, neumann: bool) -> list[float]:
-    kind = "neumann" if neumann else "dirichlet"
-    if count < 0:
-        raise ValidationError("count must be non-negative")
-    if count == 0:
-        return []
-    if isinstance(spec, Rectangle):
-        return _rectangle_levels(spec.width, spec.height, count, lowest=0 if neumann else 1)
-    if isinstance(spec, Disk):
-        return _disk_levels(spec.radius, count, neumann)
-    if isinstance(spec, Synthetic):
-        listed = getattr(spec, kind)
-        if len(listed) < count:
-            raise InsufficientDataError(
-                f"synthetic {kind} list has {len(listed)} entries, {count} requested"
-            )
-        return list(listed[:count])
-    raise ValidationError(f"unknown cross-section spec {spec!r}")
-
-
-def dirichlet_eigenvalues(spec: CrossSectionSpec, count: int) -> list[float]:
-    """First `count` Dirichlet eigenvalues of the cross-section, ascending,
-    multiplicity by repetition."""
-    return _levels(spec, count, neumann=False)
-
-
-def neumann_eigenvalues(spec: CrossSectionSpec, count: int) -> list[float]:
-    """First `count` Neumann eigenvalues, ascending from kappa_1 = 0."""
-    return _levels(spec, count, neumann=True)
-
-
-@dataclass(frozen=True)
-class CrossSectionSpectrum:
-    """Materialized transverse data consumed by the axial reduction."""
-
-    dirichlet: tuple[float, ...]
-    neumann: tuple[float, ...]
-    boundary_components: int
-
-    def __post_init__(self):
-        if self.dirichlet and self.dirichlet[0] <= 0:
-            raise ValidationError("lambda_1 must be positive")
-        if self.neumann and self.neumann[0] != 0.0:
-            raise ValidationError("kappa_1 must be exactly 0")
-
-
 def build_spectrum(
-    spec: CrossSectionSpec, dirichlet_count: int, neumann_count: int
+    spec: Rectangle | Disk, dirichlet_count: int, neumann_count: int
 ) -> CrossSectionSpectrum:
-    return CrossSectionSpectrum(
-        dirichlet=tuple(dirichlet_eigenvalues(spec, dirichlet_count)),
-        neumann=tuple(neumann_eigenvalues(spec, neumann_count)),
-        boundary_components=getattr(spec, "boundary_components", 1),  # 1: rectangle, disk
-    )
+    """The lowest dirichlet_count Dirichlet and neumann_count Neumann
+    eigenvalues of a rectangle or a disk (one boundary component)."""
+    if dirichlet_count < 0 or neumann_count < 0:
+        raise ValidationError("count must be non-negative")
+    if isinstance(spec, Rectangle):
+        d = _rectangle_levels(spec.width, spec.height, dirichlet_count, lowest=1)
+        n = _rectangle_levels(spec.width, spec.height, neumann_count, lowest=0)
+    elif isinstance(spec, Disk):
+        d = _disk_levels(spec.radius, dirichlet_count, neumann=False)
+        n = _disk_levels(spec.radius, neumann_count, neumann=True)
+    else:
+        raise ValidationError(f"unknown cross-section spec {spec!r}")
+    return CrossSectionSpectrum(tuple(d), tuple(n))
 
 
 def validate_friedlander(spectrum: CrossSectionSpectrum) -> bool:
     """True when kappa_2 < lambda_1.
 
-    Holds for every bounded Lipschitz cross-section; for synthetic input
+    Holds for every bounded Lipschitz cross-section; for explicit lists
     violating it, cli only records False as `friedlander_validated`.
     """
     if len(spectrum.neumann) < 2 or len(spectrum.dirichlet) < 1:

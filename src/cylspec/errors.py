@@ -16,7 +16,7 @@ class ValidationError(CylspecError):
 
 
 class InsufficientDataError(ValidationError):
-    """A synthetic eigenvalue list is too short for the requested budget."""
+    """A transverse eigenvalue list is too short for the requested budget."""
 
 
 class WindowError(ValidationError):

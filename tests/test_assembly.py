@@ -19,7 +19,7 @@ from cylspec.assembly import (
     run_periodic_analysis,
     run_stabilizing_analysis,
 )
-from cylspec.cross_section import Rectangle, Synthetic, build_spectrum
+from cylspec.cross_section import CrossSectionSpectrum, Rectangle, build_spectrum
 from cylspec.errors import InsufficientDataError, ValidationError
 from cylspec.liouville import LiouvilleData
 from cylspec.profiles import (
@@ -80,15 +80,13 @@ def test_budget_scales_with_product_sup():
 
 
 def test_budget_insufficient_data():
-    spec = Synthetic(dirichlet=(5.0, 9.0), neumann=(0.0, 3.0))
-    spectrum = build_spectrum(spec, 2, 2)
+    spectrum = CrossSectionSpectrum(dirichlet=(5.0, 9.0), neumann=(0.0, 3.0))
     with pytest.raises(InsufficientDataError):
         mode_budget(spectrum, essential_bounds(_flat_profile()), 100.0)
 
 
 def test_budget_zero_branch_multiplicity():
-    spec = Synthetic(dirichlet=(5.0, 90.0), neumann=(0.0, 3.0, 95.0), boundary_components=3)
-    spectrum = build_spectrum(spec, 2, 3)
+    spectrum = CrossSectionSpectrum((5.0, 90.0), (0.0, 3.0, 95.0), boundary_components=3)
     budget = mode_budget(spectrum, essential_bounds(_flat_profile()), 50.0)
     assert budget.include_zero_branch
     assert budget.zero_multiplicity == 4
@@ -117,8 +115,8 @@ def test_flat_profile_unit_square_central_gap():
 
 def test_maxwell_sets_are_symmetric():
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
-    spec = Synthetic(dirichlet=(5.0, 80.0), neumann=(0.0, 2.0, 85.0))
-    report = run_stabilizing_analysis(prof, build_spectrum(spec, 2, 3), 40.0)
+    spectrum = CrossSectionSpectrum(dirichlet=(5.0, 80.0), neumann=(0.0, 2.0, 85.0))
+    report = run_stabilizing_analysis(prof, spectrum, 40.0)
     sup = report.maxwell_support
     for (a, b), (c, d) in zip(sup, reversed(sup)):
         assert a == -d and b == -c  # bitwise mirror
@@ -137,8 +135,8 @@ def test_maxwell_sets_are_symmetric():
 
 def test_point_flags_match_thresholds():
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
-    spec = Synthetic(dirichlet=(5.0, 80.0), neumann=(0.0, 2.0, 85.0))
-    report = run_stabilizing_analysis(prof, build_spectrum(spec, 2, 3), 40.0)
+    spectrum = CrossSectionSpectrum(dirichlet=(5.0, 80.0), neumann=(0.0, 2.0, 85.0))
+    report = run_stabilizing_analysis(prof, spectrum, 40.0)
     assert len(report.squared_points) >= 2
     thresholds = {m.group.mode_constant: m.threshold for m in report.modes}
     for pt in report.squared_points:
@@ -151,8 +149,8 @@ def test_point_flags_match_thresholds():
 
 
 def test_zero_branch_present_for_multiply_connected():
-    spec = Synthetic(dirichlet=(5.0, 80.0), neumann=(0.0, 2.0, 85.0), boundary_components=2)
-    report = run_stabilizing_analysis(_flat_profile(), build_spectrum(spec, 2, 3), 20.0)
+    spectrum = CrossSectionSpectrum((5.0, 80.0), (0.0, 2.0, 85.0), boundary_components=2)
+    report = run_stabilizing_analysis(_flat_profile(), spectrum, 20.0)
     zero_modes = [m for m in report.modes if m.group.flavor == "zero"]
     assert len(zero_modes) == 1
     z = zero_modes[0]
@@ -196,8 +194,7 @@ def test_inverse_work_does_not_grow_with_mode_groups(monkeypatch):
     # so the number of inverse-map calls is fixed by the grids, not by the
     # number of mode groups
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
-    spec = Synthetic(dirichlet=(5.0, 9.0, 14.0, 80.0), neumann=(0.0, 2.0, 7.0, 11.0, 85.0))
-    spectrum = build_spectrum(spec, 4, 5)
+    spectrum = CrossSectionSpectrum((5.0, 9.0, 14.0, 80.0), (0.0, 2.0, 7.0, 11.0, 85.0))
     calls = []
     inverse = LiouvilleData.inverse
 
@@ -225,8 +222,7 @@ def test_energies_scale_with_epsilon():
     # discretization error the Richardson estimates bound; mu -> 4 mu at
     # constant eps does the same (eta is a difference of the two
     # logarithmic derivatives, the mode term divides by eps mu)
-    spec = Synthetic(dirichlet=(5.0, 9.0, 80.0), neumann=(0.0, 2.0, 7.0, 85.0))
-    spectrum = build_spectrum(spec, 3, 4)
+    spectrum = CrossSectionSpectrum(dirichlet=(5.0, 9.0, 80.0), neumann=(0.0, 2.0, 7.0, 85.0))
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 1.0), Constant(1.0))
     rep = run_stabilizing_analysis(prof, spectrum, 12.0, halfwidth=10.0, grid=1000)
     for prof4 in (
@@ -246,8 +242,7 @@ def test_swap_law_exchanges_electric_and_magnetic_groups():
     # the magnetic modes of its swap (eps <-> mu) solve the same problems,
     # so the two analyses agree group for group, to the last bit
     dirichlet = (3.0, 7.0, 200.0)
-    spec = Synthetic(dirichlet=dirichlet, neumann=(0.0,) + dirichlet)
-    spectrum = build_spectrum(spec, 3, 4)
+    spectrum = CrossSectionSpectrum(dirichlet=dirichlet, neumann=(0.0,) + dirichlet)
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.3, 1.0), GaussianBump(1.0, 0.4, -0.2, 1.2))
     reports = [
         run_stabilizing_analysis(p, spectrum, 30.0, grid=1000) for p in (prof, prof.swapped())
@@ -268,10 +263,9 @@ def test_ladder_settles_every_potential_at_the_first_step_it_can():
     # mode constants far apart settle at different steps, and the zero
     # branch (N = 2) has the curvature term alone
     prof = make_profile(Sech2Bump(1.0, 0.5, 0.0, 2.5), Constant(1.0))
-    spec = Synthetic(
+    spectrum = CrossSectionSpectrum(
         dirichlet=(0.05, 50.0, 200.0), neumann=(0.0, 0.02, 200.0), boundary_components=2
     )
-    spectrum = build_spectrum(spec, 3, 3)
     report = run_stabilizing_analysis(prof, spectrum, 40.0, halfwidth=10.0, grid=500)
     settled = report.modes[0].bound.window_halfwidth
     step = round(math.log(settled / 10.0) / math.log(_LADDER_GROWTH))
@@ -290,8 +284,8 @@ def test_ladder_settles_every_potential_at_the_first_step_it_can():
 
 def test_periodic_analysis_flat_cosine():
     prof = make_profile(CosinePeriodic(1.0, 0.2, 1.0), Constant(1.0))
-    spec = Synthetic(dirichlet=(5.0, 200.0), neumann=(0.0, 198.0))
-    report = run_periodic_analysis(prof, build_spectrum(spec, 2, 2), 60.0)
+    spectrum = CrossSectionSpectrum(dirichlet=(5.0, 200.0), neumann=(0.0, 198.0))
+    report = run_periodic_analysis(prof, spectrum, 60.0)
     assert report.classification == "periodic"
     assert len(report.modes) == 1
     assert _solved_potentials(report)[0].period_b == report.modes[0].structure.period

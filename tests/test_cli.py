@@ -11,6 +11,7 @@ import json
 import math
 import os
 import shutil
+import stat
 import subprocess
 import sys
 import threading
@@ -256,6 +257,15 @@ def test_artifacts_get_the_mode_a_plain_open_gives(tmp_path):
     assert (tmp_path / "band_edges.csv").stat().st_mode == plain
 
 
+def test_rerun_keeps_an_artifacts_mode(tmp_path):
+    # as a plain open would: the replace does not reset a chmod
+    cfg = _write_cfg(tmp_path, _periodic_cfg())
+    assert main(["run", str(cfg)]) == 0
+    (tmp_path / "report.json").chmod(0o640)
+    assert main(["run", str(cfg)]) == 0
+    assert stat.S_IMODE((tmp_path / "report.json").stat().st_mode) == 0o640
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 # ---------------------------------------------------------------------------
@@ -398,6 +408,28 @@ def test_malformed_number_is_bad_input(tmp_path, capsys, path, value, named):
     doc[key] = value
     assert main(["run", str(_write_cfg(tmp_path, c))]) == 2
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "make_cfg, path, value, reader",
+    [
+        (_stabilizing_cfg, "numerics", {"finite_gap_certificate": False}, "stabilizing_analysis"),
+        (_periodic_cfg, "numerics", {"window_halfwidth": 15.0}, "periodic_analysis"),
+        (_periodic_cfg, "numerics", {"grid": 2000}, "periodic_analysis"),
+        (_periodic_cfg, "cross_section", {"dirichlet_count": 3}, "a synthetic section"),
+        (_stabilizing_cfg, "cross_section", {"neumann_count": 3}, "a synthetic section"),
+    ],
+    ids=["certificate", "halfwidth", "grid", "dirichlet_count", "neumann_count"],
+)
+def test_key_the_run_would_drop_is_bad_input(tmp_path, capsys, make_cfg, path, value, reader):
+    # a key the run checks and then ignores exits 2, naming the key and
+    # what does not read it
+    c = make_cfg()
+    c[path].update(value)
+    assert main(["run", str(_write_cfg(tmp_path, c))]) == 2
+    (key,) = value
+    assert f"'{key}' is not read by {reader}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("make_cfg", [_stabilizing_cfg, _periodic_cfg])

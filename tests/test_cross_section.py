@@ -18,15 +18,20 @@ from cylspec.cross_section import (
     CrossSectionSpectrum,
     Disk,
     Rectangle,
-    Synthetic,
     build_spectrum,
-    dirichlet_eigenvalues,
-    neumann_eigenvalues,
     validate_friedlander,
 )
 from cylspec.errors import InsufficientDataError, ValidationError
 
 PI2 = math.pi * math.pi
+
+
+def _dirichlet(spec, count):
+    return list(build_spectrum(spec, count, 0).dirichlet)
+
+
+def _neumann(spec, count):
+    return list(build_spectrum(spec, 0, count).neumann)
 
 
 def _bessel_j(m: int, x: float) -> float:
@@ -109,19 +114,19 @@ _RECTANGLES = [
 
 def test_rectangle_enumeration_against_brute_force():
     for w, h, count in _RECTANGLES:
-        got = dirichlet_eigenvalues(Rectangle(w, h), count)
+        got = _dirichlet(Rectangle(w, h), count)
         assert got == _brute_levels(w, h, count, 1), (w, h, count)
 
 
 def test_rectangle_neumann_brute_force():
     for w, h, count in _RECTANGLES:
-        got = neumann_eigenvalues(Rectangle(w, h), count)
+        got = _neumann(Rectangle(w, h), count)
         assert got == _brute_levels(w, h, count, 0), (w, h, count)
 
 
 def test_disk_dirichlet_against_bessel_oracle():
     radius = 1.0
-    got = dirichlet_eigenvalues(Disk(radius), 10)
+    got = _dirichlet(Disk(radius), 10)
     assert got[0] == pytest.approx(FIRST_DISK_DIRICHLET, rel=1e-12)
 
     # oracle: pool zeros of J_m for m = 0..6, square, sort
@@ -138,7 +143,7 @@ def test_disk_dirichlet_against_bessel_oracle():
 
 def test_disk_neumann_against_bessel_oracle():
     radius = 1.3
-    got = neumann_eigenvalues(Disk(radius), 10)
+    got = _neumann(Disk(radius), 10)
     assert got[0] == 0.0
     assert got[1] == pytest.approx(FIRST_DISK_NEUMANN_NONZERO / 1.3**2, rel=1e-12)
 
@@ -154,13 +159,13 @@ def test_disk_neumann_against_bessel_oracle():
 
 
 def test_disk_first_neumann_multiplicity_two():
-    got = neumann_eigenvalues(Disk(1.0), 4)
+    got = _neumann(Disk(1.0), 4)
     assert got[1] == got[2]  # the J_1' zero carries both angular signs
 
 
 def test_scaling_law():
-    base_d = dirichlet_eigenvalues(Disk(1.0), 8)
-    scaled = dirichlet_eigenvalues(Disk(2.0), 8)
+    base_d = _dirichlet(Disk(1.0), 8)
+    scaled = _dirichlet(Disk(2.0), 8)
     assert np.allclose(np.array(scaled) * 4.0, base_d, rtol=1e-12)
 
 
@@ -182,15 +187,16 @@ def test_friedlander_needs_two_neumann_values():
 
 
 def test_synthetic_validation():
+    # explicit lists, as a synthetic cross-section gives them, are checked
+    # by the one spectrum type
     with pytest.raises(ValidationError):
-        Synthetic(dirichlet=(2.0, 1.0), neumann=(0.0, 1.0), boundary_components=1)
+        CrossSectionSpectrum(dirichlet=(2.0, 1.0), neumann=(0.0, 1.0), boundary_components=1)
     with pytest.raises(ValidationError):
-        Synthetic(dirichlet=(1.0,), neumann=(0.5, 1.0), boundary_components=1)
+        CrossSectionSpectrum(dirichlet=(1.0,), neumann=(0.5, 1.0), boundary_components=1)
     with pytest.raises(ValidationError):
-        Synthetic(dirichlet=(-1.0,), neumann=(0.0,), boundary_components=1)
-    sp = Synthetic(dirichlet=(1.0, 2.0), neumann=(0.0, 0.5), boundary_components=2)
-    spec = build_spectrum(sp, 2, 2)
-    assert spec.boundary_components == 2
+        CrossSectionSpectrum(dirichlet=(-1.0,), neumann=(0.0,), boundary_components=1)
+    sp = CrossSectionSpectrum(dirichlet=(1.0, 2.0), neumann=(0.0, 0.5), boundary_components=2)
+    assert sp.boundary_components == 2
 
 
 def test_spectrum_construction_guards():
@@ -200,7 +206,27 @@ def test_spectrum_construction_guards():
         CrossSectionSpectrum(dirichlet=(1.0,), neumann=(0.1,), boundary_components=1)
 
 
+def test_spectrum_validation():
+    # each of these breaks an ordering a consumer reads (kappa_2, lambda_1,
+    # the last value, a nonzero magnetic constant) or asks for no boundary
+    bad = [
+        ((5.0, 80.0), (0.0, 9.0, 3.0, 85.0), 1),  # unsorted Neumann list
+        ((80.0, 5.0), (0.0, 2.0), 1),  # descending Dirichlet list
+        ((5.0,), (0.0, 0.0, 2.0), 1),  # double Neumann zero
+        ((5.0,), (0.0, 2.0), 0),  # no boundary component
+    ]
+    for dirichlet, neumann, components in bad:
+        with pytest.raises(ValidationError):
+            CrossSectionSpectrum(dirichlet, neumann, components)
+    sp = CrossSectionSpectrum([1, 2], [0, 0.5], boundary_components=2)
+    assert (sp.dirichlet, sp.neumann, sp.boundary_components) == ((1.0, 2.0), (0.0, 0.5), 2)
+    assert all(type(v) is float for v in sp.dirichlet + sp.neumann)
+    assert CrossSectionSpectrum((5.0,), (0.0, 2.0)).boundary_components == 1
+
+
 def test_requested_counts_honored():
-    for count in (1, 7, 23):
-        assert len(dirichlet_eigenvalues(Rectangle(1.1, 0.9), count)) == count
-        assert len(neumann_eigenvalues(Disk(0.7), count)) == count
+    for count in (0, 1, 7, 23):
+        assert len(_dirichlet(Rectangle(1.1, 0.9), count)) == count
+        assert len(_neumann(Disk(0.7), count)) == count
+    with pytest.raises(ValidationError):
+        build_spectrum(Disk(0.7), 3, -1)
