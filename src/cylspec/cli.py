@@ -5,11 +5,11 @@ One subcommand:
     cylspec run CONFIG.json [--jobs N] [--oracle] [--dump-potentials]
 
 The config names a cross-section, a coefficient profile, a task, and
-numeric knobs, each a finite JSON number (integral where an integer is
-meant); artifacts (a JSON report plus CSV tables) land next to the
-config unless it gives other paths.  Exit status: 0 on success, 2 for
-anything wrong with the inputs or an output that cannot be written, 3
-when a numeric routine could not certify its result.
+numeric knobs (finite JSON numbers, integral where an integer is meant);
+artifacts (a JSON report plus CSV tables) land beside it unless it names
+other paths.  Exit status: 0 on success, 2 for anything wrong with the
+inputs, a key the run does not read included, or an output that cannot
+be written, 3 when a numeric routine could not certify its result.
 
 Modes are solved in turn on the calling thread; `--jobs N` (N >= 1) is
 still accepted so that existing command lines run, and changes nothing.
@@ -56,11 +56,14 @@ from .errors import CylspecError, NumericalError, ValidationError
 from .liouville import build_transform  # noqa: F401
 from .profiles import (
     CoefficientProfile,
+    Constant,
+    CosinePeriodic,
+    GaussianBump,
     Periodic,
+    ProfileSum,
+    Sech2Bump,
     Stabilizing,
-    config_number,
     essential_bounds,  # noqa: F401
-    family_from_dict,
     make_profile,
 )
 from .weighted_operator import WeightedOperatorSpec, weighted_eigenvalues
@@ -184,28 +187,79 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 
 # ---------------------------------------------------------------------------
-# config parsing (fail fast, everything checked before compute starts)
+# config parsing: every key is read, and checked, before the analysis starts
 # ---------------------------------------------------------------------------
+
+# config tag -> what it builds, a leaf from its dataclass fields (see _fields)
+_SECTIONS = {"rectangle": Rectangle, "disk": Disk, "synthetic": CrossSectionSpectrum}
+_CLASSIFICATIONS = {"stabilizing": Stabilizing, "periodic": Periodic}
+_FAMILIES = {
+    "constant": Constant, "gaussian_bump": GaussianBump, "sech2_bump": Sech2Bump,
+    "cosine_periodic": CosinePeriodic, "sum": ProfileSum,
+}
+
+
+def _object(value, ctx: str) -> dict:
+    """A copy of a config object, from which its reader takes each key it reads."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"config {ctx} must be a JSON object, got {value!r}")
+    return dict(value)
+
+
+def _done(cfg: dict, ctx: str, reader: str):
+    if cfg:
+        raise ValidationError(f"config {ctx}: '{next(iter(cfg))}' is not read by {reader}")
 
 
 def _need(cfg: dict, key: str, ctx: str):
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"config {ctx} must be a JSON object, got {cfg!r}")
     if key not in cfg:
         raise ValidationError(f"config {ctx}: missing required key '{key}'")
-    return cfg[key]
+    return cfg.pop(key)
+
+
+def _number(value, kind, where: str):
+    """value as kind (float or int): a finite JSON number, integral for int."""
+    try:
+        ok = not isinstance(value, bool) and math.isfinite(value)
+        ok = ok and (kind is float or value == int(value))
+    except (TypeError, OverflowError):
+        ok = False
+    if not ok:
+        raise ValidationError(f"{where} must be a finite {kind.__name__}, got {value!r}")
+    return kind(value)
 
 
 def _read(cfg: dict, key: str, ctx: str, kind=float, default=None):
-    """cfg[key] as a finite number of kind (float or int), or as a list of
-    finite floats for kind list; without a default the key is required."""
-    value = _need(cfg, key, ctx) if default is None else cfg.get(key, default)
+    """cfg[key] as kind: a finite number for float or int, true or false for
+    bool, a non-empty string for str, a list of finite floats for list;
+    without a default the key is required."""
+    value = _need(cfg, key, ctx) if default is None else cfg.pop(key, default)
     where = f"config {ctx}: '{key}'"
+    if kind is bool and not isinstance(value, bool):
+        raise ValidationError(f"{where} must be true or false, got {value!r}")
+    if kind is str and not (isinstance(value, str) and value):
+        raise ValidationError(f"{where} must be a non-empty string, got {value!r}")
+    if kind in (bool, str):
+        return value
     if kind is not list:
-        return config_number(value, kind, where)
+        return _number(value, kind, where)
     if not isinstance(value, list):
         raise ValidationError(f"{where} must be a list of numbers, got {value!r}")
-    return [config_number(x, float, where) for x in value]
+    return [_number(x, float, where) for x in value]
+
+
+def _tag(cfg: dict, key: str, ctx: str, table: dict) -> str:
+    tag = _read(cfg, key, ctx, str)
+    if tag not in table:
+        raise ValidationError(f"unknown {ctx} {key} {tag!r}; expected one of {tuple(table)}")
+    return tag
+
+
+def _fields(cls, cfg: dict, ctx: str, reader: str):
+    """cls built from cfg, one float per dataclass field; no other key may be left."""
+    kwargs = {f.name: _read(cfg, f.name, ctx) for f in fields(cls)}
+    _done(cfg, ctx, reader)
+    return cls(**kwargs)
 
 
 def _load_eigenvalue_csv(path: Path) -> list[float]:
@@ -219,97 +273,91 @@ def _load_eigenvalue_csv(path: Path) -> list[float]:
                 x = float(s)
             except ValueError:
                 raise ValidationError(f"{path}:{ln}: not a number: {s!r}") from None
-            values.append(config_number(x, float, f"{path}:{ln}"))
+            values.append(_number(x, float, f"{path}:{ln}"))
     if not values:
         raise ValidationError(f"eigenvalue file is empty: {path}")
     return values
 
 
-def _parse_cross_section(cfg: dict, base: Path) -> CrossSectionSpectrum:
-    kind = _need(cfg, "kind", "cross_section")
-    d_count = _read(cfg, "dirichlet_count", "cross_section", int, 40)
-    n_count = _read(cfg, "neumann_count", "cross_section", int, 40)
-    if kind == "rectangle":
-        spec = Rectangle(_read(cfg, "width", "rectangle"), _read(cfg, "height", "rectangle"))
-    elif kind == "disk":
-        spec = Disk(_read(cfg, "radius", "disk"))
-    elif kind == "synthetic":
-        for key in ("dirichlet_count", "neumann_count"):
-            if key in cfg:
-                raise ValidationError(
-                    f"config cross_section: '{key}' is not read by a synthetic section, "
-                    "whose lists give every value"
-                )
-        dirichlet, neumann = (
-            _load_eigenvalue_csv(base / str(cfg[f"{key}_csv"]))
-            if f"{key}_csv" in cfg
-            else _read(cfg, key, "synthetic", list)
-            for key in ("dirichlet", "neumann")
-        )
-        n_comp = _read(cfg, "boundary_components", "synthetic", int, 1)
-        return CrossSectionSpectrum(dirichlet, neumann, n_comp)
-    else:
-        raise ValidationError(f"unknown cross_section kind {kind!r}")
-    return build_spectrum(spec, d_count, n_count)
-
-
-def _parse_profile(cfg: dict) -> CoefficientProfile:
-    eps = family_from_dict(_need(cfg, "epsilon", "profile"))
-    mu = family_from_dict(_need(cfg, "mu", "profile"))
-    cls = None
-    if "classification" in cfg and cfg["classification"] is not None:
-        c = cfg["classification"]
-        ckind = _need(c, "kind", "classification")
-        if ckind == "stabilizing":
-            cls = Stabilizing(
-                eps_limit=_read(c, "eps_limit", "classification"),
-                mu_limit=_read(c, "mu_limit", "classification"),
-            )
-        elif ckind == "periodic":
-            cls = Periodic(period=_read(c, "period", "classification"))
+def _parse_cross_section(value, base: Path, inputs: dict) -> CrossSectionSpectrum:
+    """The section's levels; each eigenvalue file it reads goes into inputs,
+    its resolved path mapped to its config key."""
+    cfg = _object(value, "cross_section")
+    kind = _tag(cfg, "kind", "cross_section", _SECTIONS)
+    if kind != "synthetic":
+        d_count = _read(cfg, "dirichlet_count", "cross_section", int, 40)
+        n_count = _read(cfg, "neumann_count", "cross_section", int, 40)
+        spec = _fields(_SECTIONS[kind], cfg, "cross_section", f"a {kind} section")
+        return build_spectrum(spec, d_count, n_count)
+    lists = []
+    for key in ("dirichlet", "neumann"):
+        if f"{key}_csv" in cfg:
+            path = base / _read(cfg, f"{key}_csv", "cross_section", str)
+            inputs[path.resolve()] = f"cross_section.{key}_csv"
+            lists.append(_load_eigenvalue_csv(path))
         else:
-            raise ValidationError(f"unknown classification kind {ckind!r}")
+            lists.append(_read(cfg, key, "cross_section", list))
+    n_comp = _read(cfg, "boundary_components", "cross_section", int, 1)
+    _done(cfg, "cross_section", "a synthetic section")
+    return CrossSectionSpectrum(*lists, n_comp)
+
+
+def _family(value, ctx: str):
+    """A coefficient family; each term of a sum is a family object itself."""
+    cfg = _object(value, ctx)
+    tag = _tag(cfg, "family", ctx, _FAMILIES)
+    if tag != "sum":
+        return _fields(_FAMILIES[tag], cfg, ctx, f"a {tag} family")
+    terms = _need(cfg, "terms", ctx)
+    if not (isinstance(terms, list) and terms):
+        raise ValidationError(f"config {ctx}: 'terms' must be a non-empty list, got {terms!r}")
+    _done(cfg, ctx, "a sum family")
+    return ProfileSum([_family(t, f"{ctx}.terms[{i}]") for i, t in enumerate(terms)])
+
+
+def _parse_profile(value, task: str) -> CoefficientProfile:
+    cfg = _object(value, "profile")
+    eps = _family(_need(cfg, "epsilon", "profile"), "profile.epsilon")
+    mu = _family(_need(cfg, "mu", "profile"), "profile.mu")
+    cls = cfg.pop("classification", None)
+    if cls is not None:
+        c = _object(cls, "classification")
+        kind = _tag(c, "kind", "classification", _CLASSIFICATIONS)
+        cls = _fields(_CLASSIFICATIONS[kind], c, "classification", f"a {kind} classification")
+    _done(cfg, "profile", task)
     return make_profile(eps, mu, classification=cls)
 
 
-def _parse_config(path: Path) -> tuple[dict, float, float, int, bool]:
-    """The config, and its e_max, window halfwidth, grid and certificate flag."""
+def _parse_config(path: Path) -> tuple[dict, str, float, float, int, bool]:
+    """The config root with what is read here taken out, its task, and the
+    task's numerics: e_max, window halfwidth, grid and certificate flag."""
     if not path.exists():
         raise ValidationError(f"config file not found: {path}")
     try:
-        cfg = json.loads(path.read_text())
+        doc = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ValidationError("config root must be a JSON object")
-    ver = _need(cfg, "schema_version", "root")
+    cfg = _object(doc, "root")
+    ver = _read(cfg, "schema_version", "root", int)
     if ver != _SCHEMA_VERSION:
         raise ValidationError(f"unsupported schema_version {ver!r}; this build reads {_SCHEMA_VERSION}")
-    task = _need(cfg, "task", "root")
-    tasks = tuple(_ANALYSES)
-    if task not in tasks:
-        raise ValidationError(f"unknown task {task!r}; expected one of {tasks}")
-    num = _need(cfg, "numerics", "root")
+    task = _tag(cfg, "task", "root", _ANALYSES)
+    num = _object(_need(cfg, "numerics", "root"), "numerics")
     e_max = _read(num, "e_max", "numerics")
     if not e_max > 0:
         raise ValidationError("numerics.e_max must be positive")
-    halfwidth = _read(num, "window_halfwidth", "numerics", float, DEFAULT_HALFWIDTH)
-    if halfwidth <= 0:
-        raise ValidationError("numerics.window_halfwidth must be positive")
-    grid = _read(num, "grid", "numerics", int, DEFAULT_GRID)
-    if grid < 16:
-        raise ValidationError("numerics.grid too coarse")
-    certificate = num.get("finite_gap_certificate", False)
-    if not isinstance(certificate, bool):
-        raise ValidationError(
-            f"config numerics: 'finite_gap_certificate' must be true or false, got {certificate!r}"
-        )
-    # a key the task checks above but would then drop is bad input
-    periodic = task == "periodic_analysis"
-    for key in ("window_halfwidth", "grid") if periodic else ("finite_gap_certificate",):
-        if key in num:
-            raise ValidationError(f"config numerics: '{key}' is not read by {task}")
-    return cfg, e_max, halfwidth, grid, certificate
+    halfwidth, grid, certificate = DEFAULT_HALFWIDTH, DEFAULT_GRID, False
+    if task == "periodic_analysis":
+        certificate = _read(num, "finite_gap_certificate", "numerics", bool, False)
+    else:
+        halfwidth = _read(num, "window_halfwidth", "numerics", float, DEFAULT_HALFWIDTH)
+        if halfwidth <= 0:
+            raise ValidationError("numerics.window_halfwidth must be positive")
+        grid = _read(num, "grid", "numerics", int, DEFAULT_GRID)
+        if grid < 16:
+            raise ValidationError("numerics.grid too coarse")
+    _done(num, "numerics", task)
+    return cfg, task, e_max, halfwidth, grid, certificate
 
 
 # ---------------------------------------------------------------------------
@@ -448,36 +496,30 @@ _ANALYSES = {
 
 
 def _run(config_path: Path, with_oracle: bool, dump_potentials: bool) -> int:
-    cfg, e_max, halfwidth, grid, certificate = _parse_config(config_path)
+    cfg, task, e_max, halfwidth, grid, certificate = _parse_config(config_path)
     base = config_path.parent
-    task = cfg["task"]
     kind, table_key, write_table, oracle = _ANALYSES[task]
-    outputs = cfg.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ValidationError(f"config outputs must be a JSON object, got {outputs!r}")
-    for key, name in outputs.items():
-        if not (isinstance(name, str) and name):
-            raise ValidationError(f"config outputs: '{key}' must be a file name, got {name!r}")
-    # every path this run writes, checked before any compute: none may be a
-    # directory, the file of another output, or a file the run reads
+    inputs = {config_path.resolve(): "config"}
+    spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base, inputs)
+    profile = _parse_profile(_need(cfg, "profile", "root"), task)
+    # a task reads its four output names whatever the flags say
+    outputs = _object(cfg.pop("outputs", {}), "outputs")
     optional = {"oracle_csv": with_oracle, "potentials_csv": dump_potentials}
-    written = ["report", table_key, *(key for key, wanted in optional.items() if wanted)]
-    paths = {key: base / outputs.get(key, _OUTPUTS[key]) for key in written}
-    taken = {config_path.resolve(): "config"}
-    cross = cfg.get("cross_section")
-    if isinstance(cross, dict) and cross.get("kind") == "synthetic":
-        for key in ("dirichlet_csv", "neumann_csv"):
-            if key in cross:
-                taken[(base / str(cross[key])).resolve()] = f"cross_section.{key}"
+    wanted = {"report": True, table_key: True, **optional}
+    paths = {key: base / _read(outputs, key, "outputs", str, _OUTPUTS[key]) for key in wanted}
+    _done(outputs, "outputs", task)
+    _done(cfg, "root", task)
+    # every path this run writes, checked before the analysis: none may be
+    # a directory, the file of another output, or a file the run reads
     for key, path in paths.items():
+        if not wanted[key]:
+            continue
         if path.is_dir():
             raise ValidationError(f"config outputs: '{key}' names a directory: {path}")
-        other = taken.setdefault(path.resolve(), key)
+        other = inputs.setdefault(path.resolve(), key)
         if other != key:
             raise ValidationError(f"config outputs: '{key}' and '{other}' name one file: {path}")
 
-    spectrum = _parse_cross_section(_need(cfg, "cross_section", "root"), base)
-    profile = _parse_profile(_need(cfg, "profile", "root"))
     friedlander_ok = validate_friedlander(spectrum)
 
     if kind is Periodic:

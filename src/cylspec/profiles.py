@@ -44,8 +44,6 @@ __all__ = [
     "essential_bounds",
     "ProductComparison",
     "locate_product_excess",
-    "config_number",
-    "family_from_dict",
 ]
 
 DEFAULT_POSITIVITY_FLOOR = 1e-9
@@ -477,43 +475,3 @@ def locate_product_excess(profile: CoefficientProfile) -> ProductComparison:
     z0 = 0.5 * (a + b)
     return ProductComparison(True, float(z0), profile.product(z0), limit)
 
-
-_FAMILY_TAGS = {
-    "constant": Constant,
-    "gaussian_bump": GaussianBump,
-    "sech2_bump": Sech2Bump,
-    "cosine_periodic": CosinePeriodic,
-}
-
-
-def config_number(value, kind, where: str):
-    """A config value as kind (float or int): a finite JSON number, integral for int."""
-    try:
-        ok = not isinstance(value, bool) and math.isfinite(value)
-        ok = ok and (kind is float or value == int(value))
-    except (TypeError, OverflowError):
-        ok = False
-    if not ok:
-        raise ValidationError(f"{where} must be a finite {kind.__name__}, got {value!r}")
-    return kind(value)
-
-
-def family_from_dict(doc: dict) -> ProfileFamily:
-    if not isinstance(doc, dict) or "family" not in doc:
-        raise ValidationError(f"profile family must be an object with a 'family' tag, got {doc!r}")
-    tag = doc["family"]
-    if tag == "sum":
-        terms = doc.get("terms")
-        if not isinstance(terms, list) or not terms:
-            raise ValidationError("sum family needs a non-empty 'terms' list")
-        return ProfileSum([family_from_dict(t) for t in terms])
-    cls = _FAMILY_TAGS.get(tag)
-    if cls is None:
-        raise ValidationError(f"unknown profile family '{tag}'")
-    kwargs = {
-        k: config_number(v, float, f"family '{tag}': '{k}'") for k, v in doc.items() if k != "family"
-    }
-    try:
-        return cls(**kwargs)
-    except TypeError as exc:
-        raise ValidationError(f"bad parameters for family '{tag}': {exc}") from None

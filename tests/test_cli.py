@@ -7,9 +7,11 @@ content.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -24,6 +26,10 @@ import pytest
 import cylspec
 from cylspec import assembly, cli, liouville, profiles, schrodinger
 from cylspec.cli import dumps_canonical, main
+from cylspec.errors import ValidationError
+from cylspec.profiles import Constant, CosinePeriodic, GaussianBump, ProfileSum, Sech2Bump
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def _stabilizing_cfg(**overrides):
@@ -387,6 +393,22 @@ _NEUMANN = [0.0, 2.0, 85.0]
         (("outputs",), [], "outputs must be a JSON object"),
         (("outputs",), {"report": None}, "'report'"),
         (("outputs",), {"report": ""}, "'report'"),
+        (("task",), ["stabilizing_analysis"], "'task'"),
+        (("cross_section", "kind"), ["rectangle"], "'kind'"),
+        (("profile", "classification"), {"kind": ["stabilizing"]}, "'kind'"),
+        (("profile", "epsilon", "family"), ["sech2_bump"], "'family'"),
+        (("schema_version",), True, "'schema_version'"),
+        (("schema_version",), "1", "'schema_version'"),
+        (
+            ("cross_section",),
+            {"kind": "synthetic", "dirichlet_csv": ["d.csv"], "neumann": _NEUMANN},
+            "'dirichlet_csv'",
+        ),
+        (
+            ("cross_section",),
+            {"kind": "synthetic", "dirichlet": [5.0, 80.0], "neumann_csv": ""},
+            "'neumann_csv'",
+        ),
     ],
     ids=[
         "e_max-text", "e_max-null", "grid", "width", "amplitude", "grid-fraction",
@@ -395,7 +417,9 @@ _NEUMANN = [0.0, 2.0, 85.0]
         "dirichlet-nan", "dirichlet-csv-nan",
         "numerics-text", "cross_section-text", "classification-text",
         "classification-limit", "classification-kind", "outputs-list",
-        "output-null", "output-empty",
+        "output-null", "output-empty", "task-list", "kind-list", "classification-kind-list",
+        "family-list", "schema_version-bool", "schema_version-text", "dirichlet_csv-list",
+        "neumann_csv-empty",
     ],
 )
 def test_malformed_number_is_bad_input(tmp_path, capsys, path, value, named):
@@ -410,26 +434,154 @@ def test_malformed_number_is_bad_input(tmp_path, capsys, path, value, named):
     assert named in capsys.readouterr().err
 
 
+def _rectangle_cfg():
+    return _stabilizing_cfg(cross_section={"kind": "rectangle", "width": 1.0, "height": 1.0})
+
+
+def _disk_cfg():
+    return _stabilizing_cfg(cross_section={"kind": "disk", "radius": 1.0})
+
+
+def _named_outputs_cfg():
+    return _stabilizing_cfg(outputs={"report": "r.json"})
+
+
+def _classified_cfg():
+    c = _periodic_cfg()
+    c["profile"]["classification"] = {"kind": "periodic", "period": 1.0}
+    return c
+
+
+def _sum_cfg():
+    c = _stabilizing_cfg()
+    c["profile"]["epsilon"] = {"family": "sum", "terms": [c["profile"]["epsilon"]]}
+    return c
+
+
 @pytest.mark.parametrize(
     "make_cfg, path, value, reader",
     [
-        (_stabilizing_cfg, "numerics", {"finite_gap_certificate": False}, "stabilizing_analysis"),
-        (_periodic_cfg, "numerics", {"window_halfwidth": 15.0}, "periodic_analysis"),
-        (_periodic_cfg, "numerics", {"grid": 2000}, "periodic_analysis"),
-        (_periodic_cfg, "cross_section", {"dirichlet_count": 3}, "a synthetic section"),
-        (_stabilizing_cfg, "cross_section", {"neumann_count": 3}, "a synthetic section"),
+        (_stabilizing_cfg, ("numerics",), {"finite_gap_certificate": False}, "stabilizing_analysis"),
+        (_periodic_cfg, ("numerics",), {"window_halfwidth": 15.0}, "periodic_analysis"),
+        (_periodic_cfg, ("numerics",), {"grid": 2000}, "periodic_analysis"),
+        (_periodic_cfg, ("cross_section",), {"dirichlet_count": 3}, "a synthetic section"),
+        (_stabilizing_cfg, ("cross_section",), {"neumann_count": 3}, "a synthetic section"),
+        (_stabilizing_cfg, ("numerics",), {"gird": 500}, "stabilizing_analysis"),
+        (_stabilizing_cfg, (), {"output": {"report": "x.json"}}, "stabilizing_analysis"),
+        (_named_outputs_cfg, ("outputs",), {"band_edges_csv": "b.csv"}, "stabilizing_analysis"),
+        (_rectangle_cfg, ("cross_section",), {"boundary_components": 2}, "a rectangle section"),
+        (_disk_cfg, ("cross_section",), {"dirichlet": [5.0]}, "a disk section"),
+        (_stabilizing_cfg, ("profile",), {"sigma": 1.0}, "stabilizing_analysis"),
+        (
+            _classified_cfg,
+            ("profile", "classification"),
+            {"eps_limit": 1.0},
+            "a periodic classification",
+        ),
+        (_stabilizing_cfg, ("profile", "mu"), {"amplitude": 0.5}, "a constant family"),
+        (_sum_cfg, ("profile", "epsilon"), {"weight": 2.0}, "a sum family"),
     ],
-    ids=["certificate", "halfwidth", "grid", "dirichlet_count", "neumann_count"],
+    ids=[
+        "certificate", "halfwidth", "grid", "dirichlet_count", "neumann_count", "numerics-typo",
+        "root", "outputs", "rectangle", "disk", "profile", "classification", "leaf-family", "sum",
+    ],
 )
 def test_key_the_run_would_drop_is_bad_input(tmp_path, capsys, make_cfg, path, value, reader):
-    # a key the run checks and then ignores exits 2, naming the key and
-    # what does not read it
+    # a key the run does not read exits 2, naming the key and what does
+    # not read it
     c = make_cfg()
-    c[path].update(value)
+    doc = c
+    for name in path:
+        doc = doc[name]
+    doc.update(value)
     assert main(["run", str(_write_cfg(tmp_path, c))]) == 2
     (key,) = value
     assert f"'{key}' is not read by {reader}" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+
+
+class _Read(Exception):
+    """Raised in place of the analysis: the whole config was read."""
+
+
+def _stop(*args, **kwargs):
+    raise _Read
+
+
+@pytest.fixture
+def analysis_stopped(monkeypatch):
+    for name in ("run_stabilizing_analysis", "run_periodic_analysis"):
+        monkeypatch.setattr(cli, name, _stop)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location("bench_workloads", REPO / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up there
+    spec.loader.exec_module(workloads)
+    return workloads
+
+
+def _shipped_configs():
+    """Every config the repo ships, with the flags it runs under: the
+    goldens, the README's example, and each bench operation (the fault
+    reproducer among them) on seeds 0 and 3."""
+    for golden in sorted((REPO / "tests" / "golden").iterdir()):
+        cfg = json.loads((golden / "config.json").read_text())
+        yield pytest.param(cfg, ("--oracle", "--dump-potentials"), id=f"golden-{golden.name}")
+    example = re.search(r"```json\n(.*?)```", (REPO / "README.md").read_text(), re.S).group(1)
+    yield pytest.param(json.loads(example), (), id="readme")
+    workloads = _load_workloads()
+    for name in workloads.NAMES:
+        for seed in (0, 3):
+            for op in workloads.build(name, seed).ops:
+                yield pytest.param(op.config, op.flags, id=f"{name}-{op.name}-seed{seed}")
+
+
+@pytest.mark.parametrize("config, flags", list(_shipped_configs()))
+def test_every_shipped_config_reads_clean(tmp_path, analysis_stopped, config, flags):
+    # every key is read and every path passes its check; nothing is solved
+    with pytest.raises(_Read):
+        main(["run", str(_write_cfg(tmp_path, config)), *flags])
+
+
+def test_integral_schema_version_reads_as_an_integer(tmp_path, analysis_stopped):
+    # as every integer setting does; true and "1" are malformed
+    with pytest.raises(_Read):
+        main(["run", str(_write_cfg(tmp_path, _stabilizing_cfg(schema_version=1.0)))])
+
+
+def _family(doc):
+    return cli._family(doc, "profile.epsilon")
+
+
+def test_family_dict_round_trip():
+    bump = {"base": 0.5, "amplitude": 0.1, "center": -2.0, "width": 0.7}
+    cases = [
+        ({"family": "constant", "value": 2.5}, Constant(2.5)),
+        ({"family": "gaussian_bump", **bump}, GaussianBump(0.5, 0.1, -2.0, 0.7)),
+        ({"family": "sech2_bump", **bump}, Sech2Bump(0.5, 0.1, -2.0, 0.7)),
+        (
+            {"family": "cosine_periodic", "mean": 1.0, "amplitude": 0.4, "period": 2.0},
+            CosinePeriodic(1.0, 0.4, 2.0),
+        ),
+        (
+            {
+                "family": "sum",
+                "terms": [{"family": "constant", "value": 1.0}, {"family": "gaussian_bump", **bump}],
+            },
+            ProfileSum((Constant(1.0), GaussianBump(0.5, 0.1, -2.0, 0.7))),
+        ),
+    ]
+    for doc, fam in cases:
+        assert _family(doc) == fam
+
+
+def test_family_reader_rejects_unknown():
+    with pytest.raises(ValidationError):
+        _family({"family": "lorentzian", "amplitude": 1.0})
+    with pytest.raises(ValidationError):
+        _family({"value": 1.0})
 
 
 @pytest.mark.parametrize("make_cfg", [_stabilizing_cfg, _periodic_cfg])

@@ -12,6 +12,7 @@ import math
 import numpy as np
 import pytest
 
+from cylspec import cli
 from cylspec.errors import ValidationError
 from cylspec.profiles import (
     Constant,
@@ -22,7 +23,6 @@ from cylspec.profiles import (
     Sech2Bump,
     Stabilizing,
     essential_bounds,
-    family_from_dict,
     locate_product_excess,
     make_profile,
 )
@@ -170,35 +170,6 @@ def test_swapped_exchanges_coefficients():
     assert np.array_equal(np.asarray(q.epsilon.eval(zs)), np.asarray(p.mu.eval(zs)))
     assert np.array_equal(np.asarray(q.mu.eval(zs)), np.asarray(p.epsilon.eval(zs)))
     assert q.eps_limit == p.mu_limit and q.mu_limit == p.eps_limit
-
-
-def test_family_dict_round_trip():
-    bump = {"base": 0.5, "amplitude": 0.1, "center": -2.0, "width": 0.7}
-    cases = [
-        ({"family": "constant", "value": 2.5}, Constant(2.5)),
-        ({"family": "gaussian_bump", **bump}, GaussianBump(0.5, 0.1, -2.0, 0.7)),
-        ({"family": "sech2_bump", **bump}, Sech2Bump(0.5, 0.1, -2.0, 0.7)),
-        (
-            {"family": "cosine_periodic", "mean": 1.0, "amplitude": 0.4, "period": 2.0},
-            CosinePeriodic(1.0, 0.4, 2.0),
-        ),
-        (
-            {
-                "family": "sum",
-                "terms": [{"family": "constant", "value": 1.0}, {"family": "gaussian_bump", **bump}],
-            },
-            ProfileSum((Constant(1.0), GaussianBump(0.5, 0.1, -2.0, 0.7))),
-        ),
-    ]
-    for doc, fam in cases:
-        assert family_from_dict(doc) == fam
-
-
-def test_family_from_dict_rejects_unknown():
-    with pytest.raises(ValidationError):
-        family_from_dict({"family": "lorentzian", "amplitude": 1.0})
-    with pytest.raises(ValidationError):
-        family_from_dict({"value": 1.0})
 
 
 def test_nested_sums_flatten():
@@ -365,7 +336,7 @@ def test_pinned_classification_bounds_and_dicts(name):
     eps, mu = _PIN_CASES[name]
     want = _PINNED[name]
     for fam, doc in zip((eps, mu), want["dicts"]):
-        assert family_from_dict(doc) == fam
+        assert cli._family(doc, "profile.epsilon") == fam
     if "error" in want:
         with pytest.raises(ValidationError) as info:
             make_profile(eps, mu)
