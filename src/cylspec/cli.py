@@ -13,6 +13,8 @@ be written, 3 when a numeric routine could not certify its result.
 
 Modes are solved in turn on the calling thread; `--jobs N` (N >= 1) is
 still accepted so that existing command lines run, and changes nothing.
+Importing this module pins BLAS to one thread (OPENBLAS_NUM_THREADS and
+OMP_NUM_THREADS default to 1) unless the caller already set either.
 
 Reports must be byte-identical across reruns of the same config, so
 everything goes through a canonical writer: floats at 17 significant
@@ -27,6 +29,10 @@ import contextlib
 import json
 import math
 import os
+
+# every matrix a run factors is small: one BLAS thread, unless the caller chose
+if not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & os.environ.keys():
+    os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
 import stat
 import sys
 import tempfile
@@ -262,9 +268,9 @@ def _fields(cls, cfg: dict, ctx: str, reader: str):
     return cls(**kwargs)
 
 
-def _load_eigenvalue_csv(path: Path) -> list[float]:
-    if not path.exists():
-        raise ValidationError(f"eigenvalue file not found: {path}")
+def _load_eigenvalue_csv(path: Path, key: str) -> list[float]:
+    if not path.is_file():
+        raise ValidationError(f"config {key}: not a file: {path}")
     values = []
     for ln, line in enumerate(path.read_text().splitlines(), start=1):
         s = line.strip()
@@ -293,8 +299,8 @@ def _parse_cross_section(value, base: Path, inputs: dict) -> CrossSectionSpectru
     for key in ("dirichlet", "neumann"):
         if f"{key}_csv" in cfg:
             path = base / _read(cfg, f"{key}_csv", "cross_section", str)
-            inputs[path.resolve()] = f"cross_section.{key}_csv"
-            lists.append(_load_eigenvalue_csv(path))
+            inputs[path.resolve()] = ctx = f"cross_section.{key}_csv"
+            lists.append(_load_eigenvalue_csv(path, ctx))
         else:
             lists.append(_read(cfg, key, "cross_section", list))
     n_comp = _read(cfg, "boundary_components", "cross_section", int, 1)

@@ -351,6 +351,17 @@ def test_missing_csv_input(tmp_path):
     assert main(["run", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("key", ["dirichlet_csv", "neumann_csv"])
+def test_csv_input_naming_a_directory_is_bad_input(tmp_path, capsys, key):
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "d.csv").write_text("5.0\n80.0\n")
+    (tmp_path / "n.csv").write_text("0.0\n2.0\n85.0\n")
+    cross = {"kind": "synthetic", "dirichlet_csv": "d.csv", "neumann_csv": "n.csv", key: "sub"}
+    assert main(["run", str(_write_cfg(tmp_path, _stabilizing_cfg(cross_section=cross)))]) == 2
+    assert f"config cross_section.{key}: not a file:" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 _NEUMANN = [0.0, 2.0, 85.0]
 
 
@@ -717,6 +728,13 @@ def test_output_naming_an_input_is_bad_input(tmp_path, capsys, monkeypatch, outp
     assert {p: p.read_bytes() for p in tmp_path.iterdir() if p.is_file()} == inputs
 
 
+def _fresh(code: str, **env: str):
+    # a new interpreter, with no BLAS thread count but the one given
+    src = str(Path(cylspec.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    subprocess.run([sys.executable, "-c", code], check=True, env={**base, **env, "PYTHONPATH": src})
+
+
 def test_cli_import_leaves_out_scipy_integrate():
     # the traced benchmark still finds schrodinger.solve_ivp, resolved on
     # first access
@@ -725,8 +743,7 @@ def test_cli_import_leaves_out_scipy_integrate():
         "assert 'scipy.integrate' not in sys.modules, 'imported at start-up'; "
         "assert callable(s.solve_ivp)"
     )
-    src = str(Path(cylspec.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    _fresh(code)
 
 
 def test_cli_import_leaves_out_scipy_special():
@@ -735,8 +752,33 @@ def test_cli_import_leaves_out_scipy_special():
         "import sys, cylspec.cli; "
         "assert 'scipy.special' not in sys.modules, 'imported at start-up'"
     )
-    src = str(Path(cylspec.__file__).resolve().parents[1])
-    subprocess.run([sys.executable, "-c", code], check=True, env={**os.environ, "PYTHONPATH": src})
+    _fresh(code)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc")
+@pytest.mark.parametrize("statement", ["import cylspec.cli", "from cylspec import cli"])
+def test_cli_import_runs_one_thread(statement):
+    # neither OpenBLAS copy (numpy's, scipy's) starts a worker
+    _fresh(f"import os; {statement}; n = len(os.listdir('/proc/self/task')); assert n == 1, f'{{n}} threads'")
+
+
+@pytest.mark.parametrize(
+    "var, other", [("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"), ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS")]
+)
+def test_cli_import_keeps_a_thread_count_the_caller_set(var, other):
+    # either variable set by the caller turns the pin off
+    _fresh(
+        f"import os, cylspec.cli; assert os.environ[{var!r}] == '2'; assert {other!r} not in os.environ",
+        **{var: "2"},
+    )
+
+
+def test_package_import_pins_nothing():
+    _fresh(
+        "import os, sys, cylspec; "
+        "assert 'numpy' not in sys.modules; "
+        "assert 'OPENBLAS_NUM_THREADS' not in os.environ"
+    )
 
 
 # ---------------------------------------------------------------------------
