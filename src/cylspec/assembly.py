@@ -373,7 +373,7 @@ def run_periodic_analysis(
 class FiniteGapCertificate:
     verified: bool
     reason: str
-    coverage_start: float  # K: no gaps of the union beyond this energy
+    coverage_start: float  # K: [K, e_max] lies in one interval of the union
     e_max: float
     n_asymptotic: int  # N: bands from this index on track the free pattern
     delta: float

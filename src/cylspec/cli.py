@@ -198,7 +198,6 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 
 # config tag -> what it builds, a leaf from its dataclass fields (see _fields)
 _SECTIONS = {"rectangle": Rectangle, "disk": Disk, "synthetic": CrossSectionSpectrum}
-_CLASSIFICATIONS = {"stabilizing": Stabilizing, "periodic": Periodic}
 _FAMILIES = {
     "constant": Constant, "gaussian_bump": GaussianBump, "sech2_bump": Sech2Bump,
     "cosine_periodic": CosinePeriodic, "sum": ProfileSum,
@@ -224,7 +223,8 @@ def _need(cfg: dict, key: str, ctx: str):
 
 
 def _number(value, kind, where: str):
-    """value as kind (float or int): a finite JSON number, integral for int."""
+    """value as kind (float or int): a finite JSON number, integral for int
+    and then inside the 32-bit index range LAPACK uses."""
     try:
         ok = not isinstance(value, bool) and math.isfinite(value)
         ok = ok and (kind is float or value == int(value))
@@ -232,6 +232,8 @@ def _number(value, kind, where: str):
         ok = False
     if not ok:
         raise ValidationError(f"{where} must be a finite {kind.__name__}, got {value!r}")
+    if kind is int and abs(value) >= 2**31:
+        raise ValidationError(f"{where} must be below 2**31 in magnitude, got {value!r}")
     return kind(value)
 
 
@@ -325,13 +327,8 @@ def _parse_profile(value, task: str) -> CoefficientProfile:
     cfg = _object(value, "profile")
     eps = _family(_need(cfg, "epsilon", "profile"), "profile.epsilon")
     mu = _family(_need(cfg, "mu", "profile"), "profile.mu")
-    cls = cfg.pop("classification", None)
-    if cls is not None:
-        c = _object(cls, "classification")
-        kind = _tag(c, "kind", "classification", _CLASSIFICATIONS)
-        cls = _fields(_CLASSIFICATIONS[kind], c, "classification", f"a {kind} classification")
     _done(cfg, "profile", task)
-    return make_profile(eps, mu, classification=cls)
+    return make_profile(eps, mu)
 
 
 def _parse_config(path: Path) -> tuple[dict, str, float, float, int, bool]:

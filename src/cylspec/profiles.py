@@ -16,8 +16,10 @@ consumes exact derivative values.
 A coefficient pair is classified either as stabilizing (eps and mu
 approach limits eps*, mu* with integrable decay; bump families) or as
 periodic with a shared period a (cosine families).  The classification
-decides which spectral analysis applies, so it is validated at
-construction, not inferred later.
+decides which spectral analysis applies.  It is derived from the
+families at construction, never declared: the limits are the family
+tails, and the period is the longest cosine period, which every other
+cosine period must divide.
 """
 
 from __future__ import annotations
@@ -323,10 +325,6 @@ class CoefficientProfile:
         return CoefficientProfile(self.mu, self.epsilon, cls)
 
 
-def _is_stabilizing_capable(fam: ProfileFamily) -> bool:
-    return all(isinstance(t, (Constant, _Bump)) for t in fam.terms())
-
-
 def _validate_periodic_family(fam: ProfileFamily, a: float, label: str):
     for t in fam.terms():
         if isinstance(t, Constant):
@@ -357,47 +355,25 @@ def _derive_classification(eps: ProfileFamily, mu: ProfileFamily):
             periods += [t.period for t in terms if isinstance(t, CosinePeriodic)]
     if periods:
         return Periodic(max(periods))
-    if _is_stabilizing_capable(eps) and _is_stabilizing_capable(mu):
+    if all(isinstance(t, (Constant, _Bump)) for t in eps.terms() + mu.terms()):
         return Stabilizing(eps.limit(), mu.limit())
-    raise ValidationError("cannot classify profile; pass an explicit classification")
+    raise ValidationError(
+        "cannot classify profile: both families must be built from constants and bumps "
+        "(stabilizing) or from constants and cosines (periodic)"
+    )
 
 
-def make_profile(
-    epsilon: ProfileFamily,
-    mu: ProfileFamily,
-    classification: Stabilizing | Periodic | None = None,
-) -> CoefficientProfile:
-    """Validate and classify a coefficient pair.
+def make_profile(epsilon: ProfileFamily, mu: ProfileFamily) -> CoefficientProfile:
+    """Classify and validate a coefficient pair.
 
-    Raises ValidationError when a family does not fit the declared
-    classification, when limits disagree with the family tails, or when
-    either coefficient is not certified to stay above the floor.
+    Raises ValidationError when the families fit neither classification,
+    when a periodic family does not repeat with the derived period, or
+    when either coefficient is not certified to stay above the floor.
     """
-    if classification is None:
-        classification = _derive_classification(epsilon, mu)
-
-    if isinstance(classification, Stabilizing):
-        for fam, label in ((epsilon, "epsilon"), (mu, "mu")):
-            if not _is_stabilizing_capable(fam):
-                raise ValidationError(f"{label}: family is not stabilizing (has a periodic part)")
-        for lim, fam, label in (
-            (classification.eps_limit, epsilon, "epsilon"),
-            (classification.mu_limit, mu, "mu"),
-        ):
-            derived = fam.limit()
-            if abs(lim - derived) > 1e-12 * max(1.0, abs(derived)):
-                raise ValidationError(
-                    f"{label}: declared limit {lim} does not match the family tail {derived}"
-                )
-            if lim <= 0:
-                raise ValidationError(f"{label}: limit must be positive")
-    elif isinstance(classification, Periodic):
-        if not classification.period > 0:
-            raise ValidationError("period must be positive")
+    classification = _derive_classification(epsilon, mu)
+    if isinstance(classification, Periodic):
         _validate_periodic_family(epsilon, classification.period, "epsilon")
         _validate_periodic_family(mu, classification.period, "mu")
-    else:
-        raise ValidationError(f"unknown classification {classification!r}")
 
     for fam, label in ((epsilon, "epsilon"), (mu, "mu")):
         low, _ = _certified_bounds(fam, classification)

@@ -226,18 +226,6 @@ def test_synthetic_csv_inputs_match_inline(tmp_path):
     assert (inline_dir / "report.json").read_bytes() == (csv_dir / "report.json").read_bytes()
 
 
-def test_explicit_classification_matches_the_derived_one(tmp_path):
-    blobs = []
-    for sub, cls in (("derived", None), ("explicit", {"kind": "periodic", "period": 1.0})):
-        d = tmp_path / sub
-        d.mkdir()
-        cfg = _periodic_cfg()
-        cfg["profile"]["classification"] = cls
-        assert main(["run", str(_write_cfg(d, cfg))]) == 0
-        blobs.append((d / "report.json").read_bytes())
-    assert blobs[0] == blobs[1]
-
-
 def test_custom_output_paths(tmp_path):
     cfg = _write_cfg(
         tmp_path,
@@ -394,19 +382,11 @@ _NEUMANN = [0.0, 2.0, 85.0]
         ),
         (("numerics",), "e_max", "numerics must be a JSON object"),
         (("cross_section",), "kind", "cross_section must be a JSON object"),
-        (("profile", "classification"), "kind", "classification must be a JSON object"),
-        (
-            ("profile", "classification"),
-            {"kind": "stabilizing", "eps_limit": 1.25, "mu_limit": 1.0},
-            "declared limit 1.25 does not match the family tail 1.0",
-        ),
-        (("profile", "classification"), {"kind": "spiral"}, "unknown classification kind 'spiral'"),
         (("outputs",), [], "outputs must be a JSON object"),
         (("outputs",), {"report": None}, "'report'"),
         (("outputs",), {"report": ""}, "'report'"),
         (("task",), ["stabilizing_analysis"], "'task'"),
         (("cross_section", "kind"), ["rectangle"], "'kind'"),
-        (("profile", "classification"), {"kind": ["stabilizing"]}, "'kind'"),
         (("profile", "epsilon", "family"), ["sech2_bump"], "'family'"),
         (("schema_version",), True, "'schema_version'"),
         (("schema_version",), "1", "'schema_version'"),
@@ -420,17 +400,27 @@ _NEUMANN = [0.0, 2.0, 85.0]
             {"kind": "synthetic", "dirichlet": [5.0, 80.0], "neumann_csv": ""},
             "'neumann_csv'",
         ),
+        # a count or grid past the 32-bit index range exits 2 before any allocation
+        (("numerics", "grid"), 1e300, "'grid' must be below 2**31"),
+        (("cross_section", "dirichlet_count"), 1e300, "'dirichlet_count' must be below 2**31"),
+        (("cross_section", "neumann_count"), 2**40, "'neumann_count' must be below 2**31"),
+        (
+            ("cross_section",),
+            {"kind": "synthetic", "dirichlet": [5.0, 80.0], "neumann": _NEUMANN,
+             "boundary_components": 1e300},
+            "'boundary_components' must be below 2**31",
+        ),
     ],
     ids=[
         "e_max-text", "e_max-null", "grid", "width", "amplitude", "grid-fraction",
         "count-fraction", "e_max-bool", "e_max-numeric-text", "halfwidth-inf", "value-bool",
         "certificate-text", "certificate-number", "certificate-null",
         "dirichlet-nan", "dirichlet-csv-nan",
-        "numerics-text", "cross_section-text", "classification-text",
-        "classification-limit", "classification-kind", "outputs-list",
-        "output-null", "output-empty", "task-list", "kind-list", "classification-kind-list",
+        "numerics-text", "cross_section-text", "outputs-list",
+        "output-null", "output-empty", "task-list", "kind-list",
         "family-list", "schema_version-bool", "schema_version-text", "dirichlet_csv-list",
-        "neumann_csv-empty",
+        "neumann_csv-empty", "grid-huge", "dirichlet_count-huge", "neumann_count-huge",
+        "boundary_components-huge",
     ],
 )
 def test_malformed_number_is_bad_input(tmp_path, capsys, path, value, named):
@@ -457,12 +447,6 @@ def _named_outputs_cfg():
     return _stabilizing_cfg(outputs={"report": "r.json"})
 
 
-def _classified_cfg():
-    c = _periodic_cfg()
-    c["profile"]["classification"] = {"kind": "periodic", "period": 1.0}
-    return c
-
-
 def _sum_cfg():
     c = _stabilizing_cfg()
     c["profile"]["epsilon"] = {"family": "sum", "terms": [c["profile"]["epsilon"]]}
@@ -484,10 +468,10 @@ def _sum_cfg():
         (_disk_cfg, ("cross_section",), {"dirichlet": [5.0]}, "a disk section"),
         (_stabilizing_cfg, ("profile",), {"sigma": 1.0}, "stabilizing_analysis"),
         (
-            _classified_cfg,
-            ("profile", "classification"),
-            {"eps_limit": 1.0},
-            "a periodic classification",
+            _periodic_cfg,
+            ("profile",),
+            {"classification": {"kind": "periodic", "period": 1.0}},
+            "periodic_analysis",
         ),
         (_stabilizing_cfg, ("profile", "mu"), {"amplitude": 0.5}, "a constant family"),
         (_sum_cfg, ("profile", "epsilon"), {"weight": 2.0}, "a sum family"),

@@ -77,18 +77,19 @@ def test_classification_auto_derivation():
 
 def test_periodic_component_period_must_divide():
     with pytest.raises(ValidationError):
-        make_profile(
-            CosinePeriodic(1.0, 0.1, 1.0),
-            CosinePeriodic(1.0, 0.1, 0.7),
-            classification=Periodic(period=1.0),
-        )
+        make_profile(CosinePeriodic(1.0, 0.1, 1.0), CosinePeriodic(1.0, 0.1, 0.7))
     # 0.5 divides 1.0, fine
-    p = make_profile(
-        CosinePeriodic(1.0, 0.1, 1.0),
-        CosinePeriodic(1.0, 0.1, 0.5),
-        classification=Periodic(period=1.0),
-    )
+    p = make_profile(CosinePeriodic(1.0, 0.1, 1.0), CosinePeriodic(1.0, 0.1, 0.5))
     assert p.period == 1.0
+
+
+def test_longer_common_period_is_a_zero_amplitude_term():
+    eps = CosinePeriodic(1.0, 0.3, 1.0)
+    with pytest.raises(ValidationError, match="component period 0.4 does not divide"):
+        make_profile(eps, CosinePeriodic(1.0, 0.1, 0.4))
+    # 1.0 and 0.4 both divide 2.0, which a term of amplitude 0 makes the period
+    mu = ProfileSum((CosinePeriodic(1.0, 0.1, 0.4), CosinePeriodic(0.0, 0.0, 2.0)))
+    assert make_profile(eps, mu).period == 2.0
 
 
 def test_positivity_floor_enforced():
@@ -96,15 +97,6 @@ def test_positivity_floor_enforced():
         make_profile(Sech2Bump(1.0, -1.0, 0.0, 1.0), Constant(1.0))
     with pytest.raises(ValidationError):
         make_profile(CosinePeriodic(1.0, 1.0, 1.0), Constant(1.0))
-
-
-def test_limit_mismatch_rejected():
-    with pytest.raises(ValidationError):
-        make_profile(
-            GaussianBump(1.0, 0.5, 0.0, 1.0),
-            Constant(1.0),
-            classification=Stabilizing(eps_limit=2.0, mu_limit=1.0),
-        )
 
 
 def test_essential_bounds_exact_for_single_bump():
@@ -315,7 +307,10 @@ _PINNED = {
             ]},
             {"family": "constant", "value": 1.0},
         ),
-        error="cannot classify profile; pass an explicit classification",
+        error=(
+            "cannot classify profile: both families must be built from constants and bumps "
+            "(stabilizing) or from constants and cosines (periodic)"
+        ),
     ),
     "cosine_eps_bump_mu": dict(
         dicts=(
