@@ -146,7 +146,8 @@ class Sech2Bump(_Bump):
 
     def _eval(self, z, order):
         u = (z - self.center) / self.width
-        s = 1.0 / np.cosh(u)
+        with np.errstate(over="ignore"):  # cosh overflows past |u| = 710; 1/inf is 0
+            s = 1.0 / np.cosh(u)
         s2 = s * s
         t = np.tanh(u)
         if order == 0:

@@ -16,12 +16,13 @@ Periodic V with period b: the spectrum is a union of bands whose edges
 are characterized by the discriminant Delta(E), the trace of the one-
 period transfer matrix M(E).  M is the product of closed-form steps of a
 sixth-order Magnus propagator (Blanes, Casas & Ros 2000) on exact
-samples of V, on the fewest steps (256 or more, doubling) that agree
-with twice as many to the noise floor.  `discriminant` evaluates Delta
-on such a propagator, for that step rule and for the edge search, edge
-fit and gap test below.  The step count depends on V and e_max alone,
-and each energy is propagated on its own, so Delta does not depend on
-the batch it is evaluated in; |Delta| <= 2 exactly on the bands, and
+samples of V.  The band structure is searched on n steps (256 or more,
+doubling) and n is accepted once twice as many steps agree where the
+result is read: Delta to the noise floor at the ends of the range, at
+every band edge and at every gap midpoint, and the Dirichlet count at
+e_max exactly.  `discriminant` evaluates Delta on such a propagator.
+Each energy is propagated on its own, so Delta does not depend on the
+batch it is evaluated in; |Delta| <= 2 exactly on the bands, and
 det M = 1 identically (it is a Wronskian, and checked as such).  Band
 edges are found by counting (Eastham 1973; Pryce 1993): gap k of the
 band union holds exactly one Dirichlet eigenvalue mu_k of one period,
@@ -50,7 +51,7 @@ the mode constant exceeds alpha / (2 delta_1 delta_2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -261,41 +262,24 @@ def _period_grid(potential: ModePotential) -> np.ndarray:
     return np.linspace(0.0, potential.period_b, 4096, endpoint=False)
 
 
-def _magnus_steps(potential: ModePotential, v_min: float, e_max: float):
-    """Steps n per period, and the propagator on them, for energies up to
-    e_max; v_min is min V on the period grid.
+def _magnus_steps(potential: ModePotential, v_min: float, e_max: float) -> int:
+    """Steps n per period that the band search starts from for energies
+    up to e_max; v_min is min V on the period grid.
 
-    n starts at max(256, 2 b sqrt(e_max - min V) / pi) and doubles while
-    Delta on n and 2n steps differ by more than NOISE_FLOOR, relative to
-    max(1, |Delta|), at 257 energies on [min V - 1, e_max]; a doubling
-    that does not halve that drift raises NumericalError.  The least n
-    guards band edges, which move by the error in Delta over |Delta'|: at
-    128 steps an edge of the cosine mode el 2 pi^2 moved by 1.7e-10.  The
-    floor keeps each step's rotation below pi/2 up to e_max, for counting.
-    Both, and the drift, are invariant under V(y) -> V(y/s)/s^2, b -> s b,
-    E -> E/s^2, so a rescaled problem takes the same steps.
+    n is the least power of two >= max(256, 2 b sqrt(e_max - min V) /
+    pi).  The floor keeps each step's rotation below pi/2 up to e_max,
+    for counting.  The least n guards band edges, which move by the error
+    in Delta over |Delta'|: at 128 steps an edge of the cosine mode el 2
+    pi^2 moved by 1.7e-10.  _mode_bands doubles n from here until 2n
+    steps agree with n at every energy the band structure is read at.
+    The rule, and that agreement, are invariant under V(y) -> V(y/s)/s^2,
+    b -> s b, E -> E/s^2, so a rescaled problem takes the same steps.
     """
     turn = 2.0 * potential.period_b * math.sqrt(max(e_max - v_min, 0.0)) / math.pi
     n = 256
     while n < turn:
         n *= 2
-    probe = np.linspace(v_min - 1.0, e_max, 257)
-    prop = _propagator(potential, n)
-    coarse, last = discriminant(prop, probe), math.inf
-    while True:
-        fine_prop = _propagator(potential, 2 * n)
-        fine = discriminant(fine_prop, probe)
-        drift = np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine))
-        worst = int(np.argmax(drift))
-        if drift[worst] <= NOISE_FLOOR:
-            return n, prop
-        if not drift[worst] < 0.5 * last:
-            raise NumericalError(
-                f"discriminant not resolved below e_max = {e_max}: {n} and {2 * n} steps "
-                f"differ by {drift[worst]:.3e} at E = {probe[worst]:.6g}, above the noise "
-                f"floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; lower e_max"
-            )
-        n, prop, coarse, last = 2 * n, fine_prop, fine, drift[worst]
+    return n
 
 
 def _propagator(potential: ModePotential, n: int):
@@ -426,7 +410,7 @@ def _dirichlet_angle(prop, energies):
 
 def discriminant(prop, energies) -> np.ndarray:
     """Delta(E), the trace of the one-period transfer matrix, at each of
-    a batch of energies, on a propagator that _magnus_steps built."""
+    a batch of energies, on a propagator that _propagator built."""
     return _checked_trace(prop(energies), energies)
 
 
@@ -482,6 +466,9 @@ class BandStructure:
     unresolved_gaps: tuple[tuple[float, float], ...] = ()
     eigenvalue_band_edges: tuple[tuple[float, float], ...] = ()
     validation_max_dev: float = 0.0
+    # propagator steps per period the discriminant route accepted; 0 when
+    # the potential lies wholly above e_max
+    steps: int = field(default=0, metadata={"report": "omit"})
 
 
 def _itp(fun, lo, hi, f_lo, f_hi):
@@ -613,10 +600,11 @@ def band_structure(potentials: list[ModePotential], e_max: float) -> list[BandSt
     return [_mode_bands(*args, e_max) for args in zip(potentials, lows, means, refs)]
 
 
-def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float) -> BandStructure:
-    """Band decomposition of one periodic mode up to e_max, found by
-    counting, from min V and mean V on the period grid and its (periodic,
-    antiperiodic) Galerkin eigenvalues.
+def _discriminant_bands(prop, v_min: float, e_max: float):
+    """Band edges of one periodic mode up to e_max on one propagator,
+    found by counting: K, the fitted edges (every lower edge, then the
+    upper ones below e_max), the lower and upper edge of each band, the
+    gap midpoints, and the excess of |Delta| over 2 at each midpoint.
 
     Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
     of one period; the Pruefer count K = N_D(e_max) says how many lie
@@ -628,17 +616,8 @@ def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float
     there, bracketed for all bands in one lockstep ITP search on
     sg Delta - 2.  Each count bracket reaches the gap side of its edges,
     also where mu_k sits on an edge, as it does for every even
-    potential.  Band K+1 exists when e_max is not in gap K.  The
-    plane-wave eigenvalues are the independent check and must agree edge
-    by edge to CROSS_TOL.
+    potential.  Band K+1 exists when e_max is not in gap K.
     """
-    b = potential.period_b
-    empty = BandStructure(period=float(b), mean_potential=mean_v, e_max=float(e_max))
-    if not e_max > v_min:  # the potential lies wholly above e_max
-        return empty
-
-    _, prop = _magnus_steps(potential, v_min, e_max)
-
     # below V every propagator step is hyperbolic with positive entries, so
     # their product (det 1) has Delta > 2; the check catches a V that dips
     # more than 1 below v_min between its samples.  The same call counts K,
@@ -698,10 +677,60 @@ def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float
     lower = edges[:n_bands]
     upper = np.append(edges[n_bands:], [e_max] * (n_bands - n_upper))
 
+    mids = 0.5 * (upper[:-1] + lower[1:])
+    return k_gaps, edges, lower, upper, mids, -s[:-1] * discriminant(prop, mids) - 2.0
+
+
+def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float) -> BandStructure:
+    """Band decomposition of one periodic mode up to e_max, from min V
+    and mean V on the period grid and its (periodic, antiperiodic)
+    Galerkin eigenvalues.
+
+    The discriminant route searches on n steps (_discriminant_bands), n
+    from _magnus_steps, and then evaluates Delta on 2n steps at every
+    energy its result is read at: e_start = min V - 1, e_max, every
+    fitted edge and every gap midpoint.  n is accepted when the two
+    agree there to NOISE_FLOOR, relative to max(1, |Delta|), and 2n
+    steps count the same K below e_max; otherwise the 2n propagator is
+    searched in turn.  An edge moves by the error in Delta there over
+    |Delta'|, and at sixth order the error on 2n steps is about 1/64 of
+    the drift, so the drift at the edge itself measures that error.  A
+    doubling that does not halve the drift raises NumericalError.  The
+    plane-wave eigenvalues are the independent check of the accepted
+    result and must agree edge by edge to CROSS_TOL.
+    """
+    b = potential.period_b
+    empty = BandStructure(period=float(b), mean_potential=mean_v, e_max=float(e_max))
+    if not e_max > v_min:  # the potential lies wholly above e_max
+        return empty
+
+    n = _magnus_steps(potential, v_min, e_max)
+    prop, last = _propagator(potential, n), math.inf
+    while True:
+        k_gaps, edges, lower, upper, mids, excess = _discriminant_bands(prop, v_min, e_max)
+        reads = np.concatenate(([e_max, v_min - 1.0], edges, mids))
+        fine = _propagator(potential, 2 * n)
+        _, counts, fine_delta = _dirichlet_angle(fine, reads)
+        drift = np.abs(discriminant(prop, reads) - fine_delta) / np.maximum(1.0, np.abs(fine_delta))
+        worst = int(np.argmax(drift))
+        if drift[worst] <= NOISE_FLOOR and counts[0] == k_gaps:
+            break
+        if drift[worst] > NOISE_FLOOR and not drift[worst] < 0.5 * last:
+            raise NumericalError(
+                f"discriminant not resolved below e_max = {e_max}: {n} and {2 * n} steps "
+                f"differ by {drift[worst]:.3e} at E = {reads[worst]:.6g}, above the noise "
+                f"floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; lower e_max"
+            )
+        if last <= NOISE_FLOOR:  # the count alone missed, twice in a row
+            raise NumericalError(
+                f"the Dirichlet count at e_max = {e_max} changes from {n // 2} to {n} and "
+                f"from {n} to {2 * n} steps: e_max lies on a Dirichlet eigenvalue to "
+                "rounding; move e_max"
+            )
+        n, prop, last = 2 * n, fine, drift[worst]
+
     # a gap is certified when |Delta| exceeds 2 by more than the noise
     # floor at its midpoint; one that only touches 2 is a closed point
-    mids = 0.5 * (upper[:-1] + lower[1:])
-    excess = -s[:-1] * discriminant(prop, mids) - 2.0
     certified = excess > NOISE_FLOOR
     closed_points = mids[~certified & (excess <= _TOUCH_TOL) & (excess >= -CLOSURE_TOL)]
     bands = _join_uncertified(zip(lower, upper), certified)
@@ -720,7 +749,7 @@ def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float
                 "one route finds spectrum below e_max and the other does not: "
                 f"discriminant bands {len(bands)}, eigenvalue bands {len(ref_pairs)}"
             )
-        return empty
+        return replace(empty, steps=n)
 
     # --- edge-by-edge agreement, the reference merged across the gaps the
     # discriminant cannot certify ------------------------------------------
@@ -759,6 +788,7 @@ def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float
         e_max=float(e_max),
         mean_potential=mean_v,
         validation_max_dev=float(max_dev),
+        steps=n,
     )
 
 

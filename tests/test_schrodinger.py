@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
+import shutil
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 import cylspec.schrodinger as schrodinger
+from cylspec.cli import main
 from cylspec.errors import (
     InvalidWitnessError,
     NumericalError,
@@ -286,8 +289,11 @@ def test_wronskian_failure_names_the_energy_and_the_entry_size():
     # 1e4, and the drift of det from 1 then exceeds _WRONSKIAN_TOL; the
     # message says where and how large the matrix was
     pot = _cosine_mode(mode_constant=37.0 * math.pi**2)
+    v_min = float(np.min(pot.values(schrodinger._period_grid(pot))))
     with pytest.raises(NumericalError) as info:
-        band_structure([pot], 400.0)[0]
+        schrodinger.discriminant(
+            schrodinger._propagator(pot, 512), np.linspace(v_min - 1.0, 400.0, 257)
+        )
     msg = str(info.value)
     assert msg.startswith("Wronskian drifted at E = 284.43: |det - 1| = ")
     entry = float(msg.rsplit(" ", 1)[1])
@@ -296,8 +302,8 @@ def test_wronskian_failure_names_the_energy_and_the_entry_size():
 
 def _accepted(pot, e_max):
     """(steps, propagator) that band_structure takes for pot up to e_max."""
-    v_min = float(np.min(pot.values(schrodinger._period_grid(pot))))
-    return schrodinger._magnus_steps(pot, v_min, e_max)
+    n = band_structure([pot], e_max)[0].steps
+    return n, schrodinger._propagator(pot, n)
 
 
 def test_discriminant_does_not_depend_on_the_batch():
@@ -538,20 +544,23 @@ def test_step_count_drops_where_the_envelope_was_loose():
 
 
 def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
-    # 24 ripples per period: 256 steps leave a drift of about 1e-9
+    # 24 ripples per period: 256 steps leave a drift of about 1e-9 where
+    # the band structure is read, at the ends of the range, the band
+    # edges and the gap midpoints that a search on that many steps finds
     pot = _ShiftedV(offset=0.0, amp=0.5, period=math.pi, amp2=2.0, harmonic=24)
-    vs = pot.values(schrodinger._period_grid(pot))
-    n, prop = schrodinger._magnus_steps(pot, float(np.min(vs)), 40.0)
-    probe = np.linspace(float(np.min(vs)) - 1.0, 40.0, 257)
+    v_min = float(np.min(pot.values(schrodinger._period_grid(pot))))
 
     def drift(k):
-        coarse = schrodinger.discriminant(schrodinger._propagator(pot, k), probe)
-        fine = schrodinger.discriminant(schrodinger._propagator(pot, 2 * k), probe)
-        return np.max(np.abs(coarse - fine) / np.maximum(1.0, np.abs(fine)))
+        coarse = schrodinger._propagator(pot, k)
+        _, edges, _, _, mids, _ = schrodinger._discriminant_bands(coarse, v_min, 40.0)
+        reads = np.concatenate(([40.0, v_min - 1.0], edges, mids))
+        fine = schrodinger.discriminant(schrodinger._propagator(pot, 2 * k), reads)
+        got = schrodinger.discriminant(coarse, reads)
+        return np.max(np.abs(got - fine) / np.maximum(1.0, np.abs(fine)))
 
+    n = band_structure([pot], 40.0)[0].steps
     assert n > 256
     assert drift(n // 2) > schrodinger.NOISE_FLOOR >= drift(n)
-    assert np.array_equal(prop(probe), schrodinger._propagator(pot, n)(probe))
 
 
 def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
@@ -570,10 +579,7 @@ def test_edges_of_an_uneven_potential_match_the_eigenvalue_route():
 def test_count_rejects_steps_that_turn_too_far(monkeypatch):
     # 256 steps over b = 1.3 turn by about h sqrt(E - 0.7) > pi / 2 near
     # E = 1e5, past the range where one step's angle is read from atan2
-    def steps(pot, v_min, e_max):
-        return 256, schrodinger._propagator(pot, 256)
-
-    monkeypatch.setattr(schrodinger, "_magnus_steps", steps)
+    monkeypatch.setattr(schrodinger, "_magnus_steps", lambda pot, v_min, e_max: 256)
     with pytest.raises(NumericalError, match="too long to count"):
         band_structure([_PeriodicV(offset=0.7, amp=0.0, period=1.3)], 1e5)[0]
 
@@ -619,6 +625,65 @@ def test_band_structure_work_is_bounded(monkeypatch):
     # the bracket searches stop a bracket once it is narrow enough, and
     # bisecting them all took 92 propagator calls
     assert len(pairs) <= 45
+
+
+def test_step_check_reads_only_where_the_bands_are_read(monkeypatch, tmp_path):
+    # the periodic golden config took 485,376 step-energy pairs while n was
+    # checked against 2n at 257 evenly spaced energies; checking only the
+    # energies the band structure is read at takes about a fifth of that
+    pairs = []
+    product = schrodinger._magnus_product
+
+    def counted(omega, es, count=False):
+        pairs.append(omega[0].size * np.size(es))
+        return product(omega, es, count)
+
+    monkeypatch.setattr(schrodinger, "_magnus_product", counted)
+    config = Path(__file__).resolve().parent / "golden" / "periodic_certificate" / "config.json"
+    shutil.copy(config, tmp_path / "config.json")
+    assert main(["run", str(tmp_path / "config.json")]) == 0
+    assert 0 < sum(pairs) <= 120_000
+
+
+def _miscounting(monkeypatch, high):
+    """Make the first Dirichlet count on each propagator of `high` steps
+    one higher at every energy: the first count on 2n steps is the check
+    of the n-step search at its read energies, e_max among them."""
+    propagator = schrodinger._propagator
+
+    def made(pot, n):
+        run, calls = propagator(pot, n), []
+
+        def first_count_high(es, count=False):
+            out = run(es, count)
+            if high(n) and count and not calls:
+                out[4] += math.pi
+            calls.append(count)
+            return out
+
+        return first_count_high
+
+    monkeypatch.setattr(schrodinger, "_propagator", made)
+
+
+def test_step_count_doubles_when_twice_the_steps_count_otherwise(monkeypatch):
+    # a count on 2n steps that differs from K rejects n even where Delta
+    # agrees to the noise floor, and 2n steps are searched instead
+    pot = _cosine_mode()
+    assert band_structure([pot], 110.0)[0].steps == 256
+    _miscounting(monkeypatch, lambda n: n == 512)
+    bs = band_structure([pot], 110.0)[0]
+    assert bs.steps == 512
+    assert len(bs.bands) == 3 and bs.validation_max_dev <= schrodinger.CROSS_TOL
+
+
+def test_a_count_that_never_settles_is_rejected(monkeypatch):
+    # Delta agrees at 256 and 512 steps but the count misses each time, as
+    # it would with e_max on a Dirichlet eigenvalue to rounding
+    _miscounting(monkeypatch, lambda n: n >= 512)
+    missed = "e_max = 110.0 changes from 256 to 512 and from 512 to 1024 steps"
+    with pytest.raises(NumericalError, match=missed):
+        band_structure([_cosine_mode()], 110.0)[0]
 
 
 def _itp_steps(lo, hi):
