@@ -44,7 +44,9 @@ the swapped profile has bitwise the same z(y).)  In `cylspec run` the
 memo holds the solver grids and a two-point grid per step of the settle
 search; library calls that read at points of their own (the variational
 witness search and bound) add those grids.  Past _MEMO_GRIDS grids the
-memo drops the oldest, so reading point by point cannot grow it.
+memo drops the oldest, so reading point by point cannot grow it.  The
+memo takes no lock: `cylspec run` starts no thread, and a caller that
+shares a transform across threads of its own must serialize its reads.
 
 The forward map is materialized as an adaptive panel decomposition of
 the integrand with a certified budget (1e-11 over the window).
@@ -59,7 +61,6 @@ b = y(a), and so does its inverse.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,10 +166,8 @@ class LiouvilleData:
     period_b: float | None  # travel time of one period, periodic case only
     bounds: EssentialBounds
     # grid shape and bytes -> the eps/mu triples at z(ys), shared by
-    # every mode potential on this transform; oldest first.  The lock is
-    # for library callers that share a transform across their own threads
+    # every mode potential on this transform; oldest first
     samples: dict = field(default_factory=dict, repr=False, compare=False)
-    samples_lock: threading.Lock = field(default_factory=threading.Lock, repr=False, compare=False)
 
     # -- maps -----------------------------------------------------------
 
@@ -247,15 +246,14 @@ class LiouvilleData:
         distinct grid among the latest _MEMO_GRIDS is inverted once."""
         ys = np.ascontiguousarray(np.atleast_1d(y), dtype=float)
         key = (ys.shape, ys.tobytes())
-        with self.samples_lock:
-            raw = self.samples.get(key)
-            if raw is None:
-                raw = self._coefficients(self.inverse(ys))
-                for a in raw:
-                    a.setflags(write=False)
-                if len(self.samples) >= _MEMO_GRIDS:
-                    del self.samples[next(iter(self.samples))]
-                self.samples[key] = raw
+        raw = self.samples.get(key)
+        if raw is None:
+            raw = self._coefficients(self.inverse(ys))
+            for a in raw:
+                a.setflags(write=False)
+            if len(self.samples) >= _MEMO_GRIDS:
+                del self.samples[next(iter(self.samples))]
+            self.samples[key] = raw
         return raw
 
     def _coefficients(self, zs):

@@ -10,7 +10,14 @@ symmetric tridiagonal matrix.  Counts are certified independently by a
 Sturm / LDL^T pivot count (the number of negative pivots of T - E
 equals the number of eigenvalues below E), and each eigenvalue is
 Richardson-refined from grids n and 2n: the scheme's error is C h^2 +
-O(h^4), so E = (4 E_2n - E_n)/3 cancels the leading term.
+O(h^4), so E = (4 E_2n - E_n)/3 cancels the leading term.  Grid n is
+solved by LAPACK bisection.  The states of grid 2n are refined from
+those of grid n by inverse iteration and Rayleigh-quotient steps
+(LAPACK dgtsv), and each refined value comes with a residual
+enclosure; k disjoint enclosures below the threshold, for a Sturm
+count of k, hold exactly one state each.  When the count differs from
+the number of coarse states, or the enclosures fail, grid 2n is solved
+by bisection as well.
 
 Periodic V with period b: the spectrum is a union of bands whose edges
 are characterized by the discriminant Delta(E), the trace of the one-
@@ -56,6 +63,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     InvalidWitnessError,
@@ -87,6 +95,8 @@ _WITNESS_STEPS = 400
 # |V - threshold| a stabilizing potential must stay below at the window
 # ends before its bound states are computed on that window
 SETTLE_TOL = 5e-9
+# Rayleigh-quotient steps a seed may take after its two fixed-shift solves
+_RQI_STEPS = 8
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +150,57 @@ def _eigs_below(diag, off, lower_bound: float, cutoff: float):
     return w[w < cutoff]
 
 
+def _refined(diag, off, seeds, cutoff):
+    """Eigenvalues of T = (diag, off) refined from seeds near them, with
+    the radius of an enclosure of each, or None without a certificate.
+
+    Each seed takes two inverse-iteration solves at the seed itself, then
+    Rayleigh-quotient steps until the quotient moves by at most 8 u ||T||
+    (Parlett, The Symmetric Eigenvalue Problem, ch. 4), every solve one
+    LAPACK dgtsv.  A unit x with quotient theta has an eigenvalue of T
+    within r = ||T x - theta x|| of theta.  The result, sorted, is
+    returned only when every [theta - r, theta + r] lies below cutoff and
+    no two of them meet; a singular solve or a seed still moving after
+    _RQI_STEPS steps gives None.  The start vector cos(phi i^2), phi the
+    golden ratio, is neither even nor odd, so a symmetric well's states
+    of either parity are reached.  Every reduction is an np.sum of a
+    product, so the result does not depend on the BLAS thread count.
+    """
+    tol = 8.0 * np.finfo(float).eps * (np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+    i = np.arange(diag.size, dtype=float)
+    start = np.cos(0.5 * (1.0 + math.sqrt(5.0)) * i * i)
+    start /= math.sqrt(np.sum(start * start))
+    values, radii = [], []
+    for seed in seeds:
+        x, shift, theta = start, float(seed), math.nan
+        for step in range(2 + _RQI_STEPS):
+            *_, y, info = dgtsv(off, diag - shift, off, x)
+            if info != 0:
+                return None
+            yy = np.sum(y * y)
+            # the quotient of y, from (T - shift) y = x
+            last, theta = theta, shift + np.sum(x * y) / yy
+            x = y / math.sqrt(yy)
+            if step >= 2 and abs(theta - last) <= tol:
+                break
+            if step >= 1:
+                shift = theta
+        else:
+            return None
+        tx = diag * x
+        tx[1:] += off * x[:-1]
+        tx[:-1] += off * x[1:]
+        theta = np.sum(x * tx)
+        values.append(theta)
+        radii.append(math.sqrt(np.sum((tx - theta * x) ** 2)))
+    order = np.argsort(values)
+    values, radii = np.array(values)[order], np.array(radii)[order]
+    below = np.all(values + radii < cutoff)
+    if below and np.all(values[1:] - radii[1:] > values[:-1] + radii[:-1]):
+        return values, radii
+    return None
+
+
 def bound_states(
     potential: ModePotential,
     halfwidth: float,
@@ -148,8 +209,14 @@ def bound_states(
     """Eigenvalues strictly below the essential-spectrum edge.
 
     Validates that the potential has settled at the window ends, solves
-    on grids `grid` and `2*grid`, certifies the count with a Sturm
-    pivot count, and Richardson-extrapolates each matched pair.
+    grid `grid` by bisection, counts the states of grid `2*grid` with a
+    Sturm pivot count, and Richardson-extrapolates each matched pair.
+    When that count equals the number of coarse states, the fine states
+    are refined from the coarse ones (_refined) and accepted only with
+    k disjoint enclosures below the threshold for the k counted states,
+    which places exactly one state in each.  Otherwise, and whenever the
+    refinement fails, the fine grid is solved by bisection as well and
+    must find the counted number of states.
     """
     _require_window(potential, halfwidth)
     if grid < 16:
@@ -166,15 +233,18 @@ def bound_states(
     coarse = _dirichlet_grid(potential, halfwidth, grid)
     fine = _dirichlet_grid(potential, halfwidth, 2 * grid)
     e_coarse = _eigs_below(*coarse, floor, thr)
-    e_fine = _eigs_below(*fine, floor, thr)
-
-    # certification: the LDL^T pivot count of the same fine matrix must agree
+    # certification: the LDL^T pivot count of the fine matrix
     certified = count_below(*fine, thr)
-    if certified != len(e_fine):
-        raise NumericalError(
-            f"eigensolver found {len(e_fine)} states below threshold, "
-            f"Sturm count says {certified}"
-        )
+    enclosed = _refined(*fine, e_coarse, thr) if certified == len(e_coarse) else None
+    if enclosed is not None:
+        e_fine = enclosed[0]
+    else:
+        e_fine = _eigs_below(*fine, floor, thr)
+        if certified != len(e_fine):
+            raise NumericalError(
+                f"eigensolver found {len(e_fine)} states below threshold, "
+                f"Sturm count says {certified}"
+            )
 
     m = min(len(e_coarse), len(e_fine))
     pairs = []
@@ -604,7 +674,8 @@ def _discriminant_bands(prop, v_min: float, e_max: float):
     """Band edges of one periodic mode up to e_max on one propagator,
     found by counting: K, the fitted edges (every lower edge, then the
     upper ones below e_max), the lower and upper edge of each band, the
-    gap midpoints, and the excess of |Delta| over 2 at each midpoint.
+    gap midpoints, the excess of |Delta| over 2 at each midpoint, and
+    Delta at e_max, at e_start = min V - 1 and at each midpoint.
 
     Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
     of one period; the Pruefer count K = N_D(e_max) says how many lie
@@ -678,7 +749,9 @@ def _discriminant_bands(prop, v_min: float, e_max: float):
     upper = np.append(edges[n_bands:], [e_max] * (n_bands - n_upper))
 
     mids = 0.5 * (upper[:-1] + lower[1:])
-    return k_gaps, edges, lower, upper, mids, -s[:-1] * discriminant(prop, mids) - 2.0
+    delta_mids = discriminant(prop, mids)
+    held = np.concatenate(([delta_top, delta_start], delta_mids))
+    return k_gaps, edges, lower, upper, mids, -s[:-1] * delta_mids - 2.0, held
 
 
 def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float) -> BandStructure:
@@ -707,11 +780,15 @@ def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float
     n = _magnus_steps(potential, v_min, e_max)
     prop, last = _propagator(potential, n), math.inf
     while True:
-        k_gaps, edges, lower, upper, mids, excess = _discriminant_bands(prop, v_min, e_max)
+        k_gaps, edges, lower, upper, mids, excess, held = _discriminant_bands(prop, v_min, e_max)
         reads = np.concatenate(([e_max, v_min - 1.0], edges, mids))
+        # the search holds Delta on n steps at every read energy but the
+        # fitted edges; each energy is propagated on its own, so it is the
+        # value a new evaluation would give
+        delta = np.concatenate((held[:2], discriminant(prop, edges), held[2:]))
         fine = _propagator(potential, 2 * n)
         _, counts, fine_delta = _dirichlet_angle(fine, reads)
-        drift = np.abs(discriminant(prop, reads) - fine_delta) / np.maximum(1.0, np.abs(fine_delta))
+        drift = np.abs(delta - fine_delta) / np.maximum(1.0, np.abs(fine_delta))
         worst = int(np.argmax(drift))
         if drift[worst] <= NOISE_FLOOR and counts[0] == k_gaps:
             break

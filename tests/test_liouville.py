@@ -11,9 +11,6 @@ through the transform's memo.
 
 from __future__ import annotations
 
-import sys
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
@@ -440,16 +437,3 @@ def test_memo_keeps_the_latest_grids():
     assert pot.values(ys[0]) == values[0]
     assert len(data.samples) == bound
     assert np.frombuffer(list(data.samples)[-1][1])[0] == ys[0]
-    # pool threads that fill and drop entries at once keep the bound and
-    # read what the serial loop read
-    data = _transform(_two_sided_profile(), (-6.0, 6.0))
-    pot = build_potential(data, "el", 1.0)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(pot.values, ys + ys[::-1], timeout=60))
-    finally:
-        sys.setswitchinterval(interval)
-    assert got == values + values[::-1]
-    assert len(data.samples) == bound

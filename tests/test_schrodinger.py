@@ -10,7 +10,10 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 import shutil
+import subprocess
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +24,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+import cylspec.assembly as assembly
 import cylspec.schrodinger as schrodinger
 from cylspec.cli import main
 from cylspec.errors import (
@@ -74,6 +78,19 @@ class _Well:
     def values(self, ys):
         arr = np.atleast_1d(np.asarray(ys, dtype=float))
         out = self.floor - self.strength / np.cosh(arr) ** 2
+        return out if np.ndim(ys) else float(out[0])
+
+
+@dataclass(frozen=True)
+class _NarrowWell(_Well):
+    """_Well about `centre`, `width` wide."""
+
+    centre: float = 0.0
+    width: float = 1.0
+
+    def values(self, ys):
+        arr = np.atleast_1d(np.asarray(ys, dtype=float))
+        out = self.floor - self.strength * (1.0 / np.cosh((arr - self.centre) / self.width)) ** 2
         return out if np.ndim(ys) else float(out[0])
 
 
@@ -204,6 +221,129 @@ def test_count_below_matches_the_float64_recurrence():
         off = rng.integers(-2, 3, n - 1).astype(float)
         energy = np.float64(rng.integers(-3, 4))
         assert count_below(diag, off, energy) == reference(diag, off, energy)
+
+
+def _seeded(pot, grid):
+    """The fine matrix of `grid` and the coarse states that seed it."""
+    coarse = schrodinger._dirichlet_grid(pot, 15.0, grid)
+    fine = schrodinger._dirichlet_grid(pot, 15.0, 2 * grid)
+    return fine, schrodinger._eigs_below(*coarse, pot.lower_bound, pot.threshold)
+
+
+@pytest.mark.parametrize("centre", [0.0, 1.3])
+def test_refined_states_match_bisection_within_their_enclosures(centre):
+    # a start vector of ones is even, so on the symmetric well it has no
+    # component on the odd states; with it the refinement finds no
+    # certificate on either well
+    pot = _NarrowWell(floor=0.0, strength=24.0, centre=centre)
+    fine, seeds = _seeded(pot, 1000)
+    values, radii = schrodinger._refined(*fine, seeds, 0.0)
+    want = schrodinger._eigs_below(*fine, pot.lower_bound, 0.0)
+    assert len(values) == len(want) == 5
+    assert np.all(np.abs(values - want) <= radii + 4e-11)
+
+
+def _fine_solves(monkeypatch, pot, grid):
+    """bound_states on `grid`, and the eigh_tridiagonal calls it made."""
+    calls, solve = [], schrodinger.eigh_tridiagonal
+    with monkeypatch.context() as m:
+        m.setattr(schrodinger, "eigh_tridiagonal", lambda *a, **k: calls.append(1) or solve(*a, **k))
+        return bound_states(pot, 15.0, grid), len(calls)
+
+
+def _bisected(monkeypatch, pot, grid):
+    """bound_states with both grids solved by bisection."""
+    with monkeypatch.context() as m:
+        m.setattr(schrodinger, "_refined", lambda *args: None)
+        return bound_states(pot, 15.0, grid)
+
+
+def test_refinement_replaces_the_fine_bisection(monkeypatch):
+    pot = _Well(floor=0.0, strength=6.0)
+    res, solves = _fine_solves(monkeypatch, pot, 500)
+    assert solves == 1
+    want = _bisected(monkeypatch, pot, 500).eigenvalues
+    assert np.max(np.abs(np.subtract(res.eigenvalues, want))) <= 1e-10
+
+
+def test_a_state_on_the_fine_grid_only_is_bisected(monkeypatch):
+    # the spike sits between two coarse nodes, on a fine one: only the
+    # fine grid binds it, so the count differs from the number of seeds
+    pot = _NarrowWell(floor=0.0, strength=100.0, centre=0.15, width=0.04)
+    fine, seeds = _seeded(pot, 100)
+    assert len(seeds) == 0 and count_below(*fine, 0.0) == 1
+    res, solves = _fine_solves(monkeypatch, pot, 100)
+    assert solves == 2
+    assert res == _bisected(monkeypatch, pot, 100)
+    assert res.refinement_estimates == (-res.eigenvalues[0],)  # the unmatched branch
+
+
+def test_overlapping_enclosures_fall_back_to_bisection(monkeypatch):
+    # two copies of the lowest coarse state: both converge to one state
+    pot = _Well(floor=0.0, strength=6.0)
+    fine, seeds = _seeded(pot, 500)
+    assert schrodinger._refined(*fine, seeds[[0, 0]], 0.0) is None
+    below = schrodinger._eigs_below
+    # the coarse matrix, 499 rows against 999, gives its lowest state twice
+    doubled = lambda diag, *args: below(diag, *args)[[0, 0]] if diag.size < 600 else below(diag, *args)
+    monkeypatch.setattr(schrodinger, "_eigs_below", doubled)
+    res, solves = _fine_solves(monkeypatch, pot, 500)
+    assert solves == 2
+    assert res == _bisected(monkeypatch, pot, 500)
+
+
+def test_a_seed_at_the_step_cap_falls_back_to_bisection(monkeypatch):
+    # one Rayleigh-quotient step does not settle the seeds of grid 500
+    pot = _Well(floor=0.0, strength=6.0)
+    monkeypatch.setattr(schrodinger, "_RQI_STEPS", 1)
+    res, solves = _fine_solves(monkeypatch, pot, 500)
+    assert solves == 2
+    assert res == _bisected(monkeypatch, pot, 500)
+
+
+@pytest.mark.parametrize("case", ["zero_branch", "rectangle_bump"])
+def test_golden_modes_take_one_bisection_each(case, monkeypatch, tmp_path):
+    modes, solves = [], []
+    solve, states = schrodinger.eigh_tridiagonal, assembly.bound_states
+    monkeypatch.setattr(schrodinger, "eigh_tridiagonal", lambda *a, **k: solves.append(1) or solve(*a, **k))
+    monkeypatch.setattr(assembly, "bound_states", lambda *a: modes.append(1) or states(*a))
+    config = Path(__file__).resolve().parent / "golden" / case / "config.json"
+    shutil.copy(config, tmp_path / "config.json")
+    assert main(["run", str(tmp_path / "config.json")]) == 0
+    assert len(solves) == len(modes) > 0
+
+
+_REFINE = """
+import sys
+import numpy as np
+import cylspec.schrodinger as s
+
+class Well:
+    def values(self, ys):
+        return -24.0 / np.cosh(ys - 0.3) ** 2
+
+coarse, fine = (s._dirichlet_grid(Well(), 15.0, n) for n in (10_001, 20_002))
+values, radii = s._refined(*fine, s._eigs_below(*coarse, -25.0, 0.0), 0.0)
+sys.stdout.write(str(fine[0].size) + " " + values.tobytes().hex() + radii.tobytes().hex())
+"""
+
+
+def test_refinement_does_not_depend_on_the_blas_thread_count():
+    src = str(Path(schrodinger.__file__).resolve().parents[1])
+    base = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    out = [
+        subprocess.run(
+            [sys.executable, "-c", _REFINE],
+            env={**base, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src},
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout
+        for threads in ("1", "2")
+    ]
+    assert out[0] == out[1]
+    rows, bits = out[0].split()
+    assert int(rows) >= 20_001 and len(bits) == 2 * 5 * 16
 
 
 def test_unsettled_window_rejected():
@@ -552,7 +692,7 @@ def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
 
     def drift(k):
         coarse = schrodinger._propagator(pot, k)
-        _, edges, _, _, mids, _ = schrodinger._discriminant_bands(coarse, v_min, 40.0)
+        _, edges, _, _, mids, _, _ = schrodinger._discriminant_bands(coarse, v_min, 40.0)
         reads = np.concatenate(([40.0, v_min - 1.0], edges, mids))
         fine = schrodinger.discriminant(schrodinger._propagator(pot, 2 * k), reads)
         got = schrodinger.discriminant(coarse, reads)
@@ -630,7 +770,9 @@ def test_band_structure_work_is_bounded(monkeypatch):
 def test_step_check_reads_only_where_the_bands_are_read(monkeypatch, tmp_path):
     # the periodic golden config took 485,376 step-energy pairs while n was
     # checked against 2n at 257 evenly spaced energies; checking only the
-    # energies the band structure is read at takes about a fifth of that
+    # energies the band structure is read at took 105,216, and 103,168
+    # once n steps reuse the discriminant the search holds at all of them
+    # but the fitted edges
     pairs = []
     product = schrodinger._magnus_product
 
@@ -642,7 +784,7 @@ def test_step_check_reads_only_where_the_bands_are_read(monkeypatch, tmp_path):
     config = Path(__file__).resolve().parent / "golden" / "periodic_certificate" / "config.json"
     shutil.copy(config, tmp_path / "config.json")
     assert main(["run", str(tmp_path / "config.json")]) == 0
-    assert 0 < sum(pairs) <= 120_000
+    assert 0 < sum(pairs) <= 103_168
 
 
 def _miscounting(monkeypatch, high):
