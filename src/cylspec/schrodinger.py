@@ -29,7 +29,9 @@ result is read: Delta to the noise floor at the ends of the range, at
 every band edge and at every gap midpoint, and the Dirichlet count at
 e_max exactly.  `discriminant` evaluates Delta on such a propagator.
 Each energy is propagated on its own, so Delta does not depend on the
-batch it is evaluated in; |Delta| <= 2 exactly on the bands, and
+batch it is evaluated in, and all of a run's modes are searched in
+lockstep on one propagator, each energy on its own mode's steps;
+|Delta| <= 2 exactly on the bands, and
 det M = 1 identically (it is a Wronskian, and checked as such).  Band
 edges are found by counting (Eastham 1973; Pryce 1993): gap k of the
 band union holds exactly one Dirichlet eigenvalue mu_k of one period,
@@ -66,6 +68,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (
+    CylspecError,
     InvalidWitnessError,
     NumericalError,
     ResolutionError,
@@ -352,8 +355,31 @@ def _magnus_steps(potential: ModePotential, v_min: float, e_max: float) -> int:
     return n
 
 
-def _propagator(potential: ModePotential, n: int):
-    """One-period transfer matrices of a periodic potential, V sampled once.
+def _omega(potential: ModePotential, n: int):
+    """The coefficients (p0, p1, j, k0, k1) of Omega on n steps of one
+    period, with p = p0 - p1 E and k = k0 - k1 E (see _propagator)."""
+    h = potential.period_b / n
+    v = potential.values(h * (np.arange(n)[:, None] + _GAUSS3).ravel()).reshape(n, 3)
+    d = (math.sqrt(15.0) / 3.0) * h * (v[:, 2] - v[:, 0])  # alpha_2 = d K
+    g = (10.0 / 3.0) * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])  # alpha_3 = g K
+    # the commutators in closed form, with q = V_2 - E:
+    #   p = -h d / 12 + h^2 g d / 7200 + (h^3 d / 180) q
+    #   j = h - h^2 g / 180 + h^3 d^2 / 3600
+    #   k = g / 12 + h g^2 / 3600 - h d^2 / 120 + (h + h^2 g / 180 + h^3 d^2 / 3600) q
+    hd, hhd = h * d, h * h * d * d / 3600.0
+    p1 = h * h * hd / 180.0
+    k1 = h + h * h * g / 180.0 + h * hhd
+    return (
+        -hd / 12.0 + h * g * hd / 7200.0 + p1 * v[:, 1],  # p0
+        p1,
+        h - h * h * g / 180.0 + h * hhd,  # j
+        g / 12.0 + h * g * g / 3600.0 - hd * d / 120.0 + k1 * v[:, 1],  # k0
+        k1,
+    )
+
+
+def _propagator(potentials, steps):
+    """One-period transfer matrices of periodic potentials, each sampled once.
 
     Sixth-order Magnus propagator on n equal steps (Blanes, Casas & Ros,
     BIT 40, 2000): on a step of length h with A_i = [[0, 1], [V_i - E,
@@ -364,49 +390,57 @@ def _propagator(potential: ModePotential, n: int):
     / 240.  alpha_2 and alpha_3 are multiples of [[0, 0], [1, 0]] that do
     not depend on E, so the commutators leave Omega = [[p, j], [k, -p]]
     with p and k affine in E and j constant, all computed once per
-    potential.  Omega is traceless, so exp(Omega) = C I + S Omega in
-    closed form, with C, S = cosh, sinh(r)/r or cos, sin(r)/r of r^2 =
-    |det Omega|.  The returned function maps a batch of energies to the
-    states (u, u', v, v')(b) of the columns started at (1, 0) and (0, 1),
-    as a 4 x m array; with count=True a fifth row holds the lifted
-    Pruefer angle of the second column (see _magnus_product).  Every
-    energy is propagated on its own, so a value does not depend on the
-    batch it came in.  n must be a power of two.
-    """
-    h = potential.period_b / n
-    v = potential.values(h * (np.arange(n)[:, None] + _GAUSS3).ravel()).reshape(n, 3)
-    d = (math.sqrt(15.0) / 3.0) * h * (v[:, 2] - v[:, 0])  # alpha_2 = d K
-    g = (10.0 / 3.0) * h * (v[:, 2] - 2.0 * v[:, 1] + v[:, 0])  # alpha_3 = g K
-    # the commutators in closed form, with q = V_2 - E:
-    #   p = -h d / 12 + h^2 g d / 7200 + (h^3 d / 180) q
-    #   j = h - h^2 g / 180 + h^3 d^2 / 3600
-    #   k = g / 12 + h g^2 / 3600 - h d^2 / 120 + (h + h^2 g / 180 + h^3 d^2 / 3600) q
-    # kept as (p0, p1, j, k0, k1) with p = p0 - p1 E and k = k0 - k1 E
-    hd, hhd = h * d, h * h * d * d / 3600.0
-    p1 = h * h * hd / 180.0
-    k1 = h + h * h * g / 180.0 + h * hhd
-    omega = (
-        -hd / 12.0 + h * g * hd / 7200.0 + p1 * v[:, 1],  # p0
-        p1,
-        h - h * h * g / 180.0 + h * hhd,  # j
-        g / 12.0 + h * g * g / 3600.0 - hd * d / 120.0 + k1 * v[:, 1],  # k0
-        k1,
-    )
-    chunk = max(1, _POINT_BUDGET // n)
+    potential (_omega).  Omega is traceless, so exp(Omega) = C I + S
+    Omega in closed form, with C, S = cosh, sinh(r)/r or cos, sin(r)/r
+    of r^2 = |det Omega|.
 
-    def run(energies, count=False):
+    Potential i takes steps[i] steps, a power of two, or is left out
+    (and not sampled) where steps[i] is 0.  The coefficients of the
+    potentials on one step count are stacked into steps x modes arrays,
+    one column per mode.  The returned function maps a batch of
+    energies, each with the index i of its potential (one index for the
+    whole batch by default), to the states (u, u', v, v')(b) of the
+    columns started at (1, 0) and (0, 1), as a 4 x m array; with
+    count=True a fifth row holds the lifted Pruefer angle of the second
+    column (see _magnus_product).  The energies of the modes on one step
+    count share each _magnus_product call, up to _POINT_BUDGET
+    step-energy pairs.  Every energy is propagated on its own, on its
+    own mode's column, so a value does not depend on the batch it came
+    in, nor on the other modes in it.
+    """
+    members: dict[int, list[int]] = {}
+    for i, n in enumerate(steps):
+        if n:
+            members.setdefault(int(n), []).append(i)
+    stacks = []
+    for n, modes in members.items():
+        column = np.full(len(steps), -1)  # of each potential in this stack
+        column[modes] = np.arange(len(modes))
+        coeffs = zip(*(_omega(potentials[i], n) for i in modes))
+        stacks.append((n, column, tuple(np.stack(a, axis=1) for a in coeffs)))
+
+    def run(energies, modes=0, count=False):
         es = np.atleast_1d(np.asarray(energies, dtype=float))
+        mode = np.broadcast_to(modes, es.shape)
         out = np.empty((5 if count else 4, es.size))
-        for i in range(0, es.size, chunk):
-            out[:, i : i + chunk] = _magnus_product(omega, es[i : i + chunk], count)
+        for n, column, omega in stacks:
+            at = np.flatnonzero(column[mode] >= 0)
+            chunk = max(1, _POINT_BUDGET // n)
+            for i in range(0, at.size, chunk):
+                part = at[i : i + chunk]
+                out[:, part] = _magnus_product(omega, es[part], column[mode[part]], count)
         return out
 
     return run
 
 
-def _magnus_product(omega, es, count=False):
-    """Transfer matrices of the steps, multiplied pairwise.
+def _magnus_product(omega, es, cols, count=False):
+    """Transfer matrices of the steps, multiplied pairwise, for energy es[i]
+    on column cols[i] of the steps x modes coefficients omega.
 
+    Each energy gathers its own mode's column of leaves, and every
+    operation after that is elementwise or runs along the steps, so a
+    column of the result does not depend on the others in the call.
     With count=True the lifted angle phi = atan2(u, u') of the column
     started at (0, 1) is carried through the same tree.  A step turns it
     by atan2(m01, m11) exactly while its rotation r stays below pi; the
@@ -416,11 +450,18 @@ def _magnus_product(omega, es, count=False):
     atan2(P01, P11) - theta_R nearest theta_L.
     """
     p0, p1, j, k0, k1 = omega
-    od = p0[:, None] - p1[:, None] * es  # diagonal of Omega, one row per step
-    ol = k0[:, None] - k1[:, None] * es  # lower corner
-    w = od * od + j[:, None] * ol  # -det Omega
+    # the leaves are the peak memory: each product takes the buffer of an
+    # operand it no longer needs, so a call holds about seven at once
+    od = p1[:, cols]
+    od *= es
+    od = np.subtract(p0[:, cols], od, out=od)  # diagonal of Omega, one row per step
+    ol = k1[:, cols]
+    ol *= es
+    ol = np.subtract(k0[:, cols], ol, out=ol)  # lower corner
+    j = j[:, cols]
+    w = od * od
+    w += j * ol  # -det Omega
     osc = w < 0.0  # each element takes one branch, not both
-    # r takes w's buffer and s * od takes od's: the leaves are the peak memory
     r = np.sqrt(np.abs(w, out=w), out=w)
     c, s = np.empty_like(r), np.empty_like(r)
     for part, cos, sin in ((osc, np.cos, np.sin), (~osc, np.cosh, np.sinh)):
@@ -428,7 +469,9 @@ def _magnus_product(omega, es, count=False):
         c[part], s[part] = cos(rp), sin(rp)
     s = np.divide(s, r, out=np.ones_like(r), where=r > 0.0)
     od *= s
-    m00, m01, m10, m11 = c + od, s * j[:, None], s * ol, c - od
+    m00, m01, m10 = c + od, np.multiply(j, s, out=j), np.multiply(ol, s, out=ol)
+    m11 = np.subtract(c, od, out=c)
+    del od, s
     if count:
         if np.any(osc & (r >= 0.5 * math.pi)):
             raise NumericalError(
@@ -436,6 +479,7 @@ def _magnus_product(omega, es, count=False):
                 "lower e_max"
             )
         phi = np.arctan2(m01, m11)
+    del r, osc
     while m00.shape[0] > 1:  # multiply step 2j+1 onto step 2j, pairwise
         l00, l01, l10, l11 = m00[1::2], m01[1::2], m10[1::2], m11[1::2]
         r00, r01, r10, r11 = m00[0::2], m01[0::2], m10[0::2], m11[0::2]
@@ -465,23 +509,25 @@ def _checked_trace(sf, energies) -> np.ndarray:
     return sf[0] + sf[3]
 
 
-def _dirichlet_angle(prop, energies):
+def _dirichlet_angle(prop, energies, modes=0):
     """Lifted Pruefer angle phi(b) of the column started at (0, 1), the
-    Dirichlet eigenvalues of one period below each energy, and Delta.
+    Dirichlet eigenvalues of one period below each energy, and Delta,
+    each energy on the potential of its mode index.
 
     The column has one zero in (0, b) per Dirichlet eigenvalue below E
     (Sturm oscillation), and its Pruefer angle passes each multiple of
     pi upwards, so the count is ceil(phi(b) / pi) - 1.
     """
-    sf = prop(energies, count=True)
+    sf = prop(energies, modes, count=True)
     count = np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
     return sf[4], count, _checked_trace(sf, energies)
 
 
-def discriminant(prop, energies) -> np.ndarray:
+def discriminant(prop, energies, modes=0) -> np.ndarray:
     """Delta(E), the trace of the one-period transfer matrix, at each of
-    a batch of energies, on a propagator that _propagator built."""
-    return _checked_trace(prop(energies), energies)
+    a batch of energies, on a propagator that _propagator built; each
+    energy on the potential of its mode index (one for all by default)."""
+    return _checked_trace(prop(energies, modes), energies)
 
 
 def _galerkin_pair(v_hat: np.ndarray, b: float, e_max: float) -> np.ndarray:
@@ -541,7 +587,7 @@ class BandStructure:
     steps: int = field(default=0, metadata={"report": "omit"})
 
 
-def _itp(fun, lo, hi, f_lo, f_hi):
+def _itp(fun, lo, hi, f_lo, f_hi, group=0):
     """Lockstep ITP search (Oliveira & Takahashi, ACM TOMS 47, 2020) of
     a batch of brackets, each narrowed until it is below EDGE_TOL wide.
 
@@ -554,8 +600,11 @@ def _itp(fun, lo, hi, f_lo, f_hi):
     the two ends, moved towards the midpoint by kappa1 w^2 (w the
     bracket's width, kappa1 = _ITP_KAPPA1 / w0 with w0 its first width)
     and held within the ITP radius of the midpoint, so that a bracket
-    takes at most n0 steps more than bisection; a bracket still wider
-    than EDGE_TOL after that many steps raises NumericalError.  The
+    takes at most n0 steps more than bisection takes on the widest
+    bracket of its group (one mode's brackets); a bracket still wider
+    than EDGE_TOL after that many steps raises NumericalError.  No value
+    a bracket sees depends on the other brackets, nor, through the cap,
+    on another group's, so each group gets the result it gets alone.  The
     values at the ends are forced to the sides the test gave them, so
     the estimate never leaves the bracket, and the value at an end kept
     twice in a row is halved (the Illinois rule), so that the estimate
@@ -581,13 +630,23 @@ def _itp(fun, lo, hi, f_lo, f_hi):
     w0 = np.abs(hi - lo)
     lo0, hi0 = lo.copy(), hi.copy()
     moved = np.zeros(lo.size, dtype=int)  # +1: lo moved last, -1: hi did
-    # the least number of halvings that takes each bracket below EDGE_TOL
+    # the least number of halvings that takes each bracket below EDGE_TOL,
+    # and the steps each may take: n0 more than its group's widest needs
     halvings = np.floor(np.log2(np.maximum(w0, EDGE_TOL) / EDGE_TOL)) + 1.0
-    cap = int(np.max(halvings)) + _ITP_N0
+    group = np.broadcast_to(group, lo.shape)
+    widest = np.zeros(int(np.max(group)) + 1)
+    np.maximum.at(widest, group, halvings)
+    cap = widest[group].astype(int) + _ITP_N0
     todo = np.flatnonzero(w0 >= EDGE_TOL)
-    for j in range(cap):
-        if not todo.size:
-            return lo, hi
+    j = 0
+    while todo.size:
+        spent = todo[cap[todo] <= j]
+        if spent.size:
+            ends = np.concatenate((lo[spent], hi[spent]))
+            raise NumericalError(
+                f"{spent.size} band-edge brackets in [{ends.min():.6g}, {ends.max():.6g}] still "
+                f"wider than EDGE_TOL = {EDGE_TOL:.0e} after {j} steps"
+            )
         a, b, fa, fb, w = lo[todo], hi[todo], f_lo[todo], f_hi[todo], w0[todo]
         mid, width = 0.5 * (a + b), np.abs(b - a)
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -620,12 +679,7 @@ def _itp(fun, lo, hi, f_lo, f_hi):
         lo[todo], f_lo[todo] = np.where(passes, x, a), np.where(passes, np.minimum(fx, 0.0), fa)
         hi[todo], f_hi[todo] = np.where(passes, b, x), np.where(passes, fb, np.maximum(fx, 0.0))
         todo = todo[np.abs(hi[todo] - lo[todo]) >= EDGE_TOL]
-    if todo.size:
-        ends = np.concatenate((lo[todo], hi[todo]))
-        raise NumericalError(
-            f"{todo.size} band-edge brackets in [{ends.min():.6g}, {ends.max():.6g}] still "
-            f"wider than EDGE_TOL = {EDGE_TOL:.0e} after {cap} steps"
-        )
+        j += 1
     return lo, hi
 
 
@@ -660,22 +714,38 @@ def band_structure(potentials: list[ModePotential], e_max: float) -> list[BandSt
     one run share the period and e_max, so their matrices share one size,
     and one call per run costs less CPU and wall time than one per mode
     under a threaded BLAS, whose workers busy-wait after each call
-    returns.  A mode's result does not depend on the batch it came in.
+    returns.  The discriminant route searches every mode in lockstep
+    (_search_bands): each stage, and each step of a bracket search, is
+    one propagator call for all modes, on stacked columns of their
+    Magnus coefficients.  A mode's result does not depend on the batch
+    it came in.  When the lockstep search raises, it runs again one mode
+    at a time, in order, each mode finished before the next starts, so
+    that the first failing mode raises the error it raises alone.
     """
     vss = [pot.values(_period_grid(pot)) for pot in potentials]
     v_hats = [np.fft.fft(vs) / vs.size for vs in vss]
     refs = _galerkin_eigs([(p.period_b, v_hat) for p, v_hat in zip(potentials, v_hats)], e_max)
     lows, means = [float(np.min(vs)) for vs in vss], [float(np.real(v[0])) for v in v_hats]
     del vss, v_hats  # held through the counting, they cost up to 22k more page faults a run
-    return [_mode_bands(*args, e_max) for args in zip(potentials, lows, means, refs)]
+    try:
+        found = _search_bands(potentials, lows, e_max, range(len(potentials)))
+    except CylspecError:
+        found = None
+    out = []
+    for i, args in enumerate(zip(potentials, means, refs)):
+        alone = found if found is not None else _search_bands(potentials, lows, e_max, [i])
+        out.append(_mode_bands(*args, e_max, alone.get(i)))
+    return out
 
 
-def _discriminant_bands(prop, v_min: float, e_max: float):
-    """Band edges of one periodic mode up to e_max on one propagator,
-    found by counting: K, the fitted edges (every lower edge, then the
-    upper ones below e_max), the lower and upper edge of each band, the
-    gap midpoints, the excess of |Delta| over 2 at each midpoint, and
-    Delta at e_max, at e_start = min V - 1 and at each midpoint.
+def _discriminant_bands(prop, modes, v_min, e_max: float):
+    """Band edges up to e_max of each of `modes` (its index on one
+    propagator, with min V on the period grid in v_min), found by
+    counting and searched in lockstep.  Per mode, in a list: K, the
+    fitted edges (every lower edge, then the upper ones below e_max), the
+    lower and upper edge of each band, the gap midpoints, the excess of
+    |Delta| over 2 at each midpoint, and Delta at e_max, at e_start =
+    min V - 1 and at each midpoint.
 
     Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
     of one period; the Pruefer count K = N_D(e_max) says how many lie
@@ -688,76 +758,119 @@ def _discriminant_bands(prop, v_min: float, e_max: float):
     sg Delta - 2.  Each count bracket reaches the gap side of its edges,
     also where mu_k sits on an edge, as it does for every even
     potential.  Band K+1 exists when e_max is not in gap K.
+
+    The brackets of all modes sit in flat arrays, with the mode of each,
+    so that every stage is one propagator call for the whole batch: the
+    angles at both ends, each step of the two searches (a bracket capped
+    by its own mode's widest), Delta at the count brackets, the line
+    fits and the midpoints.  A line is fitted for one mode at a time, so
+    its least-squares solve sees the columns it sees alone.
     """
+    modes, e_start = np.asarray(modes), np.asarray(v_min, dtype=float) - 1.0
     # below V every propagator step is hyperbolic with positive entries, so
     # their product (det 1) has Delta > 2; the check catches a V that dips
     # more than 1 below v_min between its samples.  The same call counts K,
     # and its angles and traces are the values at the ends of both searches.
-    e_start = v_min - 1.0
-    (phi_start, phi_top), (_, k_gaps), (delta_start, delta_top) = _dirichlet_angle(
-        prop, [e_start, e_max]
-    )
-    if not delta_start > 2.0:
+    span = np.column_stack((e_start, np.full(modes.size, float(e_max)))).ravel()
+    phi, count, delta = _dirichlet_angle(prop, span, np.repeat(modes, 2))
+    phi_start, phi_top, k_gaps = phi[0::2], phi[1::2], count[1::2]
+    delta_start, delta_top = delta[0::2], delta[1::2]
+    if not np.all(delta_start > 2.0):
         raise ResolutionError("could not find the region below the first band")
 
-    # --- brackets [mu_lo, mu_hi] of the Dirichlet eigenvalues below e_max
-    ks = np.arange(1, k_gaps + 1)
+    # --- brackets [mu_lo, mu_hi] of the Dirichlet eigenvalues below e_max;
+    # mode i owns brackets first[i]:first[i + 1]
+    first = np.concatenate(([0], np.cumsum(k_gaps)))
+    owner = np.repeat(np.arange(modes.size), k_gaps)
+    ks = np.arange(owner.size) - first[owner] + 1
 
     def below_mu(es, i):  # fewer than k below, and phi(b) - k pi, increasing
-        phi, below, _ = _dirichlet_angle(prop, es)
+        phi, below, _ = _dirichlet_angle(prop, es, modes[owner[i]])
         return below < ks[i], phi - math.pi * ks[i]
 
     mu_lo, mu_hi = _itp(
         below_mu,
-        np.full(k_gaps, e_start),
-        np.full(k_gaps, e_max),
-        phi_start - math.pi * ks,
-        phi_top - math.pi * ks,
+        e_start[owner],
+        np.full(owner.size, float(e_max)),
+        phi_start[owner] - math.pi * ks,
+        phi_top[owner] - math.pi * ks,
+        owner,
     )
+    delta_mu = discriminant(prop, np.concatenate((mu_lo, mu_hi)), modes[np.tile(owner, 2)])
+    d_lo, d_hi = delta_mu[: owner.size], delta_mu[owner.size :]
 
     # --- band edges: test sg Delta < 2 holds on the band side of an edge
-    top = (-1.0) ** k_gaps * float(delta_top)  # s Delta(e_max) of band K+1
-    n_bands = k_gaps + int(top < 2.0)
-    n_upper = n_bands - int(n_bands > k_gaps and top > -2.0)  # upper edges below e_max
-    # energies (row 0) and Delta (row 1) at the ends of the count brackets
-    delta_mu = discriminant(prop, np.concatenate((mu_lo, mu_hi)))
-    lo_ends = np.array([[e_start, *mu_lo, e_max], [delta_start, *delta_mu[:k_gaps], delta_top]])
-    hi_ends = np.array([[e_start, *mu_hi, e_max], [delta_start, *delta_mu[k_gaps:], delta_top]])
-    s = (-1.0) ** np.arange(n_bands)
-    sg = np.concatenate((s, -s[:n_upper]))
+    shape, sgs, band_ends, gap_ends = [], [], [], []
+    for i, k in enumerate(k_gaps.tolist()):
+        mu = slice(first[i], first[i + 1])
+        top = (-1.0) ** k * float(delta_top[i])  # s Delta(e_max) of band K+1
+        n_bands = k + int(top < 2.0)
+        n_upper = n_bands - int(n_bands > k and top > -2.0)  # upper edges below e_max
+        # energies (row 0) and Delta (row 1) at the ends of the count brackets
+        d0, d1 = delta_start[i], delta_top[i]
+        lo_ends = np.array([[e_start[i], *mu_lo[mu], e_max], [d0, *d_lo[mu], d1]])
+        hi_ends = np.array([[e_start[i], *mu_hi[mu], e_max], [d0, *d_hi[mu], d1]])
+        s = (-1.0) ** np.arange(n_bands)
+        shape.append((n_bands, n_upper))
+        sgs.append(np.concatenate((s, -s[:n_upper])))
+        band_ends.append(np.hstack((lo_ends[:, 1 : n_bands + 1], hi_ends[:, :n_upper])))
+        gap_ends.append(np.hstack((lo_ends[:, :n_bands], hi_ends[:, 1 : n_upper + 1])))
+    sg, edge_owner, cuts = _joined(sgs, np.arange(modes.size))
+    band_ends, gap_ends = np.hstack(band_ends), np.hstack(gap_ends)
 
     def on_band(es, i):  # sg Delta - 2, negative on the band side
-        f = sg[i] * discriminant(prop, es) - 2.0
+        f = sg[i] * discriminant(prop, es, modes[edge_owner[i]]) - 2.0
         return f < 0.0, f
 
-    band_ends = np.concatenate((lo_ends[:, 1 : n_bands + 1], hi_ends[:, :n_upper]), axis=1)
-    gap_ends = np.concatenate((lo_ends[:, :n_bands], hi_ends[:, 1 : n_upper + 1]), axis=1)
     band_side, gap_side = _itp(
-        on_band, band_ends[0], gap_ends[0], sg * band_ends[1] - 2.0, sg * gap_ends[1] - 2.0
+        on_band,
+        band_ends[0],
+        gap_ends[0],
+        sg * band_ends[1] - 2.0,
+        sg * gap_ends[1] - 2.0,
+        edge_owner,
     )
     edges = 0.5 * (band_side + gap_side)
     # the root of a line through 17 samples averages the rounding noise of
     # Delta; a root outside the samples is not trusted
     offs = np.linspace(-_FIT_SPAN, _FIT_SPAN, 17)
-    fit = discriminant(prop, (edges[:, None] + offs).ravel()).reshape(-1, offs.size)
+    fit_at = (edges[:, None] + offs).ravel()
+    fit = discriminant(prop, fit_at, np.repeat(modes[edge_owner], offs.size)).reshape(-1, offs.size)
     g = sg[:, None] * fit - 2.0
-    slope, icept = np.polyfit(offs, g.T, 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = -icept / slope
-    edges = np.where(np.abs(shift) <= _FIT_SPAN, edges + shift, edges)
-    lower = edges[:n_bands]
-    upper = np.append(edges[n_bands:], [e_max] * (n_bands - n_upper))
+    found = []
+    for (n_bands, n_upper), edge, g_mode in zip(shape, np.split(edges, cuts), np.split(g, cuts)):
+        slope, icept = np.polyfit(offs, g_mode.T, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            shift = -icept / slope
+        fitted = np.where(np.abs(shift) <= _FIT_SPAN, edge + shift, edge)
+        lower = fitted[:n_bands]
+        upper = np.append(fitted[n_bands:], [e_max] * (n_bands - n_upper))
+        found.append((fitted, lower, upper, 0.5 * (upper[:-1] + lower[1:])))
 
-    mids = 0.5 * (upper[:-1] + lower[1:])
-    delta_mids = discriminant(prop, mids)
-    held = np.concatenate(([delta_top, delta_start], delta_mids))
-    return k_gaps, edges, lower, upper, mids, -s[:-1] * delta_mids - 2.0, held
+    es, of, cuts = _joined([f[3] for f in found], modes)
+    out = []
+    for i, ((fitted, lower, upper, mid), d_mid) in enumerate(
+        zip(found, np.split(discriminant(prop, es, of), cuts))
+    ):
+        s = (-1.0) ** np.arange(lower.size)
+        held = np.concatenate(([delta_top[i], delta_start[i]], d_mid))
+        out.append((k_gaps[i], fitted, lower, upper, mid, -s[:-1] * d_mid - 2.0, held))
+    return out
 
 
-def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float) -> BandStructure:
-    """Band decomposition of one periodic mode up to e_max, from min V
-    and mean V on the period grid and its (periodic, antiperiodic)
-    Galerkin eigenvalues.
+def _joined(parts, modes):
+    """One array per mode end to end, the mode of each entry, and the
+    points at which np.split takes a result back apart."""
+    sizes = [p.size for p in parts]
+    return np.concatenate(parts), np.repeat(modes, sizes), np.cumsum(sizes)[:-1]
+
+
+def _search_bands(potentials, lows, e_max: float, modes) -> dict:
+    """Band edges up to e_max of each of `modes` (indices into
+    potentials, with min V on the period grid in lows), searched in
+    lockstep: {mode: (n, lower edges, upper edges, gap midpoints, excess
+    of |Delta| over 2 at each midpoint)}, for every mode that reaches
+    below e_max.
 
     The discriminant route searches on n steps (_discriminant_bands), n
     from _magnus_steps, and then evaluates Delta on 2n steps at every
@@ -768,43 +881,76 @@ def _mode_bands(potential: ModePotential, v_min, mean_v, reference, e_max: float
     searched in turn.  An edge moves by the error in Delta there over
     |Delta'|, and at sixth order the error on 2n steps is about 1/64 of
     the drift, so the drift at the edge itself measures that error.  A
-    doubling that does not halve the drift raises NumericalError.  The
-    plane-wave eigenvalues are the independent check of the accepted
-    result and must agree edge by edge to CROSS_TOL.
+    doubling that does not halve the drift raises NumericalError.  Each
+    round searches every mode not yet accepted, on one propagator whose
+    modes each have their own n; the check of a round is one call on
+    the 2n propagator, and only the modes it rejects go on to the next.
     """
-    b = potential.period_b
-    empty = BandStructure(period=float(b), mean_potential=mean_v, e_max=float(e_max))
-    if not e_max > v_min:  # the potential lies wholly above e_max
-        return empty
-
-    n = _magnus_steps(potential, v_min, e_max)
-    prop, last = _propagator(potential, n), math.inf
-    while True:
-        k_gaps, edges, lower, upper, mids, excess, held = _discriminant_bands(prop, v_min, e_max)
-        reads = np.concatenate(([e_max, v_min - 1.0], edges, mids))
+    modes = [i for i in modes if e_max > lows[i]]  # the others lie wholly above e_max
+    n = np.zeros(len(potentials), dtype=int)  # steps of each mode still searched
+    for i in modes:
+        n[i] = _magnus_steps(potentials[i], lows[i], e_max)
+    last = np.full(len(potentials), math.inf)
+    prop, found = _propagator(potentials, n), {}
+    while modes:
+        searched = _discriminant_bands(prop, modes, [lows[i] for i in modes], e_max)
         # the search holds Delta on n steps at every read energy but the
         # fitted edges; each energy is propagated on its own, so it is the
         # value a new evaluation would give
-        delta = np.concatenate((held[:2], discriminant(prop, edges), held[2:]))
-        fine = _propagator(potential, 2 * n)
-        _, counts, fine_delta = _dirichlet_angle(fine, reads)
-        drift = np.abs(delta - fine_delta) / np.maximum(1.0, np.abs(fine_delta))
-        worst = int(np.argmax(drift))
-        if drift[worst] <= NOISE_FLOOR and counts[0] == k_gaps:
-            break
-        if drift[worst] > NOISE_FLOOR and not drift[worst] < 0.5 * last:
-            raise NumericalError(
-                f"discriminant not resolved below e_max = {e_max}: {n} and {2 * n} steps "
-                f"differ by {drift[worst]:.3e} at E = {reads[worst]:.6g}, above the noise "
-                f"floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; lower e_max"
-            )
-        if last <= NOISE_FLOOR:  # the count alone missed, twice in a row
-            raise NumericalError(
-                f"the Dirichlet count at e_max = {e_max} changes from {n // 2} to {n} and "
-                f"from {n} to {2 * n} steps: e_max lies on a Dirichlet eigenvalue to "
-                "rounding; move e_max"
-            )
-        n, prop, last = 2 * n, fine, drift[worst]
+        es, of, cuts = _joined([r[1] for r in searched], modes)
+        at_edges = np.split(discriminant(prop, es, of), cuts)
+        reads = [
+            np.concatenate(([e_max, lows[i] - 1.0], r[1], r[4])) for i, r in zip(modes, searched)
+        ]
+        prop = _propagator(potentials, 2 * n)  # for the check, and the next round
+        es, of, cuts = _joined(reads, modes)
+        _, counts, fine_delta = _dirichlet_angle(prop, es, of)
+        undone = []
+        for i, (k_gaps, _, lower, upper, mids, excess, held), read, d_edges, count, fine in zip(
+            modes, searched, reads, at_edges, np.split(counts, cuts), np.split(fine_delta, cuts)
+        ):
+            delta = np.concatenate((held[:2], d_edges, held[2:]))
+            drift = np.abs(delta - fine) / np.maximum(1.0, np.abs(fine))
+            worst = int(np.argmax(drift))
+            if drift[worst] <= NOISE_FLOOR and count[0] == k_gaps:
+                found[i], n[i] = (int(n[i]), lower, upper, mids, excess), 0
+                continue
+            if drift[worst] > NOISE_FLOOR and not drift[worst] < 0.5 * last[i]:
+                raise NumericalError(
+                    f"discriminant not resolved below e_max = {e_max}: {n[i]} and {2 * n[i]} "
+                    f"steps differ by {drift[worst]:.3e} at E = {read[worst]:.6g}, above the "
+                    f"noise floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; "
+                    "lower e_max"
+                )
+            if last[i] <= NOISE_FLOOR:  # the count alone missed, twice in a row
+                raise NumericalError(
+                    f"the Dirichlet count at e_max = {e_max} changes from {n[i] // 2} to {n[i]} "
+                    f"and from {n[i]} to {2 * n[i]} steps: e_max lies on a Dirichlet eigenvalue "
+                    "to rounding; move e_max"
+                )
+            n[i], last[i] = 2 * n[i], drift[worst]
+            undone.append(i)
+        modes = undone
+    return found
+
+
+def _mode_bands(
+    potential: ModePotential, mean_v, reference, e_max: float, searched
+) -> BandStructure:
+    """Band decomposition of one periodic mode up to e_max, from mean V on
+    the period grid, its (periodic, antiperiodic) Galerkin eigenvalues,
+    and what _search_bands found for it (None when it lies wholly above
+    e_max).
+
+    The plane-wave eigenvalues are the independent check of the
+    accepted discriminant result and must agree edge by edge to
+    CROSS_TOL.
+    """
+    b = potential.period_b
+    empty = BandStructure(period=float(b), mean_potential=mean_v, e_max=float(e_max))
+    if searched is None:
+        return empty
+    n, lower, upper, mids, excess = searched
 
     # a gap is certified when |Delta| exceeds 2 by more than the noise
     # floor at its midpoint; one that only touches 2 is a closed point

@@ -432,7 +432,7 @@ def test_wronskian_failure_names_the_energy_and_the_entry_size():
     v_min = float(np.min(pot.values(schrodinger._period_grid(pot))))
     with pytest.raises(NumericalError) as info:
         schrodinger.discriminant(
-            schrodinger._propagator(pot, 512), np.linspace(v_min - 1.0, 400.0, 257)
+            schrodinger._propagator([pot], [512]), np.linspace(v_min - 1.0, 400.0, 257)
         )
     msg = str(info.value)
     assert msg.startswith("Wronskian drifted at E = 284.43: |det - 1| = ")
@@ -443,7 +443,7 @@ def test_wronskian_failure_names_the_energy_and_the_entry_size():
 def _accepted(pot, e_max):
     """(steps, propagator) that band_structure takes for pot up to e_max."""
     n = band_structure([pot], e_max)[0].steps
-    return n, schrodinger._propagator(pot, n)
+    return n, schrodinger._propagator([pot], [n])
 
 
 def test_discriminant_does_not_depend_on_the_batch():
@@ -457,6 +457,30 @@ def test_discriminant_does_not_depend_on_the_batch():
     assert np.array_equal(batch, alone)
 
 
+def test_mode_columns_match_single_mode_calls():
+    # three modes on two step counts, each energy on its own mode's
+    # column: below every potential (hyperbolic steps only) and far above
+    # them (oscillatory only), and more energies than one _POINT_BUDGET
+    # chunk holds on either step count.  Every value must equal the one
+    # the mode's own propagator gives, in a batch and alone
+    pots = [_cosine_mode(), _SHIFTED, _PeriodicV(offset=7.0, amp=1.5, period=math.pi)]
+    steps = [256, 512, 256]
+    rng = np.random.default_rng(3)
+    es = rng.uniform(-3.0, 60.0, 600)
+    modes = rng.integers(0, len(pots), es.size)
+    assert es.min() < -2.0 and es.max() > 30.0
+    prop = schrodinger._propagator(pots, steps)
+    for count in (False, True):
+        got = prop(es, modes, count)
+        for i, (pot, n) in enumerate(zip(pots, steps)):
+            mine = modes == i
+            assert np.sum(mine) > schrodinger._POINT_BUDGET // n
+            alone = schrodinger._propagator([pot], [n])
+            assert np.array_equal(got[:, mine], alone(es[mine], count=count))
+            one_by_one = [alone([e], count=count)[:, 0] for e in es[mine]]
+            assert np.array_equal(got[:, mine], np.stack(one_by_one, axis=1))
+
+
 def test_propagator_is_sixth_order():
     # a wrong coefficient in Omega lowers the order, and more steps can
     # hide that from the n-vs-2n check: against 4096 steps, the error in
@@ -465,7 +489,7 @@ def test_propagator_is_sixth_order():
     es = np.linspace(-2.1, 60.0, 257)
 
     def trace(n):
-        return schrodinger.discriminant(schrodinger._propagator(pot, n), es)
+        return schrodinger.discriminant(schrodinger._propagator([pot], [n]), es)
 
     ref = trace(4096)
     errs = [np.max(np.abs(trace(n) - ref) / np.maximum(1.0, np.abs(ref))) for n in (32, 64, 128)]
@@ -497,7 +521,7 @@ def test_step_matches_the_commutator_formula():
             c1 = comm(a1, a2)
             c2 = -comm(a1, 2.0 * a3 + c1) / 60.0
             m = expm(a1 + a3 / 12.0 + comm(-20.0 * a1 - a3 + c1, a2 + c2) / 240.0) @ m
-        sf = schrodinger._propagator(pot, n)([e])[:, 0]
+        sf = schrodinger._propagator([pot], [n])([e])[:, 0]
         got = np.array([[sf[0], sf[2]], [sf[1], sf[3]]])
         assert np.max(np.abs(got - m)) <= 1e-14 * np.max(np.abs(m))
 
@@ -584,7 +608,7 @@ def test_cosine_first_gap_width():
 def _fine_discriminant(pot, e_max):
     """Delta on twice the steps band_structure takes, so that a check
     reading it does not share the solver's step count."""
-    prop = schrodinger._propagator(pot, 2 * _accepted(pot, e_max)[0])
+    prop = schrodinger._propagator([pot], [2 * _accepted(pot, e_max)[0]])
     return lambda es: schrodinger.discriminant(prop, es)
 
 
@@ -691,10 +715,10 @@ def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
     v_min = float(np.min(pot.values(schrodinger._period_grid(pot))))
 
     def drift(k):
-        coarse = schrodinger._propagator(pot, k)
-        _, edges, _, _, mids, _, _ = schrodinger._discriminant_bands(coarse, v_min, 40.0)
+        coarse = schrodinger._propagator([pot], [k])
+        _, edges, _, _, mids, _, _ = schrodinger._discriminant_bands(coarse, [0], [v_min], 40.0)[0]
         reads = np.concatenate(([40.0, v_min - 1.0], edges, mids))
-        fine = schrodinger.discriminant(schrodinger._propagator(pot, 2 * k), reads)
+        fine = schrodinger.discriminant(schrodinger._propagator([pot], [2 * k]), reads)
         got = schrodinger.discriminant(coarse, reads)
         return np.max(np.abs(got - fine) / np.maximum(1.0, np.abs(fine)))
 
@@ -739,8 +763,8 @@ def test_plane_wave_route_catches_a_dropped_band(monkeypatch):
     top = int(angle(_accepted(_SHIFTED, 30.0)[1], [30.0])[1][0])
     assert top == 5
 
-    def capped(prop, es):
-        phi, below, trace = angle(prop, es)
+    def capped(prop, es, modes=0):
+        phi, below, trace = angle(prop, es, modes)
         return phi, np.minimum(below, top - 1), trace
 
     monkeypatch.setattr(schrodinger, "_dirichlet_angle", capped)
@@ -754,9 +778,9 @@ def test_band_structure_work_is_bounded(monkeypatch):
     pairs = []
     product = schrodinger._magnus_product
 
-    def counted(omega, es, count=False):
-        pairs.append(omega[0].size * np.size(es))
-        return product(omega, es, count)
+    def counted(omega, es, cols, count=False):
+        pairs.append(omega[0].shape[0] * np.size(es))
+        return product(omega, es, cols, count)
 
     pot = _cosine_mode()
     monkeypatch.setattr(schrodinger, "_magnus_product", counted)
@@ -776,9 +800,9 @@ def test_step_check_reads_only_where_the_bands_are_read(monkeypatch, tmp_path):
     pairs = []
     product = schrodinger._magnus_product
 
-    def counted(omega, es, count=False):
-        pairs.append(omega[0].size * np.size(es))
-        return product(omega, es, count)
+    def counted(omega, es, cols, count=False):
+        pairs.append(omega[0].shape[0] * np.size(es))
+        return product(omega, es, cols, count)
 
     monkeypatch.setattr(schrodinger, "_magnus_product", counted)
     config = Path(__file__).resolve().parent / "golden" / "periodic_certificate" / "config.json"
@@ -787,19 +811,58 @@ def test_step_check_reads_only_where_the_bands_are_read(monkeypatch, tmp_path):
     assert 0 < sum(pairs) <= 103_168
 
 
+def test_lockstep_rounds_share_their_magnus_products(monkeypatch, tmp_path):
+    # the periodic golden config has two modes, both searched on 256 steps
+    # and checked on 512; mode by mode they took 57 _magnus_product calls.
+    # In lockstep a round is one propagator call for both modes: one stage,
+    # or one step of a bracket search.  It makes one _magnus_product call
+    # per step count among its energies, and one more per _POINT_BUDGET
+    # chunk past the first.  Each round here has one step count, and at
+    # 256 steps a chunk holds 128 energies, so only the line fits (17
+    # energies at each of 11 edges) take two calls: calls <= rounds + 1.
+    # The 30 rounds are 6 stages and 24 search steps (the steps of the
+    # mode that needs most), so 31 calls, and the pairs do not change
+    pairs, rounds = [], []
+    product, propagator = schrodinger._magnus_product, schrodinger._propagator
+
+    def counted(omega, es, cols, count=False):
+        pairs.append(omega[0].shape[0] * np.size(es))
+        return product(omega, es, cols, count)
+
+    def made(pots, steps):
+        run = propagator(pots, steps)
+
+        def counted_run(es, modes=0, count=False):
+            rounds.append(np.size(es))
+            return run(es, modes, count)
+
+        return counted_run
+
+    monkeypatch.setattr(schrodinger, "_magnus_product", counted)
+    monkeypatch.setattr(schrodinger, "_propagator", made)
+    config = Path(__file__).resolve().parent / "golden" / "periodic_certificate" / "config.json"
+    shutil.copy(config, tmp_path / "config.json")
+    assert main(["run", str(tmp_path / "config.json")]) == 0
+    assert len(pairs) <= len(rounds) + 1
+    assert len(pairs) <= 31
+    assert 0 < sum(pairs) <= 103_168
+
+
 def _miscounting(monkeypatch, high):
-    """Make the first Dirichlet count on each propagator of `high` steps
-    one higher at every energy: the first count on 2n steps is the check
-    of the n-step search at its read energies, e_max among them."""
+    """Make the first Dirichlet count on each propagator one higher at
+    every energy of a potential pot on n steps with high(pot, n): the
+    first count on 2n steps is the check of the n-step search at its
+    read energies, e_max among them."""
     propagator = schrodinger._propagator
 
-    def made(pot, n):
-        run, calls = propagator(pot, n), []
+    def made(pots, steps):
+        run, calls = propagator(pots, steps), []
+        hit = np.array([bool(n) and high(pot, n) for pot, n in zip(pots, steps)])
 
-        def first_count_high(es, count=False):
-            out = run(es, count)
-            if high(n) and count and not calls:
-                out[4] += math.pi
+        def first_count_high(es, modes=0, count=False):
+            out = run(es, modes, count)
+            if count and not calls:
+                out[4, hit[np.broadcast_to(modes, out[4].shape)]] += math.pi
             calls.append(count)
             return out
 
@@ -813,7 +876,7 @@ def test_step_count_doubles_when_twice_the_steps_count_otherwise(monkeypatch):
     # agrees to the noise floor, and 2n steps are searched instead
     pot = _cosine_mode()
     assert band_structure([pot], 110.0)[0].steps == 256
-    _miscounting(monkeypatch, lambda n: n == 512)
+    _miscounting(monkeypatch, lambda pot, n: n == 512)
     bs = band_structure([pot], 110.0)[0]
     assert bs.steps == 512
     assert len(bs.bands) == 3 and bs.validation_max_dev <= schrodinger.CROSS_TOL
@@ -822,7 +885,7 @@ def test_step_count_doubles_when_twice_the_steps_count_otherwise(monkeypatch):
 def test_a_count_that_never_settles_is_rejected(monkeypatch):
     # Delta agrees at 256 and 512 steps but the count misses each time, as
     # it would with e_max on a Dirichlet eigenvalue to rounding
-    _miscounting(monkeypatch, lambda n: n >= 512)
+    _miscounting(monkeypatch, lambda pot, n: n >= 512)
     missed = "e_max = 110.0 changes from 256 to 512 and from 512 to 1024 steps"
     with pytest.raises(NumericalError, match=missed):
         band_structure([_cosine_mode()], 110.0)[0]
@@ -867,6 +930,25 @@ def test_bracket_search_raises_when_a_bracket_cannot_narrow():
         schrodinger._itp(fun, [1e7], [1e7 + 1.0], [-0.5], [0.5])
 
 
+def test_a_bracket_is_capped_by_its_own_group():
+    # bracket 0 cannot narrow at 1e7 and must raise after its own cap,
+    # bisection's 34 halvings plus n0, though bracket 1, 1e3 wide and in
+    # another group, may take 10 more; in one group it takes that cap
+    def fun(es, i):
+        calls.append(es.size)
+        root = np.where(i == 0, 1e7 + 0.5, 1e3 / 3.0)
+        return es < root, es - root
+
+    own, shared = _itp_steps(1e7, 1e7 + 1.0), _itp_steps(0.0, 1e3)
+    assert shared > own
+    for group, cap in (([0, 1], own), ([0, 0], shared)):
+        calls = []
+        lo, hi, f_lo, f_hi = [1e7, 0.0], [1e7 + 1.0, 1e3], [-0.5, -1e3 / 3.0], [0.5, 2e3 / 3.0]
+        with pytest.raises(NumericalError, match=f"^1 band-edge brackets in .* after {cap} steps$"):
+            schrodinger._itp(fun, lo, hi, f_lo, f_hi, group)
+        assert len(calls) == cap
+
+
 def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatch):
     reads = []
     values = ModePotential.values
@@ -885,12 +967,19 @@ def test_band_structure_samples_the_potential_a_fixed_number_of_times(monkeypatc
 
 
 def test_band_structure_does_not_depend_on_the_batch(monkeypatch):
-    # three means on one period share a matrix size and so one stacked
-    # eigensolve, and an empty list makes no call
+    # six means on one period share a matrix size and so one stacked
+    # eigensolve, and an empty list makes no call.  Searched in lockstep,
+    # the 24-ripple mode settles at 512 steps while the others settle at
+    # 256, one mode lies wholly above e_max, and the first has its count
+    # check fail once, so it settles at 512 too
+    miscounted = _PeriodicV(offset=0.0, amp=0.6, period=math.pi)
     pots = [
-        _PeriodicV(offset=0.0, amp=0.6, period=math.pi),
+        miscounted,
         _ShiftedV(offset=2.5, amp=0.6, period=math.pi),
+        _ShiftedV(offset=0.0, amp=0.5, period=math.pi, amp2=2.0, harmonic=24),
+        _PeriodicV(offset=40.0, amp=1.0, period=math.pi),
         _PeriodicV(offset=7.0, amp=1.5, period=math.pi),
+        _SHIFTED,
     ]
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -900,11 +989,31 @@ def test_band_structure_does_not_depend_on_the_batch(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    _miscounting(monkeypatch, lambda pot, n: pot is miscounted and n == 512)
     stacked = band_structure(pots, 30.0)
-    assert len(calls) == 1 and calls[0][0] == 6
+    assert len(calls) == 1 and calls[0][0] == 2 * len(pots)
     assert band_structure([], 30.0) == [] and len(calls) == 1
+    assert [bs.steps for bs in stacked] == [512, 256, 512, 0, 256, 256]
+    assert stacked[3].bands == () and all(bs.bands for i, bs in enumerate(stacked) if i != 3)
     for pot, bs in zip(pots, stacked):
         assert band_structure([pot], 30.0)[0] == bs
+
+
+def test_the_first_failing_mode_raises_its_own_error():
+    # in the lockstep search the Wronskian check reads both failing modes
+    # at once; searched again one at a time, the first in order raises
+    # the error it raises alone
+    good, a, b = (_cosine_mode(mode_constant=c * math.pi**2) for c in (2.0, 45.0, 50.0))
+    alone = []
+    for pot in (a, b):
+        with pytest.raises(NumericalError, match="Wronskian drifted") as info:
+            band_structure([pot], 400.0)
+        alone.append(str(info.value))
+    assert alone[0] != alone[1]
+    for batch, message in (([good, a, b], alone[0]), ([good, b, a], alone[1])):
+        with pytest.raises(NumericalError) as info:
+            band_structure(batch, 400.0)
+        assert str(info.value) == message
 
 
 def test_band_structure_rejects_mixed_periods(monkeypatch):
