@@ -72,6 +72,7 @@ from .profiles import (
     essential_bounds,  # noqa: F401
     make_profile,
 )
+from .schrodinger import MIN_GRID
 from .weighted_operator import WeightedOperatorSpec, weighted_eigenvalues
 
 __all__ = ["main"]
@@ -357,7 +358,7 @@ def _parse_config(path: Path) -> tuple[dict, str, float, float, int, bool]:
         if halfwidth <= 0:
             raise ValidationError("numerics.window_halfwidth must be positive")
         grid = _read(num, "grid", "numerics", int, DEFAULT_GRID)
-        if grid < 16:
+        if grid < MIN_GRID:
             raise ValidationError("numerics.grid too coarse")
     _done(num, "numerics", task)
     return cfg, task, e_max, halfwidth, grid, certificate

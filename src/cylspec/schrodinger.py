@@ -68,7 +68,6 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.linalg.lapack import dgtsv
 
 from .errors import (
-    CylspecError,
     InvalidWitnessError,
     NumericalError,
     ResolutionError,
@@ -100,6 +99,8 @@ _WITNESS_STEPS = 400
 SETTLE_TOL = 5e-9
 # Rayleigh-quotient steps a seed may take after its two fixed-shift solves
 _RQI_STEPS = 8
+# fewest grid subintervals bound_states and the config reader accept
+MIN_GRID = 16
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def bound_states(
     must find the counted number of states.
     """
     _require_window(potential, halfwidth)
-    if grid < 16:
+    if grid < MIN_GRID:
         raise ValidationError("grid too coarse")
     thr = potential.threshold
     settle = settle_residual(potential, halfwidth)
@@ -343,7 +344,7 @@ def _magnus_steps(potential: ModePotential, v_min: float, e_max: float) -> int:
     pi).  The floor keeps each step's rotation below pi/2 up to e_max,
     for counting.  The least n guards band edges, which move by the error
     in Delta over |Delta'|: at 128 steps an edge of the cosine mode el 2
-    pi^2 moved by 1.7e-10.  _mode_bands doubles n from here until 2n
+    pi^2 moved by 1.7e-10.  _search_bands doubles n from here until 2n
     steps agree with n at every energy the band structure is read at.
     The rule, and that agreement, are invariant under V(y) -> V(y/s)/s^2,
     b -> s b, E -> E/s^2, so a rescaled problem takes the same steps.
@@ -718,34 +719,29 @@ def band_structure(potentials: list[ModePotential], e_max: float) -> list[BandSt
     (_search_bands): each stage, and each step of a bracket search, is
     one propagator call for all modes, on stacked columns of their
     Magnus coefficients.  A mode's result does not depend on the batch
-    it came in.  When the lockstep search raises, it runs again one mode
-    at a time, in order, each mode finished before the next starts, so
-    that the first failing mode raises the error it raises alone.
+    it came in.
     """
     vss = [pot.values(_period_grid(pot)) for pot in potentials]
     v_hats = [np.fft.fft(vs) / vs.size for vs in vss]
     refs = _galerkin_eigs([(p.period_b, v_hat) for p, v_hat in zip(potentials, v_hats)], e_max)
     lows, means = [float(np.min(vs)) for vs in vss], [float(np.real(v[0])) for v in v_hats]
     del vss, v_hats  # held through the counting, they cost up to 22k more page faults a run
-    try:
-        found = _search_bands(potentials, lows, e_max, range(len(potentials)))
-    except CylspecError:
-        found = None
-    out = []
-    for i, args in enumerate(zip(potentials, means, refs)):
-        alone = found if found is not None else _search_bands(potentials, lows, e_max, [i])
-        out.append(_mode_bands(*args, e_max, alone.get(i)))
-    return out
+    found = _search_bands(potentials, lows, e_max)
+    return [
+        _mode_bands(pot, mean, ref, e_max, found.get(i))
+        for i, (pot, mean, ref) in enumerate(zip(potentials, means, refs))
+    ]
 
 
 def _discriminant_bands(prop, modes, v_min, e_max: float):
     """Band edges up to e_max of each of `modes` (its index on one
     propagator, with min V on the period grid in v_min), found by
     counting and searched in lockstep.  Per mode, in a list: K, the
-    fitted edges (every lower edge, then the upper ones below e_max), the
     lower and upper edge of each band, the gap midpoints, the excess of
-    |Delta| over 2 at each midpoint, and Delta at e_max, at e_start =
-    min V - 1 and at each midpoint.
+    |Delta| over 2 at each midpoint, the energies the result is read at
+    and Delta at each.  Those energies are e_max, e_start = min V - 1,
+    the fitted edges (every lower edge, then the upper ones below e_max)
+    and the midpoints.
 
     Gap k of the band union holds exactly one Dirichlet eigenvalue mu_k
     of one period; the Pruefer count K = N_D(e_max) says how many lie
@@ -763,8 +759,9 @@ def _discriminant_bands(prop, modes, v_min, e_max: float):
     so that every stage is one propagator call for the whole batch: the
     angles at both ends, each step of the two searches (a bracket capped
     by its own mode's widest), Delta at the count brackets, the line
-    fits and the midpoints.  A line is fitted for one mode at a time, so
-    its least-squares solve sees the columns it sees alone.
+    fits, and Delta at the fitted edges and midpoints.  A line is fitted
+    for one mode at a time, so its least-squares solve sees the columns
+    it sees alone.
     """
     modes, e_start = np.asarray(modes), np.asarray(v_min, dtype=float) - 1.0
     # below V every propagator step is hyperbolic with positive entries, so
@@ -847,14 +844,16 @@ def _discriminant_bands(prop, modes, v_min, e_max: float):
         upper = np.append(fitted[n_bands:], [e_max] * (n_bands - n_upper))
         found.append((fitted, lower, upper, 0.5 * (upper[:-1] + lower[1:])))
 
-    es, of, cuts = _joined([f[3] for f in found], modes)
+    es, of, cuts = _joined([np.concatenate((f[0], f[3])) for f in found], modes)
     out = []
-    for i, ((fitted, lower, upper, mid), d_mid) in enumerate(
+    for i, ((fitted, lower, upper, mid), d_read) in enumerate(
         zip(found, np.split(discriminant(prop, es, of), cuts))
     ):
         s = (-1.0) ** np.arange(lower.size)
-        held = np.concatenate(([delta_top[i], delta_start[i]], d_mid))
-        out.append((k_gaps[i], fitted, lower, upper, mid, -s[:-1] * d_mid - 2.0, held))
+        excess = -s[:-1] * d_read[fitted.size :] - 2.0
+        reads = np.concatenate(([e_max, e_start[i]], fitted, mid))
+        delta = np.concatenate(([delta_top[i], delta_start[i]], d_read))
+        out.append((k_gaps[i], lower, upper, mid, excess, reads, delta))
     return out
 
 
@@ -865,28 +864,28 @@ def _joined(parts, modes):
     return np.concatenate(parts), np.repeat(modes, sizes), np.cumsum(sizes)[:-1]
 
 
-def _search_bands(potentials, lows, e_max: float, modes) -> dict:
-    """Band edges up to e_max of each of `modes` (indices into
-    potentials, with min V on the period grid in lows), searched in
-    lockstep: {mode: (n, lower edges, upper edges, gap midpoints, excess
-    of |Delta| over 2 at each midpoint)}, for every mode that reaches
-    below e_max.
+def _search_bands(potentials, lows, e_max: float) -> dict:
+    """Band edges up to e_max of each of the potentials (with min V on
+    the period grid in lows), searched in lockstep: {index: (n, lower
+    edges, upper edges, gap midpoints, excess of |Delta| over 2 at each
+    midpoint)}, for every mode that reaches below e_max.
 
     The discriminant route searches on n steps (_discriminant_bands), n
     from _magnus_steps, and then evaluates Delta on 2n steps at every
     energy its result is read at: e_start = min V - 1, e_max, every
-    fitted edge and every gap midpoint.  n is accepted when the two
-    agree there to NOISE_FLOOR, relative to max(1, |Delta|), and 2n
-    steps count the same K below e_max; otherwise the 2n propagator is
-    searched in turn.  An edge moves by the error in Delta there over
-    |Delta'|, and at sixth order the error on 2n steps is about 1/64 of
-    the drift, so the drift at the edge itself measures that error.  A
-    doubling that does not halve the drift raises NumericalError.  Each
-    round searches every mode not yet accepted, on one propagator whose
-    modes each have their own n; the check of a round is one call on
-    the 2n propagator, and only the modes it rejects go on to the next.
+    fitted edge and every gap midpoint, where the search returns Delta
+    on n steps.  n is accepted when the two agree there to NOISE_FLOOR,
+    relative to max(1, |Delta|), and 2n steps count the same K below
+    e_max; otherwise the 2n propagator is searched in turn.  An edge
+    moves by the error in Delta there over |Delta'|, and at sixth order
+    the error on 2n steps is about 1/64 of the drift, so the drift at
+    the edge itself measures that error.  A doubling that does not halve
+    the drift raises NumericalError.  Each round searches every mode not
+    yet accepted, on one propagator whose modes each have their own n;
+    the check of a round is one call on the 2n propagator, and only the
+    modes it rejects go on to the next.
     """
-    modes = [i for i in modes if e_max > lows[i]]  # the others lie wholly above e_max
+    modes = [i for i, low in enumerate(lows) if e_max > low]  # the others lie wholly above e_max
     n = np.zeros(len(potentials), dtype=int)  # steps of each mode still searched
     for i in modes:
         n[i] = _magnus_steps(potentials[i], lows[i], e_max)
@@ -894,22 +893,13 @@ def _search_bands(potentials, lows, e_max: float, modes) -> dict:
     prop, found = _propagator(potentials, n), {}
     while modes:
         searched = _discriminant_bands(prop, modes, [lows[i] for i in modes], e_max)
-        # the search holds Delta on n steps at every read energy but the
-        # fitted edges; each energy is propagated on its own, so it is the
-        # value a new evaluation would give
-        es, of, cuts = _joined([r[1] for r in searched], modes)
-        at_edges = np.split(discriminant(prop, es, of), cuts)
-        reads = [
-            np.concatenate(([e_max, lows[i] - 1.0], r[1], r[4])) for i, r in zip(modes, searched)
-        ]
         prop = _propagator(potentials, 2 * n)  # for the check, and the next round
-        es, of, cuts = _joined(reads, modes)
+        es, of, cuts = _joined([r[5] for r in searched], modes)
         _, counts, fine_delta = _dirichlet_angle(prop, es, of)
         undone = []
-        for i, (k_gaps, _, lower, upper, mids, excess, held), read, d_edges, count, fine in zip(
-            modes, searched, reads, at_edges, np.split(counts, cuts), np.split(fine_delta, cuts)
+        for i, (k_gaps, lower, upper, mids, excess, read, delta), count, fine in zip(
+            modes, searched, np.split(counts, cuts), np.split(fine_delta, cuts)
         ):
-            delta = np.concatenate((held[:2], d_edges, held[2:]))
             drift = np.abs(delta - fine) / np.maximum(1.0, np.abs(fine))
             worst = int(np.argmax(drift))
             if drift[worst] <= NOISE_FLOOR and count[0] == k_gaps:

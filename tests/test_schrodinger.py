@@ -716,8 +716,7 @@ def test_step_count_is_the_least_power_of_two_that_meets_the_floor():
 
     def drift(k):
         coarse = schrodinger._propagator([pot], [k])
-        _, edges, _, _, mids, _, _ = schrodinger._discriminant_bands(coarse, [0], [v_min], 40.0)[0]
-        reads = np.concatenate(([40.0, v_min - 1.0], edges, mids))
+        reads = schrodinger._discriminant_bands(coarse, [0], [v_min], 40.0)[0][5]
         fine = schrodinger.discriminant(schrodinger._propagator([pot], [2 * k]), reads)
         got = schrodinger.discriminant(coarse, reads)
         return np.max(np.abs(got - fine) / np.maximum(1.0, np.abs(fine)))
@@ -820,8 +819,9 @@ def test_lockstep_rounds_share_their_magnus_products(monkeypatch, tmp_path):
     # chunk past the first.  Each round here has one step count, and at
     # 256 steps a chunk holds 128 energies, so only the line fits (17
     # energies at each of 11 edges) take two calls: calls <= rounds + 1.
-    # The 30 rounds are 6 stages and 24 search steps (the steps of the
-    # mode that needs most), so 31 calls, and the pairs do not change
+    # The 29 rounds are 5 stages and 24 search steps (the steps of the
+    # mode that needs most), so 30 calls, and the pairs do not change.
+    # Delta at the fitted edges and at the gap midpoints is one stage
     pairs, rounds = [], []
     product, propagator = schrodinger._magnus_product, schrodinger._propagator
 
@@ -844,7 +844,7 @@ def test_lockstep_rounds_share_their_magnus_products(monkeypatch, tmp_path):
     shutil.copy(config, tmp_path / "config.json")
     assert main(["run", str(tmp_path / "config.json")]) == 0
     assert len(pairs) <= len(rounds) + 1
-    assert len(pairs) <= 31
+    assert len(pairs) <= 30
     assert 0 < sum(pairs) <= 103_168
 
 
@@ -999,21 +999,34 @@ def test_band_structure_does_not_depend_on_the_batch(monkeypatch):
         assert band_structure([pot], 30.0)[0] == bs
 
 
-def test_the_first_failing_mode_raises_its_own_error():
-    # in the lockstep search the Wronskian check reads both failing modes
-    # at once; searched again one at a time, the first in order raises
-    # the error it raises alone
+def test_a_failing_batch_is_searched_once(monkeypatch):
+    # the Wronskian check reads both failing modes in one lockstep call,
+    # so the error does not depend on their order, and it is the error
+    # one of them raises alone; the batch is searched once, not again
+    # mode by mode
     good, a, b = (_cosine_mode(mode_constant=c * math.pi**2) for c in (2.0, 45.0, 50.0))
-    alone = []
+    alone = set()
     for pot in (a, b):
         with pytest.raises(NumericalError, match="Wronskian drifted") as info:
             band_structure([pot], 400.0)
-        alone.append(str(info.value))
-    assert alone[0] != alone[1]
-    for batch, message in (([good, a, b], alone[0]), ([good, b, a], alone[1])):
+        alone.add(str(info.value))
+    searches = []
+    search = schrodinger._discriminant_bands
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(schrodinger, "_discriminant_bands", counted)
+    messages = []
+    for batch in ([good, a, b], [good, b, a]):
+        searches.clear()
         with pytest.raises(NumericalError) as info:
             band_structure(batch, 400.0)
-        assert str(info.value) == message
+        messages.append(str(info.value))
+        assert len(searches) == 1
+    assert messages[0] == messages[1]
+    assert messages[0] in alone
 
 
 def test_band_structure_rejects_mixed_periods(monkeypatch):
