@@ -378,12 +378,9 @@ def _oracle_stabilizing(profile, rep: SpectrumReport) -> tuple[dict, list, list]
     picked = [m for m in rep.modes if m.bound.eigenvalues][:3]
     for m in picked:
         prof = profile if m.group.flavor != "m" else profile.swapped()
-        n_eigs = min(5, len(m.bound.eigenvalues))
         spec = WeightedOperatorSpec(prof, m.group.mode_constant, m.bound.window_halfwidth, 8000)
-        wres = weighted_eigenvalues(spec, n_eigs)
-        for i in range(n_eigs):
-            a = wres.eigenvalues[i]
-            bval = m.bound.eigenvalues[i]
+        direct = weighted_eigenvalues(spec, min(5, len(m.bound.eigenvalues)))
+        for i, (a, bval) in enumerate(zip(direct, m.bound.eigenvalues)):
             rel = abs(a - bval) / max(abs(bval), 1e-30)
             worst = max(worst, rel)
             rows.append([m.group.flavor, m.group.mode_constant, i + 1, a, bval, rel])
@@ -472,14 +469,14 @@ def _write_band_edges_csv(path: Path, rep: SpectrumReport):
     )
 
 
-def _write_potentials_csv(path: Path, rep: SpectrumReport, halfwidth: float):
-    """Each solved potential on one period, or on the config halfwidth."""
+def _write_potentials_csv(path: Path, rep: SpectrumReport):
+    """Each potential on one period, or on the window its mode was solved on."""
     rows = []
-    for pot in rep.potentials:  # one per (flavor, mode constant)
+    for pot, mode in zip(rep.potentials, rep.modes):  # one per (flavor, mode constant)
         if pot.period_b is not None:
             ys = np.linspace(0.0, pot.period_b, 801)
         else:
-            ys = np.linspace(-halfwidth, halfwidth, 801)
+            ys = np.linspace(-mode.bound.window_halfwidth, mode.bound.window_halfwidth, 801)
         for y, v in zip(ys, pot.values(ys)):
             rows.append([pot.flavor, pot.mode_constant, float(y), float(v)])
     _write_csv(path, ["flavor", "mode_constant", "y", "value"], rows)
@@ -551,7 +548,7 @@ def _run(config_path: Path, with_oracle: bool, dump_potentials: bool) -> int:
     _atomic_write(paths["report"], dumps_canonical(doc) + "\n")
     write_table(paths[table_key], rep)
     if dump_potentials:
-        _write_potentials_csv(paths["potentials_csv"], rep, halfwidth)
+        _write_potentials_csv(paths["potentials_csv"], rep)
 
     print(f"report written: {paths['report']}")
     return 0

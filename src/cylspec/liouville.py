@@ -42,7 +42,8 @@ orders the two triples by its own flavor.  (The Newton slope sqrt(eps
 mu) and the integrand are symmetric in eps and mu, so a transform of
 the swapped profile has bitwise the same z(y).)  In `cylspec run` the
 memo holds the solver grids and a two-point grid per step of the settle
-search; library calls that read at points of their own (the variational
+search, 2 grids on the stab-bump benchmark (a mode reads only its fine
+grid); library calls that read at points of their own (the variational
 witness search and bound) add those grids.  Past _MEMO_GRIDS grids the
 memo drops the oldest, so reading point by point cannot grow it.  The
 memo takes no lock: `cylspec run` starts no thread, and a caller that
@@ -90,7 +91,7 @@ _MAX_DEPTH = 48
 _FORWARD_TOL = 1e-11
 # residual of the inverse map, relative to max(1, travel time of the window)
 _INVERSE_TOL = 1e-13
-# grids the per-transform memo keeps; a run reads a few (3 on the
+# grids the per-transform memo keeps; a run reads a few (2 on the
 # stab-bump benchmark, 8 on gap-cert)
 _MEMO_GRIDS = 64
 

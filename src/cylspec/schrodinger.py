@@ -10,10 +10,11 @@ symmetric tridiagonal matrix.  Counts are certified independently by a
 Sturm / LDL^T pivot count (the number of negative pivots of T - E
 equals the number of eigenvalues below E), and each eigenvalue is
 Richardson-refined from grids n and 2n: the scheme's error is C h^2 +
-O(h^4), so E = (4 E_2n - E_n)/3 cancels the leading term.  Grid n is
-solved by LAPACK bisection.  The states of grid 2n are refined from
-those of grid n by inverse iteration and Rayleigh-quotient steps
-(LAPACK dgtsv), and each refined value comes with a residual
+O(h^4), so E = (4 E_2n - E_n)/3 cancels the leading term.  V is read
+once, on grid 2n, whose every other node is a node of grid n bit for
+bit.  Grid n is solved by LAPACK bisection.  The states of grid 2n are
+refined from those of grid n by inverse iteration and Rayleigh-quotient
+steps (LAPACK dgtsv), and each refined value comes with a residual
 enclosure; k disjoint enclosures below the threshold, for a Sturm
 count of k, hold exactly one state each.  When the count differs from
 the number of coarse states, or the enclosures fail, grid 2n is solved
@@ -135,14 +136,15 @@ def settle_residual(potential: ModePotential, halfwidth: float) -> float:
     return float(np.max(np.abs(ends - potential.threshold)))
 
 
-def _dirichlet_grid(potential: ModePotential, halfwidth: float, n: int):
-    # interior nodes of [-L, L] with n subintervals
-    h = 2.0 * halfwidth / n
-    ys = -halfwidth + h * np.arange(1, n)
-    vals = potential.values(ys)
-    diag = 2.0 / (h * h) + vals
-    off = np.full(n - 2, -1.0 / (h * h))
-    return diag, off
+def _dirichlet_grids(potential: ModePotential, halfwidth: float, n: int):
+    """(diag, off) of grids n and 2n on [-L, L], from one read of V at the
+    interior nodes of grid 2n.  Grid n takes every other one of them, bit
+    for bit: its step 2 fl(L/n) is fl(2L/n), and its node j, fl(2L/n) j,
+    is fl(L/n) 2j as a real number, so both round alike."""
+    h = halfwidth / n
+    vals = potential.values(-halfwidth + h * np.arange(1, 2 * n))
+    grids = ((vals[1::2], 2.0 * h), (vals, h))
+    return [(2.0 / (s * s) + v, np.full(v.size - 1, -1.0 / (s * s))) for v, s in grids]
 
 
 def _eigs_below(diag, off, lower_bound: float, cutoff: float):
@@ -212,9 +214,10 @@ def bound_states(
 ) -> BoundStateResult:
     """Eigenvalues strictly below the essential-spectrum edge.
 
-    Validates that the potential has settled at the window ends, solves
-    grid `grid` by bisection, counts the states of grid `2*grid` with a
-    Sturm pivot count, and Richardson-extrapolates each matched pair.
+    Validates that the potential has settled at the window ends, reads V
+    once on grid `2*grid` (_dirichlet_grids), solves grid `grid` by
+    bisection, counts the states of grid `2*grid` with a Sturm pivot
+    count, and Richardson-extrapolates each matched pair.
     When that count equals the number of coarse states, the fine states
     are refined from the coarse ones (_refined) and accepted only with
     k disjoint enclosures below the threshold for the k counted states,
@@ -234,8 +237,7 @@ def bound_states(
         )
 
     floor = potential.lower_bound
-    coarse = _dirichlet_grid(potential, halfwidth, grid)
-    fine = _dirichlet_grid(potential, halfwidth, 2 * grid)
+    coarse, fine = _dirichlet_grids(potential, halfwidth, grid)
     e_coarse = _eigs_below(*coarse, floor, thr)
     # certification: the LDL^T pivot count of the fine matrix
     certified = count_below(*fine, thr)
@@ -432,6 +434,7 @@ def _propagator(potentials, steps):
                 out[:, part] = _magnus_product(omega, es[part], column[mode[part]], count)
         return out
 
+    run.potentials = potentials  # for the errors that name a mode
     return run
 
 
@@ -494,18 +497,25 @@ def _magnus_product(omega, es, cols, count=False):
     return np.stack(rows)
 
 
-def _checked_trace(sf, energies) -> np.ndarray:
+def _mode_name(pot) -> str:
+    """A periodic error's name for a mode; a stand-in without a flavor goes by its type."""
+    flavor = getattr(pot, "flavor", None)
+    return f"mode {flavor} {pot.mode_constant:.6g}" if flavor else type(pot).__name__
+
+
+def _checked_trace(prop, sf, energies, modes) -> np.ndarray:
     """Delta = u(b) + v'(b) of the states propagated at each energy, after
-    the Wronskian check; a failure names the worst energy and the largest
-    transfer-matrix entry there."""
+    the Wronskian check; a failure names the worst energy, its mode and
+    the largest transfer-matrix entry there."""
     drift = np.abs(sf[0] * sf[3] - sf[2] * sf[1] - 1.0)
     if np.any(drift > _WRONSKIAN_TOL):
         worst = int(np.argmax(drift))
         e = float(np.atleast_1d(energies)[worst])
+        mode = prop.potentials[int(np.broadcast_to(modes, drift.shape)[worst])]
         entry = float(np.max(np.abs(sf[:4, worst])))
         raise NumericalError(
-            f"Wronskian drifted at E = {e:.6g}: |det - 1| = {drift[worst]:.3e}, "
-            f"with transfer-matrix entries up to {entry:.3e}"
+            f"Wronskian drifted at E = {e:.6g}: |det - 1| = {drift[worst]:.3e} in "
+            f"{_mode_name(mode)}, with transfer-matrix entries up to {entry:.3e}"
         )
     return sf[0] + sf[3]
 
@@ -521,14 +531,14 @@ def _dirichlet_angle(prop, energies, modes=0):
     """
     sf = prop(energies, modes, count=True)
     count = np.maximum(0, np.ceil(sf[4] / math.pi) - 1).astype(int)
-    return sf[4], count, _checked_trace(sf, energies)
+    return sf[4], count, _checked_trace(prop, sf, energies, modes)
 
 
 def discriminant(prop, energies, modes=0) -> np.ndarray:
     """Delta(E), the trace of the one-period transfer matrix, at each of
     a batch of energies, on a propagator that _propagator built; each
     energy on the potential of its mode index (one for all by default)."""
-    return _checked_trace(prop(energies, modes), energies)
+    return _checked_trace(prop, prop(energies, modes), energies, modes)
 
 
 def _galerkin_pair(v_hat: np.ndarray, b: float, e_max: float) -> np.ndarray:
@@ -907,16 +917,16 @@ def _search_bands(potentials, lows, e_max: float) -> dict:
                 continue
             if drift[worst] > NOISE_FLOOR and not drift[worst] < 0.5 * last[i]:
                 raise NumericalError(
-                    f"discriminant not resolved below e_max = {e_max}: {n[i]} and {2 * n[i]} "
-                    f"steps differ by {drift[worst]:.3e} at E = {read[worst]:.6g}, above the "
-                    f"noise floor {NOISE_FLOOR:.0e}, and doubling no longer halves that; "
-                    "lower e_max"
+                    f"discriminant of {_mode_name(potentials[i])} not resolved below e_max = "
+                    f"{e_max}: {n[i]} and {2 * n[i]} steps differ by {drift[worst]:.3e} at "
+                    f"E = {read[worst]:.6g}, above the noise floor {NOISE_FLOOR:.0e}, and "
+                    "doubling no longer halves that; lower e_max"
                 )
             if last[i] <= NOISE_FLOOR:  # the count alone missed, twice in a row
                 raise NumericalError(
                     f"the Dirichlet count at e_max = {e_max} changes from {n[i] // 2} to {n[i]} "
-                    f"and from {n[i]} to {2 * n[i]} steps: e_max lies on a Dirichlet eigenvalue "
-                    "to rounding; move e_max"
+                    f"and from {n[i]} to {2 * n[i]} steps in {_mode_name(potentials[i])}: e_max "
+                    "lies on a Dirichlet eigenvalue to rounding; move e_max"
                 )
             n[i], last[i] = 2 * n[i], drift[worst]
             undone.append(i)
@@ -959,8 +969,9 @@ def _mode_bands(
     if not ref_pairs or not bands:
         if ref_pairs or bands:
             raise ResolutionError(
-                "one route finds spectrum below e_max and the other does not: "
-                f"discriminant bands {len(bands)}, eigenvalue bands {len(ref_pairs)}"
+                f"in {_mode_name(potential)}, one route finds spectrum below e_max and the "
+                f"other does not: discriminant bands {len(bands)}, eigenvalue bands "
+                f"{len(ref_pairs)}"
             )
         return replace(empty, steps=n)
 
@@ -975,13 +986,14 @@ def _mode_bands(
     ref_flat, got_flat = edges(_join_uncertified(ref_pairs, certified)), edges(bands)
     if len(ref_flat) != len(got_flat):
         raise ResolutionError(
-            f"edge count mismatch: discriminant route found {len(got_flat)} edges, "
-            f"eigenvalue route implies {len(ref_flat)}"
+            f"edge count mismatch in {_mode_name(potential)}: discriminant route found "
+            f"{len(got_flat)} edges, eigenvalue route implies {len(ref_flat)}"
         )
     max_dev = max((abs(a - r) for a, r in zip(got_flat, ref_flat)), default=0.0)
     if max_dev > CROSS_TOL:
         raise ResolutionError(
-            f"band-edge cross-validation failed: max deviation {max_dev:.3e} > {CROSS_TOL:.1e}"
+            f"band-edge cross-validation failed in {_mode_name(potential)}: max deviation "
+            f"{max_dev:.3e} > {CROSS_TOL:.1e}"
         )
     # an uncertified gap wider than CROSS_TOL on the eigenvalue route is
     # reported with that route's edges

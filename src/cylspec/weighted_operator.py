@@ -34,7 +34,6 @@ from .profiles import CoefficientProfile
 
 __all__ = [
     "WeightedOperatorSpec",
-    "WeightedEigenResult",
     "weighted_eigenvalues",
 ]
 
@@ -60,13 +59,6 @@ class WeightedOperatorSpec:
         return np.linspace(-self.halfwidth, self.halfwidth, self.grid + 1)
 
 
-@dataclass(frozen=True)
-class WeightedEigenResult:
-    eigenvalues: tuple[float, ...]
-    halfwidth: float
-    grid: int
-
-
 def _pencil(spec: WeightedOperatorSpec):
     """Symmetrized tridiagonal (diag, offdiag) of M^-1/2 K M^-1/2."""
     zs = spec.nodes()
@@ -85,7 +77,7 @@ def _pencil(spec: WeightedOperatorSpec):
     return diag, off, mass
 
 
-def weighted_eigenvalues(spec: WeightedOperatorSpec, count: int) -> WeightedEigenResult:
+def weighted_eigenvalues(spec: WeightedOperatorSpec, count: int) -> tuple[float, ...]:
     """Lowest `count` Dirichlet eigenvalues of the truncated pencil."""
     if count < 1:
         raise ValidationError("count must be positive")
@@ -93,8 +85,4 @@ def weighted_eigenvalues(spec: WeightedOperatorSpec, count: int) -> WeightedEige
         raise ValidationError("count exceeds the discrete problem size")
     diag, off, _ = _pencil(spec)
     w = eigh_tridiagonal(diag, off, eigvals_only=True, select="i", select_range=(0, count - 1))
-    return WeightedEigenResult(
-        eigenvalues=tuple(float(x) for x in w),
-        halfwidth=float(spec.halfwidth),
-        grid=spec.grid,
-    )
+    return tuple(float(x) for x in w)

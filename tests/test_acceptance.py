@@ -91,7 +91,7 @@ def test_01_dual_route_agreement():
             select_range=(0, 4),
             eigvals_only=True,
         )
-        for a, b in zip(direct.eigenvalues, evals):
+        for a, b in zip(direct, evals):
             rel = abs(a - b) / abs(b)
             worst = max(worst, rel)
             assert rel <= 1e-3

@@ -146,10 +146,14 @@ def test_oracle_solves_on_the_settled_window(tmp_path):
         numerics={"e_max": 10.0, "window_halfwidth": 12.0},
     )
     cfg["profile"]["epsilon"].update(amplitude=0.8, center=0.3, width=3.0)
-    assert main(["run", str(_write_cfg(tmp_path, cfg)), "--oracle"]) == 0
+    assert main(["run", str(_write_cfg(tmp_path, cfg)), "--oracle", "--dump-potentials"]) == 0
     report = json.loads((tmp_path / "report.json").read_text())
-    assert max(m["window_halfwidth"] for m in report["modes"]) > 12.0
+    half = max(m["window_halfwidth"] for m in report["modes"])
+    assert half > 12.0
     assert report["oracle"]["max_rel_deviation"] <= 1e-5
+    # potentials.csv samples the window the modes were solved on
+    ys = [float(line.split(",")[2]) for line in (tmp_path / "potentials.csv").read_text().splitlines()[1:]]
+    assert (min(ys), max(ys)) == (-half, half)
 
 
 def test_dump_potentials(tmp_path):

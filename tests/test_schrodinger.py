@@ -34,8 +34,15 @@ from cylspec.errors import (
     ValidationError,
     WindowError,
 )
-from cylspec.liouville import ModePotential, build_potential, build_transform
-from cylspec.profiles import Constant, CosinePeriodic, Sech2Bump, essential_bounds, make_profile
+from cylspec.liouville import LiouvilleData, ModePotential, build_potential, build_transform
+from cylspec.profiles import (
+    Constant,
+    CosinePeriodic,
+    GaussianBump,
+    Sech2Bump,
+    essential_bounds,
+    make_profile,
+)
 from cylspec.schrodinger import (
     band_structure,
     bound_states,
@@ -195,10 +202,38 @@ def test_refinement_estimate_bounds_true_error():
 def test_count_below_agrees_with_eigensolver():
     pot = _Well(floor=0.0, strength=6.0)
     res = bound_states(pot, 15.0, 2000)
-    diag, off = schrodinger._dirichlet_grid(pot, 15.0, res.grid)
+    _, (diag, off) = schrodinger._dirichlet_grids(pot, 15.0, res.grid // 2)
     assert count_below(diag, off, 0.0) == len(res.eigenvalues)
     assert count_below(diag, off, -2.5) == 1
     assert count_below(diag, off, -5.0) == 0
+
+
+@pytest.mark.parametrize("n", [1001, 1500])
+@pytest.mark.parametrize("halfwidth", [15.0, 13.7])
+@pytest.mark.parametrize(
+    "bump", [Sech2Bump(1.0, 0.5, 0.0, 1.0), GaussianBump(1.0, 0.8, 0.3, 3.0)], ids=["sech2", "gauss"]
+)
+def test_grid_n_is_every_other_node_of_grid_2n(bump, halfwidth, n):
+    # grid n from the one read on grid 2n is, bit for bit, grid n read on
+    # its own nodes, which the transform inverts afresh
+    prof = make_profile(bump, Constant(1.0))
+    pot = build_potential(build_transform(prof, essential_bounds(prof), window=(-20.0, 20.0)), "m", 6.0)
+    (diag, off), _ = schrodinger._dirichlet_grids(pot, halfwidth, n)
+    h = 2.0 * halfwidth / n
+    vals = pot.values(-halfwidth + h * np.arange(1, n))
+    assert np.array_equal(diag, 2.0 / (h * h) + vals)
+    assert np.array_equal(off, np.full(n - 2, -1.0 / (h * h)))
+
+
+def test_bound_states_reads_the_potential_once(monkeypatch):
+    # the settle check's two points, then the 2 grid - 1 nodes of grid
+    # 2n, and not the grid - 1 nodes of grid n on their own
+    sizes, inverse = [], LiouvilleData.inverse
+    monkeypatch.setattr(
+        LiouvilleData, "inverse", lambda data, ys: sizes.append(np.size(ys)) or inverse(data, ys)
+    )
+    res = bound_states(build_potential(_excess_data(), "el", 5.0), 15.0, 500)
+    assert res.eigenvalues and sizes == [2, 2 * 500 - 1]
 
 
 def test_count_below_matches_the_float64_recurrence():
@@ -225,8 +260,7 @@ def test_count_below_matches_the_float64_recurrence():
 
 def _seeded(pot, grid):
     """The fine matrix of `grid` and the coarse states that seed it."""
-    coarse = schrodinger._dirichlet_grid(pot, 15.0, grid)
-    fine = schrodinger._dirichlet_grid(pot, 15.0, 2 * grid)
+    coarse, fine = schrodinger._dirichlet_grids(pot, 15.0, grid)
     return fine, schrodinger._eigs_below(*coarse, pot.lower_bound, pot.threshold)
 
 
@@ -322,7 +356,7 @@ class Well:
     def values(self, ys):
         return -24.0 / np.cosh(ys - 0.3) ** 2
 
-coarse, fine = (s._dirichlet_grid(Well(), 15.0, n) for n in (10_001, 20_002))
+coarse, fine = s._dirichlet_grids(Well(), 15.0, 10_001)
 values, radii = s._refined(*fine, s._eigs_below(*coarse, -25.0, 0.0), 0.0)
 sys.stdout.write(str(fine[0].size) + " " + values.tobytes().hex() + radii.tobytes().hex())
 """
@@ -1027,6 +1061,14 @@ def test_a_failing_batch_is_searched_once(monkeypatch):
         assert len(searches) == 1
     assert messages[0] == messages[1]
     assert messages[0] in alone
+
+
+def test_a_failing_mode_is_named():
+    # the Wronskian error of a batch names the mode it drifted in
+    good, b = (_cosine_mode(mode_constant=c * math.pi**2) for c in (2.0, 50.0))
+    with pytest.raises(NumericalError, match="Wronskian drifted") as info:
+        band_structure([good, b], 400.0)
+    assert f" in mode el {50.0 * math.pi**2:.6g}, with " in str(info.value)
 
 
 def test_band_structure_rejects_mixed_periods(monkeypatch):
